@@ -2,9 +2,9 @@
 
 Closed forms for isotropic pairs N(0, sigma1^2 I_n) vs N(0, I_n): KL (bits),
 exact total variation via the monotone radial likelihood ratio, squared
-Hellinger, the eigenvalue form of KL for general covariances, and an
-importance-sampling chi-square estimator. Every report is checked against the
-Hellinger sandwich H^2 <= V_T <= sqrt(1 - (1 - H^2)^2) and Pinsker.
+Hellinger, and the eigenvalue form of KL for general covariances. Every
+report is checked against the Hellinger sandwich
+H^2 <= V_T <= sqrt(1 - (1 - H^2)^2) and Pinsker.
 
 All divergences are reported in bits; helpers convert nats <-> bits.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "kl_general_covariance",
     "hellinger_sq_isotropic",
     "tvd_isotropic_exact",
-    "chi_sq_mc",
     "h_function_witness",
     "isotropic_report",
 ]
@@ -208,59 +207,6 @@ def isotropic_report(pair: IsotropicGaussianPair, chi_sq: float | None = None) -
         chi_sq=chi_sq,
         method="closed_form",
     )
-
-
-_MC_BLOCK = 4096
-
-
-def chi_sq_mc(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    log_density_p: Callable[[np.ndarray], np.ndarray],
-    log_density_q: Callable[[np.ndarray], np.ndarray],
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Importance-sampling estimate of chi^2(P || Q) = E_Q[(p/q - 1)^2].
-
-    ``sampler`` draws from the *reference* distribution Q (the integral runs
-    against q, and the reference here is cheap, light-tailed noise). Sampling
-    is blocked on substreams keyed by (seed, block), so the result is identical
-    for any worker count. Returns (estimate, standard error).
-    """
-    if samples < 1000:
-        raise DomainError(f"chi_sq_mc: need samples >= 1000, got {samples}")
-    total, total_sq, count = 0.0, 0.0, 0
-    n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
-
-    def one_block(b: int) -> tuple[float, float, int]:
-        m = min(_MC_BLOCK, samples - b * _MC_BLOCK)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2, b]))
-        x = sampler(rng, m)
-        lp, lq = np.asarray(log_density_p(x)), np.asarray(log_density_q(x))
-        bad = ~(np.isfinite(lp) & np.isfinite(lq))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise NumericError(
-                f"chi_sq_mc: non-finite log density at block {b}, sample {i}"
-            )
-        g = np.expm1(lp - lq) ** 2
-        return float(g.sum()), float((g * g).sum()), m
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(one_block, range(n_blocks)))
-    else:
-        parts = [one_block(b) for b in range(n_blocks)]
-    for s, sq, m in parts:  # fixed block order -> bit-identical reduction
-        total += s
-        total_sq += sq
-        count += m
-    mean = total / count
-    var = max(0.0, total_sq / count - mean * mean)
-    return mean, math.sqrt(var / count)
 
 
 @dataclass(frozen=True)

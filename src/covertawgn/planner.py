@@ -115,11 +115,15 @@ def kl_budget_bits(n: int, x: float) -> float:
     return 0.5 * n * specfn.x_minus_log1p(x) * specfn.LOG2E
 
 
-def solve_exact_power(n: int, delta: float, rel_tol: float = 1e-12) -> float:
+# relative residual at which the exact budget solve stops
+_EXACT_POWER_REL_TOL = 1e-12
+
+
+def solve_exact_power(n: int, delta: float) -> float:
     """The x* > 0 with (n/2)[x - ln(1+x)] log2 e = delta, by safeguarded Newton.
 
     Seeded at the small-x root sqrt(4 delta ln2 / n); the residual at the
-    returned point is below rel_tol * delta.
+    returned point is below 1e-12 * delta.
     """
     if n < 1 or not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"solve_exact_power: invalid (n={n}, delta={delta!r})")
@@ -127,7 +131,7 @@ def solve_exact_power(n: int, delta: float, rel_tol: float = 1e-12) -> float:
     lo, hi = 0.0, None
     for _ in range(200):
         f = kl_budget_bits(n, x) - delta
-        if abs(f) <= rel_tol * delta:
+        if abs(f) <= _EXACT_POWER_REL_TOL * delta:
             return x
         if f > 0.0:
             hi = x if hi is None else min(hi, x)

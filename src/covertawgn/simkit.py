@@ -43,8 +43,6 @@ __all__ = [
     "build_codebook",
     "save_codebook",
     "load_codebook",
-    "transmit",
-    "bob_decode",
     "bob_decode_batch",
     "willie_detect",
     "empirical_divergences",
@@ -142,25 +140,12 @@ def load_codebook(path: str) -> Codebook:
     return Codebook(spec=spec, codewords=rows, seed=meta["seed"])
 
 
-# --- channel and decoder --------------------------------------------------------
-
-
-def transmit(cb: Codebook, message_index: int, rng: np.random.Generator) -> np.ndarray:
-    """Codeword plus fresh standard Gaussian noise (unit noise power at both
-    receivers; Bob's and Willie's observations use independent draws)."""
-    if not (0 <= message_index < cb.M):
-        raise InputError(f"transmit: message index {message_index} not in [0, {cb.M})")
-    return cb.codewords[message_index] + rng.standard_normal(cb.n)
-
-
-def bob_decode(cb: Codebook, received: np.ndarray) -> int:
-    """Minimum-distance (= ML under Gaussian noise) decision, lowest index on ties."""
-    d = np.linalg.norm(cb.codewords - np.asarray(received), axis=1)
-    return int(np.argmin(d))
+# --- Bob's decoder --------------------------------------------------------------
 
 
 def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
-    """Vectorized bob_decode over rows of `received` (shape (k, n))."""
+    """Minimum-distance (= ML under Gaussian noise) decisions for the rows of
+    `received` (shape (k, n)), lowest index on ties."""
     # argmin of ||y - c||^2 = ||c||^2 - 2 y.c over codewords, per row
     cross = received @ cb.codewords.T
     scores = np.sum(cb.codewords**2, axis=1)[None, :] - 2.0 * cross
@@ -208,15 +193,6 @@ class DetectionResult:
         }
 
 
-def _ratio_grid(model: RadialOutputDensity, points: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (radius, log f_bar/f0) table for interpolation; the ratio is
-    monotone increasing in the radius, so linear interpolation stays monotone."""
-    spec = model.spec
-    s_hi = math.sqrt(spec.n * (1.0 + spec.psi) + 16.0 * math.sqrt(2.0 * spec.n) + 80.0)
-    s = np.linspace(1e-9, s_hi, points)
-    return s, np.asarray(model.log_density_ratio(s))
-
-
 def _bayes_crossing(grid_s: np.ndarray, grid_v: np.ndarray) -> float:
     """Radius where the interpolated log ratio crosses 0 (Bayes threshold
     for equal priors). Uses the same piecewise-linear table as the bulk
@@ -260,7 +236,7 @@ def willie_detect(
             raise InputError(
                 "willie_detect: Bayes rule and lrt detector need a RadialOutputDensity"
             )
-        grid_s, grid_v = _ratio_grid(model)
+        grid_s, grid_v = model.ratio_table
     if detector == "energy":
         if threshold_rule == "bayes":
             thr = _bayes_crossing(grid_s, grid_v) ** 2
@@ -317,7 +293,7 @@ def empirical_divergences(
         raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
     if model is None:
         model = radial_output_density(spec)
-    grid_s, grid_v = _ratio_grid(model)
+    grid_s, grid_v = model.ratio_table
 
     def one_block(b: int, count: int):
         rng = _rng(seed, StreamTag.DIVERGENCE, b)

@@ -32,7 +32,6 @@ __all__ = [
     "RadialOutputDensity",
     "shell_mass",
     "tvd_trunc_vs_full",
-    "sample_codeword",
     "sample_codewords",
     "char_function_gaussian",
     "radial_output_density",
@@ -114,9 +113,8 @@ class TruncatedGaussianSpec:
 def _radius_sq_quantile(spec: TruncatedGaussianSpec, q: np.ndarray) -> np.ndarray:
     """Inverse CDF of the squared radius ||x||^2 ~ Gamma(n/2, 2 mu psi) on the shell.
 
-    q in [0, 1) maps onto the conditioned quantile range [P_lo, P_lo + Delta].
-    Bulk path: scipy's vectorized inverse regularized gamma; the scalar
-    bisection+Newton equivalent (_invert_radius_cdf) is kept as the reference.
+    q in [0, 1) maps onto the conditioned quantile range [P_lo, P_lo + Delta]
+    through scipy's vectorized inverse regularized gamma.
     """
     a = 0.5 * spec.n
     scale = 2.0 * spec.variance
@@ -128,34 +126,6 @@ def _radius_sq_quantile(spec: TruncatedGaussianSpec, q: np.ndarray) -> np.ndarra
             f"radius inverse CDF failed at a={a}: non-finite quantile"
         )
     return t
-
-
-def _invert_radius_cdf(a: float, p: float) -> float:
-    """Scalar inverse of P(a, .) by bisection + Newton on the series/CF evaluator."""
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"_invert_radius_cdf: need 0 < p < 1, got {p!r}")
-    lo, hi = 0.0, max(4.0 * a, 8.0)
-    while specfn.reg_inc_gamma_lower(a, hi) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericError(f"_invert_radius_cdf: bracket expansion failed (a={a}, p={p})")
-    x = a  # start at the mean
-    for _ in range(200):
-        f = specfn.reg_inc_gamma_lower(a, x) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        # pdf of the regularized gamma at x
-        log_pdf = (a - 1.0) * math.log(x) - x - math.lgamma(a)
-        step = f / math.exp(log_pdf) if log_pdf > -700.0 else 0.0
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-14 * max(x, 1.0):
-            return x_new
-        x = x_new
-    raise NumericError(f"_invert_radius_cdf: no convergence at a={a}, p={p}")
 
 
 def sample_codewords(
@@ -178,11 +148,6 @@ def sample_codewords(
     return x
 
 
-def sample_codeword(spec: TruncatedGaussianSpec, rng: np.random.Generator) -> np.ndarray:
-    """Single draw; see sample_codewords."""
-    return sample_codewords(spec, 1, rng)[0]
-
-
 def char_function_gaussian(n: int, psi: float, mu: float, t: np.ndarray | float) -> float:
     """Characteristic function exp(-mu psi ||t||^2 / 2) of the generating Gaussian.
 
@@ -197,14 +162,30 @@ def char_function_gaussian(n: int, psi: float, mu: float, t: np.ndarray | float)
 
 # --- radial output density -------------------------------------------------
 
+# Gauss-Legendre nodes of the radius law: first try, and cap of the doubling
+_RADIUS_LAW_NODES = 256
+_RADIUS_LAW_MAX_NODES = 4096
+# radial grid sizes: output-divergence quadrature, Monte-Carlo ratio table
+_QUADRATURE_POINTS = 4000
+_RATIO_TABLE_POINTS = 4096
+
+
+def _output_radial_grid(spec: TruncatedGaussianSpec, points: int) -> np.ndarray:
+    """Uniform output-radius grid up to ~16 sigma beyond the bulk of ||y||."""
+    n = spec.n
+    s_max = math.sqrt(n * (1.0 + spec.psi) + 16.0 * math.sqrt(2.0 * n) + 80.0)
+    return np.linspace(1e-9, s_max, points)
+
 
 @dataclass(frozen=True)
 class RadialOutputDensity:
     """Discretized radius law of the code shell, ready for output-density work.
 
-    quadrature_nodes are (radius, weight) pairs over [r_inner, r_outer] whose
-    weights sum to 1 within 1e-10; log_mix_weights premultiplies the Gaussian
-    attenuation exp(-r_k^2/2) used by the convolution kernel.
+    radii and weights are matching node/weight vectors over [r_inner, r_outer]
+    whose weights sum to 1 within 1e-10; _log_mix premultiplies the Gaussian
+    attenuation exp(-r_k^2/2) used by the convolution kernel, and ratio_table
+    caches the log density ratio on the radial grid that the Monte-Carlo
+    statistics interpolate.
     """
 
     spec: TruncatedGaussianSpec
@@ -225,13 +206,19 @@ class RadialOutputDensity:
                 f"RadialOutputDensity: radius-law weights sum off by {err:.2e}"
             )
 
-    @property
-    def quadrature_nodes(self) -> list[tuple[float, float]]:
-        return list(zip(self.radii.tolist(), self.weights.tolist()))
-
     @cached_property
     def _log_mix(self) -> np.ndarray:
         return np.log(self.weights) - 0.5 * self.radii**2
+
+    @cached_property
+    def ratio_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (radius, log f_bar/f0) table for interpolation, built once per
+        model; the ratio is monotone increasing in the radius, so linear
+        interpolation stays monotone."""
+        s = _output_radial_grid(self.spec, _RATIO_TABLE_POINTS)
+        v = np.asarray(self.log_density_ratio(s))
+        s.flags.writeable = v.flags.writeable = False  # one copy serves every caller
+        return s, v
 
     def log_density_ratio(self, y_norm: np.ndarray | float) -> np.ndarray | float:
         """log( f_bar(y) / f0(y) ) at ||y|| = y_norm (scalar or vector)."""
@@ -300,17 +287,15 @@ def _gauss_legendre_radius_law(
     return r, jac * np.exp(log_pdf)
 
 
-def radial_output_density(
-    spec: TruncatedGaussianSpec, nodes: int = 256, max_nodes: int = 4096
-) -> RadialOutputDensity:
-    """Build the discretized radius law, doubling nodes until weights sum to 1
-    within 1e-10 (explicit accuracy contract)."""
-    m = nodes
+def radial_output_density(spec: TruncatedGaussianSpec) -> RadialOutputDensity:
+    """Build the discretized radius law, doubling nodes from 256 up to 4096
+    until weights sum to 1 within 1e-10 (explicit accuracy contract)."""
+    m = _RADIUS_LAW_NODES
     while True:
         r, w = _gauss_legendre_radius_law(spec, m)
         if abs(float(w.sum()) - 1.0) <= 1e-10:
             return RadialOutputDensity(spec=spec, radii=r, weights=w)
-        if m >= max_nodes:
+        if m >= _RADIUS_LAW_MAX_NODES:
             raise NumericError(
                 f"radial_output_density: radius law not normalized with {m} nodes "
                 f"(n={spec.n}, psi={spec.psi}, mu={spec.mu})"
@@ -329,15 +314,7 @@ def radial_output_log_density(model: RadialOutputDensity, y_norm: float) -> floa
     return log_f0 + float(model.log_density_ratio(float(y_norm)))
 
 
-def _output_radial_grid(model: RadialOutputDensity, points: int) -> np.ndarray:
-    n = model.spec.n
-    s_max = math.sqrt(n + model.spec.n * model.spec.psi + 16.0 * math.sqrt(2.0 * n) + 80.0)
-    return np.linspace(1e-9, s_max, points)
-
-
-def output_divergences_quadrature(
-    model: RadialOutputDensity, points: int = 4000
-) -> DivergenceReport:
+def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceReport:
     """KL/TVD/H^2/chi^2 of the AWGN output of the code against pure noise,
     by quadrature over the radial coordinate (both laws are spherical).
 
@@ -345,7 +322,7 @@ def output_divergences_quadrature(
     within 1e-6.
     """
     n = model.spec.n
-    s = _output_radial_grid(model, points)
+    s = _output_radial_grid(model.spec, _QUADRATURE_POINTS)
     ratio = np.exp(np.asarray(model.log_density_ratio(s)))
     a = 0.5 * n
     log_f0_rad = (

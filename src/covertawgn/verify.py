@@ -119,20 +119,8 @@ def check_04_detection_matches_tvd() -> CheckResult:
     n, delta = 64, 0.05
     psi = pl.psi_suf(n, delta, _MU_TEST, pl.nu_lemma_shell(n))
     spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=_MU_TEST)
-    model = tg.radial_output_density(spec)
-    trials = 100_000
-
-    def h1_block(b: int, cnt: int) -> np.ndarray:
-        rng = sk._rng(90104, sk.StreamTag.WILLIE_H1, b)
-        return tg.sample_codewords(spec, cnt, rng) + rng.standard_normal((cnt, n))
-
-    def h0_block(b: int, cnt: int) -> np.ndarray:
-        return sk._rng(90104, sk.StreamTag.WILLIE_H0, b).standard_normal((cnt, n))
-
-    h1 = np.vstack(sk._map_blocks(h1_block, trials, 1))
-    h0 = np.vstack(sk._map_blocks(h0_block, trials, 1))
-    det = sk.willie_detect(h0, h1, model=model, detector="energy")
-    kl_est, tvd_est = sk.empirical_divergences(spec, trials, 90104, model=model)
+    res = sk.simulate(spec, M=2, trials=100_000, seed=90104)
+    det, tvd_est = res.detection, res.empirical_tvd
     adv = 1.0 - det.sum_error
     comb = math.sqrt(det.std_err**2 + tvd_est.std_err**2)
     dev = abs(adv - tvd_est.value)
@@ -260,7 +248,7 @@ def check_09_bounds_structure() -> CheckResult:
 
 def check_10_sandwich_and_pinsker() -> CheckResult:
     """Hellinger sandwich and Pinsker on every divergence report produced by
-    the closed forms, the quadrature path, and the MC chi-square path."""
+    the closed forms and the quadrature path."""
     t0 = time.perf_counter()
     count = 0
     try:

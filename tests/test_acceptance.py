@@ -18,7 +18,11 @@ import pytest
 from covertawgn import bounds as bd
 from covertawgn import planner as pl
 from covertawgn import truncgauss as tg
-from covertawgn import verify as vf
+
+
+def _check(results, criterion):
+    """The session's verify result for one criterion (see conftest.py)."""
+    return next(r for r in results if r.criterion == criterion)
 
 
 # -- criterion 1: shell complement below 0.005 at n=400 --------------------------
@@ -31,8 +35,8 @@ def test_criterion_01_shell_mass(mu):
     )
 
 
-def test_criterion_01_runtime():
-    res = vf.check_01_shell_mass_claim()
+def test_criterion_01_runtime(verify_results):
+    res = _check(verify_results, 1)
     assert res.runtime < res.limit
 
 
@@ -44,48 +48,48 @@ def _assert_check(res):
     assert res.passed, res.detail
 
 
-def test_criterion_02_shell_mass_against_mc():
+def test_criterion_02_shell_mass_against_mc(verify_results):
     # eight (n, mu) configs, 1e6 draws each, agreement within 3 standard errors
-    _assert_check(vf.check_02_shell_mass_mc())
+    _assert_check(_check(verify_results, 2))
 
 
-def test_criterion_03_isotropic_kl_against_mc():
+def test_criterion_03_isotropic_kl_against_mc(verify_results):
     # twelve (n, sigma^2) points, 2e5 draws, within 4 standard errors
-    _assert_check(vf.check_03_kl_isotropic_mc())
+    _assert_check(_check(verify_results, 3))
 
 
-def test_criterion_04_detector_advantage_equals_tvd():
+def test_criterion_04_detector_advantage_equals_tvd(verify_results):
     # 1 - (alpha + beta) of the Bayes energy test matches the MC total
     # variation within 3 combined standard errors (n=64, delta=0.05)
-    _assert_check(vf.check_04_detection_matches_tvd())
+    _assert_check(_check(verify_results, 4))
 
 
-def test_criterion_05_isotropic_minimizes_kl():
+def test_criterion_05_isotropic_minimizes_kl(verify_results):
     # 1000 random spectra at fixed trace never beat the isotropic KL
-    _assert_check(vf.check_05_isotropic_minimizes_kl())
+    _assert_check(_check(verify_results, 5))
 
 
-def test_criterion_06_taylor_sandwich_inside_validity():
+def test_criterion_06_taylor_sandwich_inside_validity(verify_results):
     # strict sandwich on a 1e4-point grid below the threshold, three etas
-    _assert_check(vf.check_06_taylor_sandwich())
+    _assert_check(_check(verify_results, 6))
 
 
-def test_criterion_07_planner_covert_both_directions():
+def test_criterion_07_planner_covert_both_directions(verify_results):
     # sufficient power keeps the empirical KL within delta + 3 se; doubling
     # the necessary power breaks the budget, across six (n, delta) configs
-    _assert_check(vf.check_07_planner_end_to_end())
+    _assert_check(_check(verify_results, 7))
 
 
-def test_criterion_08_power_schedule_regimes():
+def test_criterion_08_power_schedule_regimes(verify_results):
     # c n^-tau: tau=1/4 divergent with V_T -> 1; tau=3/4 vanishing with
     # KL(1e8) < 1e-3; tau=1/2 plateau within 1% of c^2/4 log2 e
-    _assert_check(vf.check_08_schedule_regimes())
+    _assert_check(_check(verify_results, 8))
 
 
-def test_criterion_10_sandwich_and_pinsker_everywhere():
-    # every report from closed forms, quadrature, and MC chi-square passes
+def test_criterion_10_sandwich_and_pinsker_everywhere(verify_results):
+    # every report from the closed forms and the quadrature path passes
     # construction-time Hellinger-sandwich and Pinsker validation
-    _assert_check(vf.check_10_sandwich_and_pinsker())
+    _assert_check(_check(verify_results, 10))
 
 
 # -- criterion 9: bound structure, split so the red part is precise --------------
@@ -126,6 +130,6 @@ def test_criterion_09_converse_within_2pct_of_first_order():
     assert abs(ratio - 1.0) <= 0.02, f"conv/first = {ratio:.5f} at n=1e8"
 
 
-def test_criterion_09_runtime():
-    res = vf.check_09_bounds_structure()
+def test_criterion_09_runtime(verify_results):
+    res = _check(verify_results, 9)
     assert res.runtime < res.limit

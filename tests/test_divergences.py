@@ -150,37 +150,6 @@ def test_report_mc_slack_allows_noise():
     )
 
 
-def test_chi_sq_mc_1d_anchor():
-    # chi^2(N(0,1.2) || N(0,1)) = 1/sqrt(2*1.2 - 1.2^2) - 1
-    closed = 1.0 / math.sqrt(2 * 1.2 - 1.2**2) - 1.0
-    assert closed == pytest.approx(0.0206207261596576, rel=1e-13)
-
-    def sampler(rng, m):
-        return rng.standard_normal((m, 1))
-
-    log_p = lambda x: -0.5 * (x[:, 0] ** 2) / 1.2 - 0.5 * math.log(2 * math.pi * 1.2)
-    log_q = lambda x: -0.5 * (x[:, 0] ** 2) - 0.5 * math.log(2 * math.pi)
-    est, se = dv.chi_sq_mc(sampler, log_p, log_q, samples=200_000, seed=13)
-    assert abs(est - closed) <= 4 * se
-    assert se < 0.001
-
-
-def test_chi_sq_mc_worker_invariance():
-    def sampler(rng, m):
-        return rng.standard_normal((m, 2))
-
-    log_p = lambda x: -0.25 * (x * x).sum(axis=1) - math.log(2 * math.pi * math.sqrt(2.0))
-    log_q = lambda x: -0.5 * (x * x).sum(axis=1) - math.log(2 * math.pi)
-    a = dv.chi_sq_mc(sampler, log_p, log_q, samples=50_000, seed=5, workers=1)
-    b = dv.chi_sq_mc(sampler, log_p, log_q, samples=50_000, seed=5, workers=4)
-    assert a == b
-
-
-def test_chi_sq_mc_rejects_tiny_sample():
-    with pytest.raises(DomainError):
-        dv.chi_sq_mc(lambda rng, m: rng.standard_normal((m, 1)), lambda x: x[:, 0], lambda x: x[:, 0], 10, 0)
-
-
 def _witness_model(n, delta):
     psi = pl.psi_suf(n, delta, 0.8, 1.0 + 1.0 / n)
     return tg.radial_output_density(tg.TruncatedGaussianSpec(n, psi, 0.8))
