@@ -5,10 +5,16 @@ Willie's optimal binary test between "noise only" and "code output", and
 empirical estimates of the divergences whose closed forms live in
 `divergences` and `truncgauss`.
 
+Willie's test and the empirical divergences read only ||y||, sufficient for
+the spherically symmetric output laws, drawn in O(1) per trial as
+||x + z||^2 = (||x|| + g)^2 + chi^2_{n-1}, g ~ N(0, 1), under the code and
+||z||^2 ~ chi^2_n under noise. Only Bob's decoder draws full vectors.
+
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
 are reduced in block order — so results are bit-identical for any worker
-count. The stream tags below are part of the reproducibility contract;
+count. The stream tags below and the draws made from each stream are the
+reproducibility contract (v2: the Willie and divergence streams draw radii);
 changing them changes every seeded result.
 """
 
@@ -28,6 +34,7 @@ from .specfn import LOG2E
 from .truncgauss import (
     RadialOutputDensity,
     TruncatedGaussianSpec,
+    _sample_radii,
     radial_output_density,
     read_codebook_file,
     sample_codewords,
@@ -66,25 +73,26 @@ def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, int(tag), block]))
 
 
-def _blocks(total: int) -> list[tuple[int, int, int]]:
-    """(block_index, start, count) partition of range(total)."""
-    out = []
-    b = 0
-    for lo in range(0, total, _MC_BLOCK):
-        out.append((b, lo, min(_MC_BLOCK, total - lo)))
-        b += 1
-    return out
-
-
 def _map_blocks(fn, total: int, workers: int) -> list:
-    """Apply fn(block_index, count) over the partition; results in block order."""
-    blocks = _blocks(total)
-    if workers <= 1:
-        return [fn(b, cnt) for b, _, cnt in blocks]
+    """Apply fn(block_index, count) over the fixed-size partition of
+    range(total); results in block order."""
+    if workers < 1:
+        raise DomainError(f"simkit: need workers >= 1, got {workers}")
+    starts = range(0, total, _MC_BLOCK)
+    blocks = [(b, min(_MC_BLOCK, total - lo)) for b, lo in enumerate(starts)]
+    if workers == 1:
+        return [fn(b, cnt) for b, cnt in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, b, cnt) for b, _, cnt in blocks]
+        futs = [pool.submit(fn, b, cnt) for b, cnt in blocks]
         return [f.result() for f in futs]
 
+
+def _output_radii(r: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """||x + z|| for codewords of norms r under unit AWGN z in R^n, with
+    chi^2_{n-1} drawn as 2 Gamma((n-1)/2), which admits n = 1 (chisquare(0)
+    raises)."""
+    g = rng.standard_normal(r.size)
+    return np.sqrt((r + g) ** 2 + 2.0 * rng.standard_gamma(0.5 * (n - 1), r.size))
 
 # --- codebooks ----------------------------------------------------------------
 
@@ -146,9 +154,10 @@ def load_codebook(path: str) -> Codebook:
 def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     """Minimum-distance (= ML under Gaussian noise) decisions for the rows of
     `received` (shape (k, n)), lowest index on ties."""
-    # argmin of ||y - c||^2 = ||c||^2 - 2 y.c over codewords, per row
-    cross = received @ cb.codewords.T
-    scores = np.sum(cb.codewords**2, axis=1)[None, :] - 2.0 * cross
+    # argmin of ||y - c||^2 = ||c||^2 - 2 y.c per row, in place in the product
+    scores = received @ cb.codewords.T
+    scores *= -2.0
+    scores += np.sum(cb.codewords**2, axis=1)[None, :]
     return np.argmin(scores, axis=1)
 
 
@@ -208,13 +217,13 @@ def _bayes_crossing(grid_s: np.ndarray, grid_v: np.ndarray) -> float:
 
 
 def willie_detect(
-    h0_obs: np.ndarray,
-    h1_obs: np.ndarray,
+    h0_radii: np.ndarray,
+    h1_radii: np.ndarray,
     model: RadialOutputDensity | None = None,
     detector: str = "energy",
     threshold_rule: str | float = "bayes",
 ) -> DetectionResult:
-    """Binary hypothesis test on observation batches (rows are observations).
+    """Binary hypothesis test on the observation radii ||z|| (1-D arrays).
 
     detector "energy" thresholds ||z||^2; "lrt" thresholds the radial
     log-likelihood ratio. threshold_rule "bayes" places the threshold at the
@@ -223,14 +232,14 @@ def willie_detect(
     spherically symmetric alternatives the likelihood ratio is monotone in
     ||z||, so both detectors make identical decisions under the Bayes rule.
     """
-    h0 = np.atleast_2d(np.asarray(h0_obs, dtype=float))
-    h1 = np.atleast_2d(np.asarray(h1_obs, dtype=float))
-    if h0.shape[0] == 0 or h1.shape[0] == 0:
-        raise InputError("willie_detect: both hypothesis sample sets must be nonempty")
+    r0 = np.asarray(h0_radii, dtype=float)
+    r1 = np.asarray(h1_radii, dtype=float)
+    if r0.ndim != 1 or r1.ndim != 1 or r0.size == 0 or r1.size == 0:
+        raise InputError(
+            f"willie_detect: need nonempty 1-D radius arrays, got {r0.shape} and {r1.shape}"
+        )
     if detector not in ("energy", "lrt"):
         raise InputError(f"willie_detect: unknown detector {detector!r}")
-    r0 = np.linalg.norm(h0, axis=1)
-    r1 = np.linalg.norm(h1, axis=1)
     if threshold_rule == "bayes" or detector == "lrt":
         if model is None:
             raise InputError(
@@ -255,8 +264,8 @@ def willie_detect(
         threshold=thr,
         alpha=alpha,
         beta=beta,
-        trials_h0=h0.shape[0],
-        trials_h1=h1.shape[0],
+        trials_h0=r0.size,
+        trials_h1=r1.size,
     )
 
 
@@ -281,7 +290,7 @@ def empirical_divergences(
 ) -> tuple[Estimate, Estimate]:
     """(KL in bits, total variation), each with a standard error.
 
-    KL is the sample mean of log2(f_bar/f0) under codeword-plus-noise draws.
+    KL is the sample mean of log2(f_bar/f0) under code-output radius draws.
     TVD uses the split identity V_T = (1/2)[E_P0 (1 - f_bar/f0)^+ +
     E_P1 (1 - f0/f_bar)^+]: each integrand lives in [0, 1] under its own
     measure, so the estimate cannot saturate the way the absolute-ratio form
@@ -297,11 +306,10 @@ def empirical_divergences(
 
     def one_block(b: int, count: int):
         rng = _rng(seed, StreamTag.DIVERGENCE, b)
-        x = sample_codewords(spec, count, rng)
-        z1 = x + rng.standard_normal((count, spec.n))
-        z0 = rng.standard_normal((count, spec.n))
-        lr1 = np.interp(np.linalg.norm(z1, axis=1), grid_s, grid_v)
-        lr0 = np.interp(np.linalg.norm(z0, axis=1), grid_s, grid_v)
+        r1 = _output_radii(_sample_radii(spec, count, rng), spec.n, rng)
+        r0 = np.sqrt(rng.chisquare(spec.n, count))
+        lr1 = np.interp(r1, grid_s, grid_v)
+        lr0 = np.interp(r0, grid_s, grid_v)
         if not (np.isfinite(lr1).all() and np.isfinite(lr0).all()):
             raise NumericError(f"empirical_divergences: non-finite ratio in block {b}")
         t0 = np.maximum(-np.expm1(lr0), 0.0)
@@ -383,6 +391,9 @@ def simulate(
     """
     if trials < 1:
         raise DomainError(f"simulate: need trials >= 1, got {trials}")
+    div_n = trials if divergence_samples is None else divergence_samples
+    if div_n < 2:
+        raise DomainError(f"simulate: need divergence_samples >= 2, got {div_n}")
     t0 = time.perf_counter()
     cb = build_codebook(spec, M, seed)
     model = radial_output_density(spec)
@@ -406,23 +417,20 @@ def simulate(
     per_message = wrong[sent > 0] / sent[sent > 0]
     worst_message = float(per_message.max()) if per_message.size else 0.0
 
-    def willie_h1_block(b: int, count: int):
+    row_norms = np.linalg.norm(cb.codewords, axis=1)
+
+    def willie_block(b: int, count: int):
         rng = _rng(seed, StreamTag.WILLIE_H1, b)
         if willie_ensemble:
-            x = sample_codewords(spec, count, rng)
+            r = _sample_radii(spec, count, rng)
         else:
-            x = cb.codewords[rng.integers(0, M, size=count)]
-        return x + rng.standard_normal((count, spec.n))
+            r = row_norms[rng.integers(0, M, size=count)]
+        r0 = np.sqrt(_rng(seed, StreamTag.WILLIE_H0, b).chisquare(spec.n, count))
+        return r0, _output_radii(r, spec.n, rng)
 
-    def willie_h0_block(b: int, count: int):
-        rng = _rng(seed, StreamTag.WILLIE_H0, b)
-        return rng.standard_normal((count, spec.n))
-
-    h1 = np.vstack(_map_blocks(willie_h1_block, trials, workers))
-    h0 = np.vstack(_map_blocks(willie_h0_block, trials, workers))
+    h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials, workers)))
     detection = willie_detect(h0, h1, model=model, detector=detector)
 
-    div_n = trials if divergence_samples is None else divergence_samples
     kl, tvd = empirical_divergences(spec, div_n, seed, workers=workers, model=model)
 
     config = {

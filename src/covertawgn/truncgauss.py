@@ -110,22 +110,21 @@ class TruncatedGaussianSpec:
         return shell_mass(self.n, self.mu)
 
 
-def _radius_sq_quantile(spec: TruncatedGaussianSpec, q: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the squared radius ||x||^2 ~ Gamma(n/2, 2 mu psi) on the shell.
-
-    q in [0, 1) maps onto the conditioned quantile range [P_lo, P_lo + Delta]
+def _sample_radii(
+    spec: TruncatedGaussianSpec, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact i.i.d. codeword radii ||x||, shape (count,), by the inverse CDF of
+    the squared radius ||x||^2 ~ Gamma(n/2, 2 mu psi) on the shell: uniform q
+    in [0, 1) maps onto the conditioned quantile range [P_lo, P_lo + Delta]
     through scipy's vectorized inverse regularized gamma.
     """
     a = 0.5 * spec.n
     scale = 2.0 * spec.variance
     p_lo = specfn.reg_inc_gamma_lower(a, 0.5 * spec.n * spec.mu)
-    p = p_lo + np.asarray(q) * spec.delta_mass
-    t = scale * _sp.gammaincinv(a, p)
+    t = scale * _sp.gammaincinv(a, p_lo + rng.random(count) * spec.delta_mass)
     if not np.all(np.isfinite(t)):
-        raise NumericError(
-            f"radius inverse CDF failed at a={a}: non-finite quantile"
-        )
-    return t
+        raise NumericError(f"radius inverse CDF failed at a={a}: non-finite quantile")
+    return np.sqrt(t)
 
 
 def sample_codewords(
@@ -138,14 +137,12 @@ def sample_codewords(
     """
     if count < 1:
         raise DomainError(f"sample_codewords: need count >= 1, got {count}")
-    u = rng.random(count)
-    r = np.sqrt(_radius_sq_quantile(spec, u))
+    r = _sample_radii(spec, count, rng)
     g = rng.standard_normal((count, spec.n))
     norms = np.linalg.norm(g, axis=1)
     # a zero vector from the RNG is measure-zero but cheap to guard
     norms[norms == 0.0] = 1.0
-    x = g * (r / norms)[:, None]
-    return x
+    return g * (r / norms)[:, None]
 
 
 def char_function_gaussian(n: int, psi: float, mu: float, t: np.ndarray | float) -> float:

@@ -40,13 +40,6 @@ class CheckResult:
     limit: float
     detail: str
 
-    def row(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{self.criterion:2d}  {status}  {self.runtime:7.2f}s/{self.limit:.0f}s  "
-            f"{self.name}: {self.detail}"
-        )
-
 
 def _result(criterion, name, passed, t0, limit, detail) -> CheckResult:
     rt = time.perf_counter() - t0

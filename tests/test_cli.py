@@ -166,6 +166,11 @@ def test_exit_code_2_on_bad_inputs(tmp_path):
     missing = run_cli("plan", "--config", str(tmp_path / "nope.cfg"))
     assert missing.returncode == 2
     assert "error:" in missing.stderr
+    zero_workers = run_cli(
+        "simulate", "--n", "16", "--delta", "0.05", "--mu", "0.8", "--workers", "0"
+    )
+    assert zero_workers.returncode == 2
+    assert "workers" in zero_workers.stderr
 
 
 def test_exit_code_2_on_malformed_grid():

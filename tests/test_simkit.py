@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from covertawgn import divergences as dv
@@ -13,6 +15,10 @@ from covertawgn.errors import DomainError, InputError
 
 def _spec(n=16, psi=0.5, mu=0.7):
     return tg.TruncatedGaussianSpec(n=n, psi=psi, mu=mu)
+
+
+def _norms(x):
+    return np.linalg.norm(x, axis=1)
 
 
 def test_stream_tags_are_frozen():
@@ -104,12 +110,27 @@ def test_decoder_reliable_at_generous_power():
     assert res.decode_error_worst_message < 5e-3
 
 
+def test_bob_decode_pinned_seeded_values():
+    # Bob's BOB_NOISE stream and decisions are the same under stream contracts v1 and v2
+    spec = tg.TruncatedGaussianSpec(n=32, psi=1.0, mu=0.7)
+    res = sk.simulate(spec, M=256, trials=6000, seed=11, divergence_samples=2)
+    assert res.decode_error_rate == 0.08033333333333334
+    assert res.decode_error_worst_message == 0.35714285714285715
+
+
+def test_bob_decode_in_place_scores_match_reference():
+    cb = sk.build_codebook(_spec(n=32), 64, seed=3)
+    y = cb.codewords[np.arange(500) % 64] + np.random.default_rng(4).standard_normal((500, 32))
+    scores = np.sum(cb.codewords**2, axis=1)[None, :] - 2.0 * (y @ cb.codewords.T)
+    assert np.array_equal(sk.bob_decode_batch(cb, y), np.argmin(scores, axis=1))
+
+
 def test_willie_detect_energy_equals_lrt():
     spec = _spec(n=16, psi=0.9, mu=0.7)
     model = tg.radial_output_density(spec)
     rng = np.random.default_rng(5)
-    h0 = rng.standard_normal((4000, 16))
-    h1 = tg.sample_codewords(spec, 4000, rng) + rng.standard_normal((4000, 16))
+    h0 = _norms(rng.standard_normal((4000, 16)))
+    h1 = _norms(tg.sample_codewords(spec, 4000, rng) + rng.standard_normal((4000, 16)))
     de = sk.willie_detect(h0, h1, model=model, detector="energy")
     dl = sk.willie_detect(h0, h1, model=model, detector="lrt")
     assert de.alpha == dl.alpha and de.beta == dl.beta
@@ -120,10 +141,25 @@ def test_willie_detect_energy_equals_lrt():
     assert de.to_dict()["sum_error"] == pytest.approx(de.alpha + de.beta)
 
 
+_MODEL_16 = tg.radial_output_density(_spec(n=16, psi=0.9, mu=0.7))
+_S_TOP = float(_MODEL_16.ratio_table[0][-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.5 * _S_TOP), min_size=1, max_size=40))
+def test_willie_detect_energy_and_lrt_decide_alike(radii):
+    # one radius per call: equal alpha and beta mean equal decisions, radius by radius
+    for r in radii:
+        h = np.array([r])
+        de = sk.willie_detect(h, h, model=_MODEL_16, detector="energy")
+        dl = sk.willie_detect(h, h, model=_MODEL_16, detector="lrt")
+        assert (de.alpha, de.beta) == (dl.alpha, dl.beta)
+
+
 def test_willie_detect_explicit_threshold():
     rng = np.random.default_rng(2)
-    h0 = rng.standard_normal((1000, 4))
-    h1 = 10.0 + rng.standard_normal((1000, 4))
+    h0 = _norms(rng.standard_normal((1000, 4)))
+    h1 = _norms(10.0 + rng.standard_normal((1000, 4)))
     res = sk.willie_detect(h0, h1, detector="energy", threshold_rule=150.0)
     assert res.threshold == 150.0
     assert res.sum_error < 0.05  # trivially separable at this offset
@@ -133,9 +169,11 @@ def test_willie_detect_input_errors():
     spec = _spec()
     model = tg.radial_output_density(spec)
     rng = np.random.default_rng(0)
-    obs = rng.standard_normal((10, 16))
+    obs = _norms(rng.standard_normal((10, 16)))
     with pytest.raises(InputError):
         sk.willie_detect(obs[:0], obs, model=model)
+    with pytest.raises(InputError):  # observation matrices, not radii
+        sk.willie_detect(obs[:, None], obs[:, None], model=model)
     with pytest.raises(InputError):
         sk.willie_detect(obs, obs, model=model, detector="matched")
     with pytest.raises(InputError):
@@ -153,8 +191,8 @@ def test_detection_floor_matches_total_variation():
     rep = tg.output_divergences_quadrature(model)
     rng = np.random.default_rng(31)
     m = 30_000
-    h0 = rng.standard_normal((m, n))
-    h1 = tg.sample_codewords(spec, m, rng) + rng.standard_normal((m, n))
+    h0 = _norms(rng.standard_normal((m, n)))
+    h1 = _norms(tg.sample_codewords(spec, m, rng) + rng.standard_normal((m, n)))
     det = sk.willie_detect(h0, h1, model=model)
     assert det.sum_error >= 1.0 - rep.tvd - 3.0 * det.std_err
 
@@ -187,6 +225,30 @@ def test_empirical_tvd_does_not_saturate_when_laws_separate():
 def test_empirical_divergences_validation():
     with pytest.raises(DomainError):
         sk.empirical_divergences(_spec(), 1, seed=0)
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match="workers"):
+            sk.empirical_divergences(_spec(), 100, seed=0, workers=workers)
+
+
+# the full-vector oracle: ||x + z|| from explicit codewords and noise vectors
+@pytest.mark.parametrize("n", [1, 16, 512])
+@pytest.mark.parametrize("law", ["h1_ensemble", "h1_rows", "h0"])
+def test_radial_draws_match_full_vector_oracle(n, law):
+    spec = _spec(n=n, psi=0.8, mu=0.5 if n == 1 else 0.7)
+    m = 10_000
+    rng, oracle = np.random.default_rng([n, 1]), np.random.default_rng([n, 2])
+    if law == "h1_ensemble":
+        radial = sk._output_radii(tg._sample_radii(spec, m, rng), n, rng)
+        x = tg.sample_codewords(spec, m, oracle)
+    elif law == "h1_rows":
+        cb = sk.build_codebook(spec, 4, seed=n)
+        radial = sk._output_radii(_norms(cb.codewords)[rng.integers(0, 4, m)], n, rng)
+        x = cb.codewords[oracle.integers(0, 4, m)]
+    else:
+        radial = np.sqrt(rng.chisquare(n, m))
+        x = np.zeros((m, n))
+    full = _norms(x + oracle.standard_normal((m, n)))
+    assert stats.ks_2samp(radial, full).pvalue > 1e-3
 
 
 def test_triangle_chain_bounds_codebook_output():
@@ -214,7 +276,7 @@ def test_simulate_reproducible_across_workers():
 
 
 def test_simulate_pinned_seeded_values():
-    # the stream contract: these exact values change only with a documented bump
+    # stream contract v2: these exact values change only with a documented bump
     spec = _spec(n=16, psi=0.8, mu=0.7)
     d = sk.simulate(spec, M=4, trials=4000, seed=42).to_dict()
     d.pop("wall_time")
@@ -225,21 +287,42 @@ def test_simulate_pinned_seeded_values():
         "detection": {
             "detector": "energy",
             "threshold": 19.777861168093956,
-            "alpha": 0.28125,
-            "beta": 0.2235,
-            "sum_error": 0.50475,
+            "alpha": 0.28025,
+            "beta": 0.22775,
+            "sum_error": 0.508,
             "trials_h0": 4000,
             "trials_h1": 4000,
-            "std_err": 0.009691441939928238,
+            "std_err": 0.009715835977927993,
         },
-        "empirical_kl_bits": {"value": 1.2984083776070583, "std_err": 0.034700490858540836},
-        "empirical_tvd": {"value": 0.47946347052011357, "std_err": 0.00405019307880083},
+        "empirical_kl_bits": {"value": 1.3451652387941173, "std_err": 0.034387435350400106},
+        "empirical_tvd": {"value": 0.4836594606971809, "std_err": 0.004015274219523131},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
             "workers": 1, "detector": "energy", "divergence_samples": 4000,
             "willie_ensemble": True,
         },
     }
+
+
+def test_simulate_smoke_at_n_1():
+    spec = tg.TruncatedGaussianSpec(n=1, psi=1.0, mu=0.5)
+    for ensemble in (True, False):
+        res = sk.simulate(spec, M=2, trials=3000, seed=5, willie_ensemble=ensemble)
+        assert 0.0 <= res.decode_error_rate <= 1.0
+        assert 0.0 <= res.detection.sum_error <= 2.0
+        assert math.isfinite(res.empirical_kl_bits.value) and res.empirical_tvd.value > 0.0
+
+
+def test_simulate_rejects_small_divergence_samples_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulate did work before validating its arguments")
+
+    monkeypatch.setattr(sk, "build_codebook", no_work)
+    spec = _spec()
+    with pytest.raises(DomainError, match="divergence_samples"):
+        sk.simulate(spec, M=4, trials=100, seed=0, divergence_samples=1)
+    with pytest.raises(DomainError, match="divergence_samples"):
+        sk.simulate(spec, M=4, trials=1, seed=0)
 
 
 def test_simulate_builds_ratio_table_once(monkeypatch):
@@ -274,3 +357,6 @@ def test_simulate_result_fields():
     assert res.to_json().startswith("{")
     with pytest.raises(DomainError):
         sk.simulate(spec, M=4, trials=0, seed=7)
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match="workers"):
+            sk.simulate(spec, M=4, trials=100, seed=7, workers=workers)
