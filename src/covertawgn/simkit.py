@@ -286,7 +286,6 @@ def empirical_divergences(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    model: RadialOutputDensity | None = None,
 ) -> tuple[Estimate, Estimate]:
     """(KL in bits, total variation), each with a standard error.
 
@@ -300,9 +299,7 @@ def empirical_divergences(
     """
     if n_samples < 2:
         raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
-    if model is None:
-        model = radial_output_density(spec)
-    grid_s, grid_v = model.ratio_table
+    grid_s, grid_v = radial_output_density(spec).ratio_table
 
     def one_block(b: int, count: int):
         rng = _rng(seed, StreamTag.DIVERGENCE, b)
@@ -431,7 +428,7 @@ def simulate(
     h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials, workers)))
     detection = willie_detect(h0, h1, model=model, detector=detector)
 
-    kl, tvd = empirical_divergences(spec, div_n, seed, workers=workers, model=model)
+    kl, tvd = empirical_divergences(spec, div_n, seed, workers=workers)
 
     config = {
         "n": spec.n,

@@ -1,9 +1,10 @@
-"""Scalar special functions underpinning every closed form in the package.
+"""Special functions underpinning every closed form in the package.
 
-Self-contained on top of the C library via ``math`` (lgamma, erfc): the
+Scalar functions on top of the C library via ``math`` (lgamma, erfc): the
 regularized lower incomplete gamma P(a, x), the Gaussian upper tail Q and its
-inverse, and the logarithm of the spherical plane-wave average
-0F1(; n/2; t^2/4) that appears in radial output densities.
+inverse. One numpy kernel, elementwise over arrays, evaluates the logarithm
+of the spherical plane-wave average 0F1(; n/2; t^2/4) that appears in radial
+output densities.
 
 All functions are pure, deterministic, and thread-safe.
 """
@@ -11,6 +12,8 @@ All functions are pure, deterministic, and thread-safe.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, NumericError
 
@@ -62,7 +65,7 @@ def log_gamma(a: float) -> float:
 
 
 def _stirling_corr(a: float) -> float:
-    # lgamma(a) - [(a - 1/2) ln a - a + ln(2 pi)/2], asymptotic series, a >= 1e4
+    # lgamma(a) - [(a - 1/2) ln a - a + ln(2 pi)/2], asymptotic series, a >= ~60
     inv = 1.0 / a
     inv2 = inv * inv
     return inv * (
@@ -221,61 +224,78 @@ def gaussian_q_inv(p: float) -> float:
     return z
 
 
-def _log_hyp0f1_series(b: float, z: float) -> float:
-    """ln 0F1(;b;z) by direct positive-term summation (result fits in a double)."""
-    term, s = 1.0, 1.0
+# ln 0F1 switches from its series to the Debye expansion at this order
+_DEBYE_MIN_ORDER = 64.0
+# Debye polynomials u_k(p) = p^k * poly(p^2) / d, k = 1..4 (DLMF 10.41.10)
+_DEBYE_U = (
+    ((3.0, -5.0), 24.0),
+    ((81.0, -462.0, 385.0), 1152.0),
+    ((30375.0, -369603.0, 765765.0, -425425.0), 414720.0),
+    ((4465125.0, -94121676.0, 349922430.0, -446185740.0, 185910725.0), 39813120.0),
+)
+
+
+def _log_hyp0f1_series(b: float, t: np.ndarray) -> np.ndarray:
+    """ln 0F1(; b; t^2/4) by the positive series from k = 0; each running sum
+    moves into a log scale long before it can overflow, so any t works."""
+    z = 0.25 * t * t
+    term, s, log_scale = np.ones_like(z), np.ones_like(z), np.zeros_like(z)
     for k in range(_MAX_ITER):
         term *= z / ((b + k) * (k + 1.0))
         s += term
-        if term <= s * 1e-17:
-            return math.log(s)
-    raise NumericError(f"log_sph_bessel_factor series stalled at b={b}, z={z}")
+        big = s > 1e250
+        if big.any():
+            log_scale[big] += np.log(s[big])
+            term[big] /= s[big]
+            s[big] = 1.0
+        if np.all(term <= s * 1e-17):
+            return log_scale + np.log(s)
+    raise NumericError(f"log_sph_bessel_factor series stalled at b={b}, t_max={t.max()}")
 
 
-def _log_hyp0f1_window(b: float, z: float) -> float:
-    """ln 0F1(;b;z) by log-domain summation over the dominant window of terms.
-
-    Used when the linear-domain sum would overflow; the log-terms
-    k ln z - lnGamma(b+k) + lnGamma(b) - lnGamma(k+1) are concave in k, so
-    scanning outward from the peak until terms drop 45 nats suffices.
-    """
-    lz = math.log(z)
-    k_star = max(0, int(math.sqrt(z + 0.25 * (b - 1.0) ** 2) - 0.5 * (b - 1.0)))
-
-    def log_term(k: int) -> float:
-        return k * lz - math.lgamma(b + k) + math.lgamma(b) - math.lgamma(k + 1.0)
-
-    peak = log_term(k_star)
-    total = 1.0  # the peak term, scaled
-    for step in (1, -1):
-        k = k_star + step
-        while k >= 0:
-            lt = log_term(k)
-            if lt < peak - 45.0:
-                break
-            total += math.exp(lt - peak)
-            k += step
-    return peak + math.log(total)
+def _log_hyp0f1_debye(b: float, t: np.ndarray) -> np.ndarray:
+    """ln[Gamma(b) (2/t)^nu I_nu(t)], nu = b - 1, by the Debye expansion of
+    I_nu(nu z) (DLMF 10.41.3). With q = sqrt(1 + z^2) and w = q - 1, the
+    Stirling series of ln Gamma(b) cancels nu*eta and the ln(z/2) terms:
+    nu (w - ln(1 + w/2)) + stirling_corr(nu) - ln(q)/2 + ln sum_k u_k(1/q) / nu^k.
+    Truncation error: about 8e-13 at nu = 63, falling like nu^-5; t = 0 gives
+    exactly 0."""
+    nu = b - 1.0
+    z = t / nu
+    q = np.hypot(1.0, z)
+    w = z * (z / (1.0 + q))  # q - 1 without cancellation or overflow
+    p = 1.0 / q
+    # sum_k u_k(p) / nu^k as one polynomial in p, by Horner's rule
+    coef = np.zeros(3 * len(_DEBYE_U) + 1)
+    for k, (c, d) in enumerate(_DEBYE_U, 1):
+        coef[k : 3 * k + 1 : 2] += np.asarray(c) / (d * nu**k)
+    corr = np.full_like(p, coef[-1])
+    for c in coef[-2::-1]:
+        corr *= p
+        corr += c
+    out = nu * (w - np.log1p(0.5 * w)) + _stirling_corr(nu) - 0.5 * np.log(q) + np.log1p(corr)
+    return np.where(t == 0.0, 0.0, out)
 
 
-def log_sph_bessel_factor(order_param: float, t: float) -> float:
-    """ln 0F1(; order_param; t^2/4): log of the uniform spherical average of
-    exp(r <u, y_hat>) at t = r ||y||, with order_param = n/2.
+def log_sph_bessel_factor(order_param: float, t: np.ndarray | float) -> np.ndarray | float:
+    """ln 0F1(; order_param; t^2/4), elementwise over a scalar or an array t:
+    the log of the uniform spherical average of exp(r <u, y_hat>) at
+    t = r ||y||, with order_param = n/2.
 
     Equals ln cosh(t) at order 1/2 and ln(sinh t / t) at order 3/2. Monotone
-    increasing in t, value 0 at t = 0; stable for t up to ~1e6 via log-domain
-    windowed summation when the plain series would overflow.
+    increasing in t, exactly 0 at t = 0. Below order 64 the positive series
+    is summed with overflow-safe rescaling; from order 64 up the Debye
+    expansion of the Bessel function is used. A float t returns a float.
     """
-    if not (order_param > 0.0):
-        raise DomainError(f"log_sph_bessel_factor: need order_param > 0, got {order_param!r}")
-    if t < 0.0 or math.isnan(t):
-        raise DomainError(f"log_sph_bessel_factor: need t >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    z = 0.25 * t * t
-    # 0F1(;b;z) <= cosh(2 sqrt z) = cosh(t) for b >= 1/2, so t < 700 cannot overflow
-    if t < 700.0 and order_param >= 0.5:
-        return _log_hyp0f1_series(order_param, z)
-    if t < 600.0:
-        return _log_hyp0f1_series(order_param, z)
-    return _log_hyp0f1_window(order_param, z)
+    if not (order_param > 0.0 and math.isfinite(order_param)):
+        raise DomainError(f"log_sph_bessel_factor: need finite order_param > 0, got {order_param!r}")
+    arr = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if bad.any():
+        raise DomainError(
+            f"log_sph_bessel_factor: need finite t >= 0 at order_param={order_param!r}, "
+            f"got {float(arr[bad].flat[0])!r}"
+        )
+    kernel = _log_hyp0f1_series if order_param < _DEBYE_MIN_ORDER else _log_hyp0f1_debye
+    out = kernel(order_param, arr)
+    return float(out) if out.ndim == 0 else out

@@ -109,6 +109,21 @@ class TruncatedGaussianSpec:
     def delta_mass(self) -> float:
         return shell_mass(self.n, self.mu)
 
+    @cached_property
+    def _output_model(self) -> RadialOutputDensity:
+        m = _RADIUS_LAW_NODES
+        while True:
+            r, w = _gauss_legendre_radius_law(self, m)
+            if abs(float(w.sum()) - 1.0) <= 1e-10:
+                r.flags.writeable = w.flags.writeable = False  # shared by every caller
+                return RadialOutputDensity(spec=self, radii=r, weights=w)
+            if m >= _RADIUS_LAW_MAX_NODES:
+                raise NumericError(
+                    f"radial_output_density: radius law not normalized with {m} nodes "
+                    f"(n={self.n}, psi={self.psi}, mu={self.mu})"
+                )
+            m *= 2
+
 
 def _sample_radii(
     spec: TruncatedGaussianSpec, count: int, rng: np.random.Generator
@@ -165,6 +180,8 @@ _RADIUS_LAW_MAX_NODES = 4096
 # radial grid sizes: output-divergence quadrature, Monte-Carlo ratio table
 _QUADRATURE_POINTS = 4000
 _RATIO_TABLE_POINTS = 4096
+# output radii per kernel call; bounds log_density_ratio's (nodes, block) temporaries
+_RATIO_BLOCK = 256
 
 
 def _output_radial_grid(spec: TruncatedGaussianSpec, points: int) -> np.ndarray:
@@ -218,47 +235,21 @@ class RadialOutputDensity:
         return s, v
 
     def log_density_ratio(self, y_norm: np.ndarray | float) -> np.ndarray | float:
-        """log( f_bar(y) / f0(y) ) at ||y|| = y_norm (scalar or vector)."""
+        """log( f_bar(y) / f0(y) ) at ||y|| = y_norm (scalar or vector): the
+        log-sum-exp over radius nodes r of _log_mix + ln 0F1(; n/2; (r y)^2/4)."""
         scalar = np.ndim(y_norm) == 0
         s = np.atleast_1d(np.asarray(y_norm, dtype=float))
         if (s < 0.0).any():
             raise DomainError("log_density_ratio: negative radius")
         b = 0.5 * self.spec.n
-        t_max = float(self.radii.max() * s.max()) if s.size else 0.0
-        if t_max < 600.0:
-            # linear-domain 0F1 cannot overflow here: 0F1(;b;z) <= cosh(2 sqrt z)
-            z = 0.25 * np.outer(self.radii, s) ** 2
-            f = _hyp0f1_matrix(b, z)
-            out = np.log((self.weights * np.exp(-0.5 * self.radii**2)) @ f)
-        else:
-            lm = self._log_mix
-            rows = np.array(
-                [
-                    [specfn.log_sph_bessel_factor(b, rk * sj) for sj in s]
-                    for rk in self.radii
-                ]
-            )
-            out = _logsumexp_cols(lm[:, None] + rows)
+        out = np.empty_like(s)
+        for j in range(0, s.size, _RATIO_BLOCK):
+            block = s[j : j + _RATIO_BLOCK]
+            log_f = specfn.log_sph_bessel_factor(b, np.outer(self.radii, block))
+            out[j : j + _RATIO_BLOCK] = _sp.logsumexp(self._log_mix[:, None] + log_f, axis=0)
         if not np.all(np.isfinite(out)):
             raise NumericError("log_density_ratio: evaluation overflowed")
         return float(out[0]) if scalar else out
-
-
-def _hyp0f1_matrix(b: float, z: np.ndarray) -> np.ndarray:
-    """Elementwise 0F1(;b;z) by term recursion; caller guarantees no overflow."""
-    term = np.ones_like(z)
-    out = np.ones_like(z)
-    for k in range(100_000):
-        term = term * z / ((b + k) * (k + 1.0))
-        out += term
-        if term.max() <= out.min() * 1e-17:
-            return out
-    raise NumericError(f"_hyp0f1_matrix: series stalled at b={b}")
-
-
-def _logsumexp_cols(m: np.ndarray) -> np.ndarray:
-    peak = m.max(axis=0)
-    return peak + np.log(np.exp(m - peak).sum(axis=0))
 
 
 def _gauss_legendre_radius_law(
@@ -285,19 +276,9 @@ def _gauss_legendre_radius_law(
 
 
 def radial_output_density(spec: TruncatedGaussianSpec) -> RadialOutputDensity:
-    """Build the discretized radius law, doubling nodes from 256 up to 4096
-    until weights sum to 1 within 1e-10 (explicit accuracy contract)."""
-    m = _RADIUS_LAW_NODES
-    while True:
-        r, w = _gauss_legendre_radius_law(spec, m)
-        if abs(float(w.sum()) - 1.0) <= 1e-10:
-            return RadialOutputDensity(spec=spec, radii=r, weights=w)
-        if m >= _RADIUS_LAW_MAX_NODES:
-            raise NumericError(
-                f"radial_output_density: radius law not normalized with {m} nodes "
-                f"(n={spec.n}, psi={spec.psi}, mu={spec.mu})"
-            )
-        m *= 2
+    """The discretized radius law of spec, built once per spec object, doubling
+    nodes from 256 up to 4096 until weights sum to 1 within 1e-10."""
+    return spec._output_model
 
 
 def radial_output_log_density(model: RadialOutputDensity, y_norm: float) -> float:

@@ -203,7 +203,7 @@ def test_empirical_divergences_match_quadrature():
     spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=0.8)
     model = tg.radial_output_density(spec)
     rep = tg.output_divergences_quadrature(model)
-    kl, tvd = sk.empirical_divergences(spec, 150_000, seed=9, workers=2, model=model)
+    kl, tvd = sk.empirical_divergences(spec, 150_000, seed=9, workers=2)
     assert abs(kl.value - rep.kl_bits) <= 4 * kl.std_err
     assert abs(tvd.value - rep.tvd) <= 4 * tvd.std_err
 
@@ -295,7 +295,7 @@ def test_simulate_pinned_seeded_values():
             "std_err": 0.009715835977927993,
         },
         "empirical_kl_bits": {"value": 1.3451652387941173, "std_err": 0.034387435350400106},
-        "empirical_tvd": {"value": 0.4836594606971809, "std_err": 0.004015274219523131},
+        "empirical_tvd": {"value": 0.4836594606971809, "std_err": 0.00401527421952313},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
             "workers": 1, "detector": "energy", "divergence_samples": 4000,
@@ -336,6 +336,22 @@ def test_simulate_builds_ratio_table_once(monkeypatch):
     monkeypatch.setattr(tg.RadialOutputDensity, "log_density_ratio", counting)
     sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=3000, seed=1)
     assert calls == [4096]  # the one table build, none per sample batch
+
+
+def test_simulate_builds_output_model_once_per_spec(monkeypatch):
+    calls = []
+    original = tg.RadialOutputDensity.log_density_ratio
+
+    def counting(self, y_norm):
+        calls.append(np.size(y_norm))
+        return original(self, y_norm)
+
+    monkeypatch.setattr(tg.RadialOutputDensity, "log_density_ratio", counting)
+    spec = _spec(n=16, psi=0.8, mu=0.7)
+    sk.simulate(spec, M=4, trials=3000, seed=1)
+    sk.simulate(spec, M=4, trials=3000, seed=2)
+    assert calls == [4096]  # the second call reuses the spec's model and table
+    assert tg.radial_output_density(spec) is tg.radial_output_density(spec)
 
 
 def test_simulate_result_fields():

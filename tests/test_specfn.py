@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from covertawgn import specfn
@@ -99,6 +101,10 @@ def test_log_sph_bessel_factor_closed_forms():
 
 def test_log_sph_bessel_factor_zero_argument():
     assert specfn.log_sph_bessel_factor(4.0, 0.0) == 0.0
+    # exactly 0 on both sides of the series/Debye switch, scalar or array
+    for b in (0.5, 63.5, 64.0, 1e3, 5e4):
+        assert specfn.log_sph_bessel_factor(b, 0.0) == 0.0
+        assert specfn.log_sph_bessel_factor(b, np.array([0.0, 1.0]))[0] == 0.0
 
 
 @pytest.mark.parametrize("b", [0.5, 1.5, 8.0, 32.0, 320.0])
@@ -142,3 +148,45 @@ def test_log_sph_bessel_factor_huge_argument():
     # 0F1 ~ Gamma(b) e^t (t/2)^(1/2-b) / sqrt(pi... ) -> log ~ t for t >> b
     assert math.isfinite(v)
     assert v > 0.5e5
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    b=st.floats(min_value=0.5, max_value=5e4),
+    t=st.floats(min_value=0.0, max_value=1e4),
+)
+def test_log_sph_bessel_factor_vs_mpmath(b, t):
+    import mpmath as mp
+
+    with mp.workdps(30):
+        ref = float(mp.log(mp.hyp0f1(mp.mpf(b), mp.mpf(t) ** 2 / 4, maxterms=10**6)))
+    assert specfn.log_sph_bessel_factor(b, t) == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+
+def test_log_sph_bessel_factor_order_seam():
+    # the series below order 64 and the Debye expansion from 64 up must agree
+    below = np.nextafter(64.0, 0.0)
+    for t in (0.0, 1e-3, 1.0, 10.0, 100.0, 700.0, 5000.0):
+        lo = specfn.log_sph_bessel_factor(below, t)
+        hi = specfn.log_sph_bessel_factor(64.0, t)
+        assert abs(lo - hi) <= 1e-11, (t, lo, hi)
+
+
+def test_log_sph_bessel_factor_elementwise_and_float_in_float_out():
+    t = np.array([[0.0, 0.5, 20.0], [150.0, 900.0, 4000.0]])
+    for b in (1.5, 40.0, 64.0, 2048.0):
+        got = specfn.log_sph_bessel_factor(b, t)
+        assert got.shape == t.shape
+        scalars = [specfn.log_sph_bessel_factor(b, float(x)) for x in t.flat]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_allclose(got.ravel(), scalars, rtol=1e-14, atol=1e-14)
+
+
+def test_log_sph_bessel_factor_domain():
+    for bad, first in (([1.0, -2.0, float("nan")], "-2.0"), ([float("nan"), -1.0], "nan")):
+        with pytest.raises(DomainError, match=f"order_param=3.5, got {first}"):
+            specfn.log_sph_bessel_factor(3.5, np.array(bad))
+    with pytest.raises(DomainError, match="order_param=100.0, got -0.5"):
+        specfn.log_sph_bessel_factor(100.0, -0.5)
+    with pytest.raises(DomainError):
+        specfn.log_sph_bessel_factor(0.0, 1.0)

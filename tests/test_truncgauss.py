@@ -205,6 +205,31 @@ def test_quadrature_normalized_across_blocklengths():
         assert 0.0 <= rep.tvd <= 1.0
 
 
+def test_log_density_ratio_one_kernel_call_per_block(monkeypatch):
+    spec = tg.TruncatedGaussianSpec(n=4096, psi=1.0 / 64, mu=0.95)
+    model = tg.radial_output_density(spec)
+    s = np.linspace(1.0, tg._output_radial_grid(spec, 2)[-1], 8)
+    calls = []
+    original = tg.specfn.log_sph_bessel_factor
+
+    def counting(order_param, t):
+        calls.append(np.shape(t))
+        return original(order_param, t)
+
+    monkeypatch.setattr(tg.specfn, "log_sph_bessel_factor", counting)
+    lr = model.log_density_ratio(s)
+    assert calls == [(model.radii.size, 8)]
+    assert np.all(np.isfinite(lr)) and np.all(np.diff(lr) > 0.0)
+
+
+def test_quadrature_reaches_sqrt_law_plateau_at_n_16384():
+    # psi = c/sqrt(n) with c = 1: the KL plateau is mu^2 c^2 / 4 * log2 e bits
+    mu = 0.97
+    spec = tg.TruncatedGaussianSpec(n=16384, psi=1.0 / 128, mu=mu)
+    rep = tg.output_divergences_quadrature(tg.radial_output_density(spec))
+    assert rep.kl_bits == pytest.approx(0.25 * mu * mu / LN2, rel=0.02)
+
+
 def test_quadrature_below_resolution_raises_numeric():
     model = tg.radial_output_density(tg.TruncatedGaussianSpec(8, 1e-8, 0.8))
     with pytest.raises(NumericError):
