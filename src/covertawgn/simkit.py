@@ -8,14 +8,19 @@ empirical estimates of the divergences whose closed forms live in
 Willie's test and the empirical divergences read only ||y||, sufficient for
 the spherically symmetric output laws, drawn in O(1) per trial as
 ||x + z||^2 = (||x|| + g)^2 + chi^2_{n-1}, g ~ N(0, 1), under the code and
-||z||^2 ~ chi^2_n under noise. Only Bob's decoder draws full vectors.
+||z||^2 ~ chi^2_n under noise. Bob's ML decoder reads y only through its
+projection onto the span of the codebook (the theorem of irrelevance), so
+`simulate` decodes in k = min(n, M) span coordinates: with C^T = Q R a reduced
+QR, c_j = Q c~_j and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k) is decided
+exactly as y = c_w + z would be, at O(k M) per trial instead of O(n M).
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
 are reduced in block order — so results are bit-identical for any worker
 count. The stream tags below and the draws made from each stream are the
-reproducibility contract (v2: the Willie and divergence streams draw radii);
-changing them changes every seeded result.
+reproducibility contract (v2: the Willie and divergence streams draw radii;
+v3: the Bob stream draws the message indices, then count x k span-coordinate
+normals); changing them changes every seeded result.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .specfn import LOG2E
 from .truncgauss import (
     RadialOutputDensity,
     TruncatedGaussianSpec,
+    _read_only_copy,
     _sample_radii,
     radial_output_density,
     read_codebook_file,
@@ -57,6 +64,7 @@ __all__ = [
 ]
 
 _MC_BLOCK = 4096
+_DECODE_CHUNK = 256  # rows scored at once: caps the score matrix at 256 x M
 
 
 class StreamTag(IntEnum):
@@ -99,13 +107,18 @@ def _output_radii(r: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
 
 @dataclass(frozen=True)
 class Codebook:
-    """M codewords of blocklength n, all inside the power shell of `spec`."""
+    """M codewords of blocklength n, all inside the power shell of `spec`.
+
+    `codewords` is a read-only copy of the rows passed in, so the cached span
+    coordinates cannot go stale.
+    """
 
     spec: TruncatedGaussianSpec
     codewords: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "codewords", _read_only_copy(self.codewords))
         if self.codewords.ndim != 2 or self.codewords.shape[1] != self.spec.n:
             raise DomainError(
                 f"Codebook: shape {self.codewords.shape} does not match n={self.spec.n}"
@@ -129,6 +142,14 @@ class Codebook:
         the shell already enforces the maximal constraint)."""
         return float(np.mean(np.sum(self.codewords**2, axis=1))) / self.spec.n
 
+    @cached_property
+    def _span(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C~, ||c~_j||^2): the rows' coordinates in an orthonormal basis Q of
+        their span, c_j = Q c~_j, as the M x k transpose of R in the reduced
+        QR C^T = Q R (k = min(n, M)), and their squared norms."""
+        coords = _read_only_copy(np.linalg.qr(self.codewords.T, mode="r").T)
+        return coords, _read_only_copy(np.sum(coords**2, axis=1))
+
 
 def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
     """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
@@ -151,14 +172,29 @@ def load_codebook(path: str) -> Codebook:
 # --- Bob's decoder --------------------------------------------------------------
 
 
+def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
+    """Index of the row nearest each point (lowest index on ties), given the
+    rows' squared norms: argmin_j ||c_j||^2 - 2 <y, c_j>, scored
+    _DECODE_CHUNK points at a time into one reused score buffer."""
+    out = np.empty(points.shape[0], dtype=np.intp)
+    buffer = np.empty((min(_DECODE_CHUNK, points.shape[0]), rows.shape[0]))
+    for i in range(0, points.shape[0], _DECODE_CHUNK):
+        chunk = points[i : i + _DECODE_CHUNK]
+        scores = np.matmul(chunk, rows.T, out=buffer[: chunk.shape[0]])
+        scores *= -2.0
+        scores += rows_sq
+        out[i : i + _DECODE_CHUNK] = np.argmin(scores, axis=1)
+    return out
+
+
 def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     """Minimum-distance (= ML under Gaussian noise) decisions for the rows of
-    `received` (shape (k, n)), lowest index on ties."""
-    # argmin of ||y - c||^2 = ||c||^2 - 2 y.c per row, in place in the product
-    scores = received @ cb.codewords.T
-    scores *= -2.0
-    scores += np.sum(cb.codewords**2, axis=1)[None, :]
-    return np.argmin(scores, axis=1)
+    `received` (full n-vectors, shape (count, n)), lowest index on ties.
+
+    `simulate` decides with the same kernel in the codebook's span
+    coordinates, without forming n-vectors."""
+    y = np.asarray(received, dtype=float)
+    return _nearest(y, cb.codewords, np.sum(cb.codewords**2, axis=1))
 
 
 # --- Willie's detector ----------------------------------------------------------
@@ -394,12 +430,14 @@ def simulate(
     t0 = time.perf_counter()
     cb = build_codebook(spec, M, seed)
     model = radial_output_density(spec)
+    coords, coords_sq = cb._span
 
     def bob_block(b: int, count: int):
         rng = _rng(seed, StreamTag.BOB_NOISE, b)
         w = rng.integers(0, M, size=count)
-        y = cb.codewords[w] + rng.standard_normal((count, spec.n))
-        wrong = bob_decode_batch(cb, y) != w
+        y = rng.standard_normal((count, coords.shape[1]))
+        y += coords[w]
+        wrong = _nearest(y, coords, coords_sq) != w
         return (
             np.bincount(w, minlength=M),
             np.bincount(w[wrong], minlength=M),

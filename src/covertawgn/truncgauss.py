@@ -115,7 +115,6 @@ class TruncatedGaussianSpec:
         while True:
             r, w = _gauss_legendre_radius_law(self, m)
             if abs(float(w.sum()) - 1.0) <= 1e-10:
-                r.flags.writeable = w.flags.writeable = False  # shared by every caller
                 return RadialOutputDensity(spec=self, radii=r, weights=w)
             if m >= _RADIUS_LAW_MAX_NODES:
                 raise NumericError(
@@ -123,6 +122,13 @@ class TruncatedGaussianSpec:
                     f"(n={self.n}, psi={self.psi}, mu={self.mu})"
                 )
             m *= 2
+
+
+def _read_only_copy(a) -> np.ndarray:
+    """A C-contiguous float copy of `a` that cannot be written through."""
+    out = np.array(a, dtype=float, order="C")
+    out.flags.writeable = False
+    return out
 
 
 def _sample_radii(
@@ -207,8 +213,9 @@ class RadialOutputDensity:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        # copies, so _log_mix and ratio_table cannot go stale under the caller
+        object.__setattr__(self, "radii", _read_only_copy(self.radii))
+        object.__setattr__(self, "weights", _read_only_copy(self.weights))
         if self.radii.ndim != 1 or self.radii.shape != self.weights.shape:
             raise DomainError(
                 f"RadialOutputDensity: radii {self.radii.shape} and weights "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,28 @@ def test_codebook_rejects_rows_off_shell():
     rows[2] *= 1.5  # pushed outside r_outer
     with pytest.raises(DomainError):
         sk.Codebook(spec=spec, codewords=rows, seed=0)
+
+
+def test_codebook_copies_caller_rows_read_only():
+    spec = _spec()
+    rows = sk.build_codebook(spec, 4, seed=0).codewords.copy()
+    cb = sk.Codebook(spec=spec, codewords=rows, seed=0)
+    kept = rows.copy()
+    rows[:] = rows[::-1].copy()  # the caller edits its array after construction
+    np.testing.assert_array_equal(cb.codewords, kept)
+    with pytest.raises(ValueError):
+        cb.codewords[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n,M", [(64, 4), (64, 63), (64, 64), (64, 65), (512, 16)])
+def test_span_coordinates_reproduce_the_gram_matrix(n, M):
+    cb = sk.build_codebook(_spec(n=n, psi=0.2, mu=0.8), M, seed=M)
+    coords, coords_sq = cb._span
+    assert coords.shape == (M, min(n, M)) and coords.flags.c_contiguous
+    gram = cb.codewords @ cb.codewords.T
+    assert np.max(np.abs(coords @ coords.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+    np.testing.assert_allclose(coords_sq, np.diag(gram), rtol=1e-12)
+    assert cb._span is cb._span  # computed once per codebook
 
 
 def test_codebook_avg_power_within_shell_band():
@@ -111,18 +134,85 @@ def test_decoder_reliable_at_generous_power():
 
 
 def test_bob_decode_pinned_seeded_values():
-    # Bob's BOB_NOISE stream and decisions are the same under stream contracts v1 and v2
+    # stream contract v3: BOB_NOISE draws span-coordinate noise (v1 and v2 gave
+    # 0.08033333333333334 and 0.35714285714285715 from full n-vectors)
     spec = tg.TruncatedGaussianSpec(n=32, psi=1.0, mu=0.7)
     res = sk.simulate(spec, M=256, trials=6000, seed=11, divergence_samples=2)
-    assert res.decode_error_rate == 0.08033333333333334
-    assert res.decode_error_worst_message == 0.35714285714285715
+    assert res.decode_error_rate == 0.08483333333333333
+    assert res.decode_error_worst_message == 0.4117647058823529
 
 
 def test_bob_decode_in_place_scores_match_reference():
-    cb = sk.build_codebook(_spec(n=32), 64, seed=3)
-    y = cb.codewords[np.arange(500) % 64] + np.random.default_rng(4).standard_normal((500, 32))
-    scores = np.sum(cb.codewords**2, axis=1)[None, :] - 2.0 * (y @ cb.codewords.T)
-    assert np.array_equal(sk.bob_decode_batch(cb, y), np.argmin(scores, axis=1))
+    # the chunked kernel decides as one full score matrix does, on full
+    # vectors and on span coordinates, with a partial last chunk
+    rows = 2 * sk._DECODE_CHUNK + 59
+    cb = sk.build_codebook(_spec(n=32), 64, seed=3)  # k = n = 32 span coordinates
+    z = np.random.default_rng(4).standard_normal((rows, 32))
+    coords, coords_sq = cb._span
+    for book, decide in (
+        (cb.codewords, lambda y: sk.bob_decode_batch(cb, y)),
+        (coords, lambda y: sk._nearest(y, coords, coords_sq)),
+    ):
+        y = book[np.arange(rows) % 64] + z
+        scores = np.sum(book**2, axis=1)[None, :] - 2.0 * (y @ book.T)
+        assert np.array_equal(decide(y), np.argmin(scores, axis=1))
+
+
+_SPEC_512 = tg.TruncatedGaussianSpec(512, pl.psi_suf(512, 0.05, 0.8, 1.0 + 1.0 / 512), 0.8)
+
+
+def _full_vector_decode_error(spec, M, trials, seed):
+    # the oracle: y = c_w + z in R^n, decided by bob_decode_batch
+    cb = sk.build_codebook(spec, M, seed)
+    rng = np.random.default_rng([seed, M])
+    w = rng.integers(0, M, size=trials)
+    y = cb.codewords[w] + rng.standard_normal((trials, spec.n))
+    return float(np.mean(sk.bob_decode_batch(cb, y) != w))
+
+
+@pytest.mark.parametrize("spec,M", [
+    (_SPEC_512, 16),
+    (_spec(n=64, psi=0.2, mu=0.8), 63),
+    (_spec(n=64, psi=0.2, mu=0.8), 64),
+    (_spec(n=64, psi=0.2, mu=0.8), 65),
+], ids=["n512-M16", "n64-M63", "n64-M64", "n64-M65"])
+def test_span_decode_matches_full_vector_oracle(spec, M):
+    trials = 40_000
+    got = sk.simulate(spec, M, trials, seed=6, divergence_samples=2).decode_error_rate
+    ref = _full_vector_decode_error(spec, M, trials, seed=6)
+    se = math.sqrt((got * (1 - got) + ref * (1 - ref)) / trials)
+    assert 0.05 < ref < 0.95  # a regime where the comparison has power
+    assert abs(got - ref) <= 4 * se
+
+
+def test_two_codeword_decode_error_matches_q_function():
+    # M=2: the ML error is exactly Q(||c0 - c1|| / 2) for either message
+    trials = 100_000
+    got = sk.simulate(_SPEC_512, M=2, trials=trials, seed=8, divergence_samples=2)
+    c0, c1 = sk.build_codebook(_SPEC_512, 2, seed=8).codewords
+    q = float(stats.norm.sf(np.linalg.norm(c0 - c1) / 2.0))
+    assert abs(got.decode_error_rate - q) <= 4 * math.sqrt(q * (1 - q) / trials)
+
+
+def test_simulate_and_decode_kernel_memory_stay_bounded():
+    # a (trials, n) noise block at n = 4096, or a (4096, M) score block at
+    # M = 4096, would alone be 128 MiB
+    spec = tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95)
+    tg.radial_output_density(spec).ratio_table  # the model is cached per spec
+    rng = np.random.default_rng(2)
+    rows, points = rng.standard_normal((4096, 8)), rng.standard_normal((4096, 8))
+    rows_sq = np.sum(rows**2, axis=1)
+    for run in (
+        lambda: sk.simulate(spec, M=4, trials=4096, seed=1),
+        lambda: sk._nearest(points, rows, rows_sq),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_willie_detect_energy_equals_lrt():
@@ -276,13 +366,14 @@ def test_simulate_reproducible_across_workers():
 
 
 def test_simulate_pinned_seeded_values():
-    # stream contract v2: these exact values change only with a documented bump
+    # stream contract v3: these exact values change only with a documented bump;
+    # v3 moved only the two decode fields (v2: 0.03375, 0.04263959390862944)
     spec = _spec(n=16, psi=0.8, mu=0.7)
     d = sk.simulate(spec, M=4, trials=4000, seed=42).to_dict()
     d.pop("wall_time")
     assert d == {
-        "decode_error_rate": 0.03375,
-        "decode_error_worst_message": 0.04263959390862944,
+        "decode_error_rate": 0.03275,
+        "decode_error_worst_message": 0.04467005076142132,
         "decode_trials": 4000,
         "detection": {
             "detector": "energy",

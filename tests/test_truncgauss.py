@@ -158,6 +158,23 @@ def test_radial_model_rejects_bad_weights():
         tg.RadialOutputDensity(spec=spec, radii=r[:-1], weights=model.weights)
 
 
+def test_radial_model_copies_caller_arrays_read_only():
+    spec = tg.TruncatedGaussianSpec(n=16, psi=0.3, mu=0.7)
+    law = tg.radial_output_density(spec)
+    r, w = law.radii.copy(), law.weights.copy()
+    model = tg.RadialOutputDensity(spec=spec, radii=r, weights=w)
+    before = model.log_density_ratio(4.0)
+    r[:] = r[::-1].copy()
+    w[:] = w[::-1].copy()  # the caller edits its arrays after construction
+    np.testing.assert_array_equal(model.radii, law.radii)
+    np.testing.assert_array_equal(model.weights, law.weights)
+    assert model.log_density_ratio(4.0) == before
+    with pytest.raises(ValueError):
+        model.weights[0] = 1.0
+    with pytest.raises(ValueError):
+        model.radii[0] = 1.0
+
+
 def test_output_density_nested_mc_oracle():
     # f_bar(y) = E_x[phi_n(y - x)] by direct Monte Carlo at fixed ||y||, n=8
     spec = tg.TruncatedGaussianSpec(n=8, psi=0.6, mu=0.7)
