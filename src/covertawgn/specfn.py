@@ -6,6 +6,14 @@ inverse. One numpy kernel, elementwise over arrays, evaluates the logarithm
 of the spherical plane-wave average 0F1(; n/2; t^2/4) that appears in radial
 output densities.
 
+P(a, x) takes one of three regimes, each a bounded amount of work at any a:
+Temme's uniform expansion (DLMF 8.12) for a >= 100 and |x - a| <= a/2, the
+lower series for other x < a + 1, and the Legendre continued fraction for
+Q = 1 - P above that. Against a 40-digit reference its relative error is
+below 1e-12 in Temme's region and below 1e-11 elsewhere, wherever
+P >= 1e-300. scipy's gammainc is not used: at a = 5e7, x = a - 5 sqrt(a) it
+is 22% off (6e-8 absolute at P = 2.85e-7).
+
 All functions are pure, deterministic, and thread-safe.
 """
 
@@ -35,23 +43,27 @@ LN2 = math.log(2.0)
 def x_minus_log1p(x: float) -> float:
     """x - ln(1 + x) for x > -1 without cancellation near zero.
 
-    The direct difference loses ~|log10 x| digits for small x; the alternating
-    series x^2/2 - x^3/3 + ... keeps full precision there.
+    The direct difference loses ~|log10 x| digits for small x, and still
+    about one at |x| = 0.1. For |x| <= 1/2 it is summed instead from
+    ln(1 + x) = 2 atanh(y), y = x / (2 + x), |y| <= 1/3:
+    x - ln(1 + x) = x y - 2 (y^3/3 + y^5/5 + ...).
     """
     if not (x > -1.0):
         raise DomainError(f"x_minus_log1p: need x > -1, got {x!r}")
-    if abs(x) > 0.1:
+    if abs(x) > 0.5:
         return x - math.log1p(x)
-    total, term, k = 0.0, x * x, 2
+    y = x / (2.0 + x)
+    y2 = y * y
+    total, term, k = x * y, 2.0 * y * y2, 3
     while True:
         contrib = term / k
-        total += contrib if k % 2 == 0 else -contrib
+        total -= contrib
         if abs(contrib) <= 1e-18 * abs(total):
             return total
-        term *= x
-        k += 1
+        term *= y2
+        k += 2
 
-_LN_2PI = math.log(2.0 * math.pi)
+
 # exp underflows to 0 below this; branch decisions only, not accuracy-critical
 _EXP_UNDERFLOW = -745.0
 _MAX_ITER = 2_000_000
@@ -74,33 +86,14 @@ def _stirling_corr(a: float) -> float:
 
 
 def _log_gamma_prefactor(a: float, x: float) -> float:
-    """ln( x^a e^-x / Gamma(a) ), safe against cancellation for large a.
+    """ln( x^a e^-x / Gamma(a) ) for x > 0, in the direct form.
 
-    The naive a*ln(x) - x - lgamma(a) loses ~8 digits at a ~ 5e7 (each term is
-    ~1e9 while the result is O(10)); rewriting around the mode via
-    a*[ln(1+v) - v], v = (x-a)/a, keeps every intermediate O(result).
+    Its rounding grows like ulp(a ln x), which stays small where it is used:
+    Temme's expansion takes |x - a| <= a/2 for a >= 100, and outside that
+    a (sigma - ln(1 + sigma)) > 0.0945 a, sigma = x/a - 1, so from a = 1e4 up
+    the prefactor is below e^-940 and the helpers return 0 or 1 at once.
     """
-    if x == 0.0:
-        return -math.inf
-    if a < 1e4:
-        return a * math.log(x) - x - math.lgamma(a)
-    v = (x - a) / a
-    if abs(v) < 1e-2:
-        # ln(1+v) - v = -v^2/2 + v^3/3 - ... summed directly (log1p would cancel)
-        s, term, k = 0.0, v, 1
-        while True:
-            k += 1
-            term *= -v
-            add = term / k
-            s += add
-            if abs(add) <= 1e-18 * max(abs(s), 1e-300):
-                break
-        core = a * s
-    elif abs(v) < 0.5:
-        core = a * (math.log1p(v) - v)
-    else:
-        core = a * (math.log(x / a) + 1.0 - x / a)
-    return core + 0.5 * (math.log(a) - _LN_2PI) - _stirling_corr(a)
+    return a * math.log(x) - x - math.lgamma(a)
 
 
 def _p_lower_series(a: float, x: float) -> float:
@@ -151,12 +144,102 @@ def _q_upper_contfrac(a: float, x: float) -> float:
     raise NumericError(f"reg_inc_gamma_lower contfrac did not converge at a={a}, x={x}")
 
 
+# Temme's expansion replaces the series and continued fraction where
+# a >= _TEMME_MIN_A and |x - a| <= _TEMME_MAX_SIGMA * a
+_TEMME_MIN_A = 100.0
+_TEMME_MAX_SIGMA = 0.5
+# d[k][n], n < 24 - 2k: c_k(eta) = sum_n d[k][n] eta^n in Temme's expansion
+# (DLMF 8.12). Row 0 is c_0 = 1/u - 1/eta through eta^23, where
+# u = x/a - 1 solves eta^2/2 = u - ln(1 + u); row k is
+# d[k][n] = (-1)^k g_k d[0][n] + (n + 2) d[k-1][n+2], with g_k the Stirling
+# coefficients of Gamma*(a) (DLMF 5.11.3), so each row is two shorter than the
+# one before it. Computed in exact rational arithmetic and rounded once; the
+# test suite regenerates them. The terms left out are below 1e-19 at a = 100,
+# |sigma| = 1/2.
+_TEMME_D = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+     0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+     3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+     8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+     1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+     -2.5514193994946248e-11, -5.830772132550426e-11, 2.4361948020667415e-11,
+     -5.0276692801141755e-12, 1.1004392031956135e-13, 3.371763262400985e-13,
+     -1.392388722418162e-13, 2.8534893807047445e-14, -5.139111834242572e-16),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+     4.162792991842583e-10, -8.56390702649298e-11, 6.067215101604758e-14,
+     7.1624989648114856e-12, -2.933186643771437e-12, 5.996696365683689e-13,
+     -2.1671786527323313e-16),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09,
+     9.428356159014678e-13, 1.2872252400089318e-10, -5.5645956134363323e-11,
+     1.197593554636698e-11, -4.1689782251838634e-15),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+     -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
+     -9.460496661855133e-10, 2.1541049775774907e-10, -1.388823336813903e-14),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+     8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+     2.8865829742708783e-08, -1.4189739437803219e-08, 3.4463580499464896e-09,
+     -2.3024517174528067e-13),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+     -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
+     -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
+     4.8240967037894184e-08, -1.7989466721743514e-14),
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+     7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
+     -1.8329116582843375e-05, -3.0796134506033047e-09, 3.465155368803609e-06,
+     -2.0291327396058603e-06, 5.788792863149004e-07, 2.338630673826657e-13),
+    (0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
+     0.0002812695154763237, -0.00010976582244684731, -1.2741009095484485e-07,
+     2.7744451511563645e-05, -1.8263488805711332e-05, 5.7876949497350525e-06,
+     4.93875893393627e-10),
+)
+
+
+def _p_temme(a: float, x: float) -> float:
+    """P(a, x) by Temme's uniform expansion (DLMF 8.12), with
+    eta = sign(sigma) sqrt(2 (sigma - ln(1 + sigma))), sigma = (x - a)/a:
+    P = erfc(-eta sqrt(a/2))/2 - e^(-a eta^2/2) / sqrt(2 pi a) sum_k c_k(eta) / a^k.
+    O(1) work at any a; for a >= 100 and |sigma| <= 1/2 only."""
+    sigma = (x - a) / a
+    half_eta2 = x_minus_log1p(sigma)
+    eta = math.copysign(math.sqrt(2.0 * half_eta2), sigma)
+    total, inv_a_k = 0.0, 1.0
+    for row in _TEMME_D:
+        c = 0.0
+        for d in reversed(row):
+            c = c * eta + d
+        term = c * inv_a_k
+        total += term
+        if abs(term) < 1e-17 * abs(total):
+            break
+        inv_a_k /= a
+    tail = math.exp(-a * half_eta2) * total / math.sqrt(2.0 * math.pi * a)
+    return 0.5 * math.erfc(-eta * math.sqrt(0.5 * a)) - tail
+
+
 def reg_inc_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
-    Series for x < a + 1, continued fraction otherwise; absolute error
-    <= ~1e-13 across a up to ~1e8 (the prefactor is evaluated in a
-    cancellation-free form, see _log_gamma_prefactor).
+    Temme's uniform expansion for a >= 100 and |x - a| <= a/2; elsewhere the
+    lower series for x < a + 1 and 1 - Q by the Legendre continued fraction
+    above it. Relative error against a 40-digit reference, wherever
+    P >= 1e-300 and a <= 1e8: below 1e-12 in Temme's region and below 1e-11
+    elsewhere. The worst of 5000 random draws were 2.8e-13 and 1.4e-12, the
+    latter from the a ln x - x - lgamma(a) prefactor near a = 2000. See the
+    module docstring for why scipy's gammainc is not used.
     """
     if not (a > 0.0) or math.isnan(x):
         raise DomainError(f"reg_inc_gamma_lower: need a > 0, x >= 0, got a={a!r}, x={x!r}")
@@ -166,6 +249,8 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
         return 0.0
     if math.isinf(x):
         return 1.0
+    if a >= _TEMME_MIN_A and abs(x - a) <= _TEMME_MAX_SIGMA * a:
+        return _p_temme(a, x)
     if x < a + 1.0:
         return _p_lower_series(a, x)
     return 1.0 - _q_upper_contfrac(a, x)

@@ -247,6 +247,16 @@ def test_quadrature_reaches_sqrt_law_plateau_at_n_16384():
     assert rep.kl_bits == pytest.approx(0.25 * mu * mu / LN2, rel=0.02)
 
 
+def test_planner_default_spec_builds_output_model_at_n_16384():
+    # mu = 1 - 1/(n+1) makes Delta a difference of two P values near 1/2, so a
+    # 1e-12 error in P puts Delta ~5e-10 off and the radius-law weights miss
+    # their 1e-10 normalization (NumericError after 4096 nodes)
+    params = pl.CovertParams.defaults(n=16384, delta=0.05)
+    spec = tg.TruncatedGaussianSpec(16384, pl.plan(params).psi_suf, params.mu)
+    rep = tg.output_divergences_quadrature(tg.radial_output_density(spec))
+    assert 0.9 * params.delta <= rep.kl_bits <= params.delta
+
+
 def test_quadrature_below_resolution_raises_numeric():
     model = tg.radial_output_density(tg.TruncatedGaussianSpec(8, 1e-8, 0.8))
     with pytest.raises(NumericError):
