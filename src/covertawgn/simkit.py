@@ -20,7 +20,9 @@ are reduced in block order — so results are bit-identical for any worker
 count. The stream tags below and the draws made from each stream are the
 reproducibility contract (v2: the Willie and divergence streams draw radii;
 v3: the Bob stream draws the message indices, then count x k span-coordinate
-normals); changing them changes every seeded result.
+normals; v4: every shell radius, in the codebook, Willie H1 and divergence
+streams, comes from the rejection sampler `truncgauss._sample_radii`);
+changing them changes every seeded result.
 """
 
 from __future__ import annotations
@@ -174,16 +176,17 @@ def load_codebook(path: str) -> Codebook:
 
 def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
     """Index of the row nearest each point (lowest index on ties), given the
-    rows' squared norms: argmin_j ||c_j||^2 - 2 <y, c_j>, scored
-    _DECODE_CHUNK points at a time into one reused score buffer."""
+    rows' squared norms: argmax_j <y, c_j> - ||c_j||^2 / 2 (exactly -1/2 of
+    ||c_j||^2 - 2 <y, c_j>, so ties fall alike), scored _DECODE_CHUNK points
+    at a time into one reused score buffer."""
+    half_sq = 0.5 * rows_sq
     out = np.empty(points.shape[0], dtype=np.intp)
     buffer = np.empty((min(_DECODE_CHUNK, points.shape[0]), rows.shape[0]))
     for i in range(0, points.shape[0], _DECODE_CHUNK):
         chunk = points[i : i + _DECODE_CHUNK]
         scores = np.matmul(chunk, rows.T, out=buffer[: chunk.shape[0]])
-        scores *= -2.0
-        scores += rows_sq
-        out[i : i + _DECODE_CHUNK] = np.argmin(scores, axis=1)
+        scores -= half_sq
+        out[i : i + _DECODE_CHUNK] = np.argmax(scores, axis=1)
     return out
 
 

@@ -3,9 +3,9 @@
 The codeword law is x ~ N(0, mu*psi*I_n) conditioned on the radial shell
 sqrt(mu^2 n psi) <= ||x|| <= sqrt(n psi), which enforces the maximal power
 constraint exactly. This module provides the shell mass Delta, exact sampling
-via the inverse incomplete-gamma CDF, the characteristic-function witness of
-weak convergence to the point mass, and the spherically-symmetric output
-density after unit-variance AWGN:
+(the squared radius by rejection from its Gamma law, the direction uniform),
+the characteristic-function witness of weak convergence to the point mass,
+and the spherically-symmetric output density after unit-variance AWGN:
 
     f_bar(y) = f0(y) * E_R[ exp(-R^2/2) * 0F1(; n/2; R^2 ||y||^2 / 4) ].
 
@@ -131,21 +131,57 @@ def _read_only_copy(a) -> np.ndarray:
     return out
 
 
+# a rejection round draws ceil(need / acceptance * 1.05) + 16 proposals, so
+# most calls take one; the cap binds only if the acceptance is far off
+_RADIUS_MAX_ROUNDS = 64
+
+
+def _radius_proposal(spec: TruncatedGaussianSpec) -> tuple[bool, float, float]:
+    """(uniform, acceptance, t_star) for t = ||x||^2 / (2 mu psi), a Gamma(a = n/2)
+    variate on the shell [lo, hi] = [a mu, a / mu]: the Gamma proposal accepts
+    Delta, the uniform one Delta / ((hi - lo) f(t_star)) with f the Gamma pdf at
+    its peak on the shell t_star = clip(a - 1, lo, hi); the higher one runs."""
+    a = 0.5 * spec.n
+    lo, hi = a * spec.mu, a / spec.mu
+    t_star = min(max(a - 1.0, lo), hi)
+    log_box = math.log(hi - lo) + (a - 1.0) * math.log(t_star) - t_star - math.lgamma(a)
+    if log_box < 0.0:
+        return True, spec.delta_mass * math.exp(-log_box), t_star
+    return False, spec.delta_mass, t_star
+
+
 def _sample_radii(
     spec: TruncatedGaussianSpec, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact i.i.d. codeword radii ||x||, shape (count,), by the inverse CDF of
-    the squared radius ||x||^2 ~ Gamma(n/2, 2 mu psi) on the shell: uniform q
-    in [0, 1) maps onto the conditioned quantile range [P_lo, P_lo + Delta]
-    through scipy's vectorized inverse regularized gamma.
-    """
+    """Exact i.i.d. codeword radii ||x|| = sqrt(2 mu psi t), shape (count,), by
+    rejection on t (see `_radius_proposal`). A Gamma proposal is kept when it
+    lands in the shell, a uniform one t when an Exp(1) draw E exceeds
+    ln f(t_star) - ln f(t) = (t - t_star) - (a - 1) log1p((t - t_star) / t_star).
+    Accepted values are kept in draw order, so the radii depend only on
+    (spec, count, rng state). Raises NumericError after _RADIUS_MAX_ROUNDS."""
     a = 0.5 * spec.n
-    scale = 2.0 * spec.variance
-    p_lo = specfn.reg_inc_gamma_lower(a, 0.5 * spec.n * spec.mu)
-    t = scale * _sp.gammaincinv(a, p_lo + rng.random(count) * spec.delta_mass)
-    if not np.all(np.isfinite(t)):
-        raise NumericError(f"radius inverse CDF failed at a={a}: non-finite quantile")
-    return np.sqrt(t)
+    lo, hi = a * spec.mu, a / spec.mu
+    uniform, acceptance, t_star = _radius_proposal(spec)
+    t, filled = np.empty(count), 0
+    for _ in range(_RADIUS_MAX_ROUNDS):
+        m = math.ceil((count - filled) / acceptance * 1.05) + 16
+        if uniform:
+            prop = lo + (hi - lo) * rng.random(m)
+            d = prop - t_star
+            keep = rng.standard_exponential(m) > d - (a - 1.0) * np.log1p(d / t_star)
+        else:
+            prop = rng.standard_gamma(a, m)
+            keep = (prop >= lo) & (prop <= hi)
+        got = prop[keep][: count - filled]
+        t[filled : filled + got.size] = got
+        filled += got.size
+        if filled == count:  # 2 mu psi t may round an ulp past the shell
+            return np.clip(np.sqrt(2.0 * spec.variance * t), spec.r_inner, spec.r_outer)
+    raise NumericError(
+        f"_sample_radii: {filled} of {count} radii after {_RADIUS_MAX_ROUNDS} rounds "
+        f"(n={spec.n}, mu={spec.mu}, {'uniform' if uniform else 'Gamma'} proposal, "
+        f"acceptance {acceptance:.4g})"
+    )
 
 
 def sample_codewords(
@@ -153,8 +189,9 @@ def sample_codewords(
 ) -> np.ndarray:
     """Exact i.i.d. draws from the shell-conditioned Gaussian, shape (count, n).
 
-    Squared radius by inverse-CDF on the conditioned Gamma law, direction
-    uniform on the unit sphere; every row satisfies r_inner <= ||x|| <= r_outer.
+    Radius by rejection from the conditioned Gamma law (`_sample_radii`),
+    direction uniform on the unit sphere; every row satisfies
+    r_inner <= ||x|| <= r_outer.
     """
     if count < 1:
         raise DomainError(f"sample_codewords: need count >= 1, got {count}")

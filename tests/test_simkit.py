@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from covertawgn import divergences as dv
 from covertawgn import planner as pl
@@ -134,12 +134,13 @@ def test_decoder_reliable_at_generous_power():
 
 
 def test_bob_decode_pinned_seeded_values():
-    # stream contract v3: BOB_NOISE draws span-coordinate noise (v1 and v2 gave
+    # stream contract v4: the codebook radii come from the rejection sampler
+    # (v3 gave 0.08483333333333333 and 0.4117647058823529; v1 and v2 gave
     # 0.08033333333333334 and 0.35714285714285715 from full n-vectors)
     spec = tg.TruncatedGaussianSpec(n=32, psi=1.0, mu=0.7)
     res = sk.simulate(spec, M=256, trials=6000, seed=11, divergence_samples=2)
-    assert res.decode_error_rate == 0.08483333333333333
-    assert res.decode_error_worst_message == 0.4117647058823529
+    assert res.decode_error_rate == 0.07883333333333334
+    assert res.decode_error_worst_message == 0.34615384615384615
 
 
 def test_bob_decode_in_place_scores_match_reference():
@@ -366,27 +367,29 @@ def test_simulate_reproducible_across_workers():
 
 
 def test_simulate_pinned_seeded_values():
-    # stream contract v3: these exact values change only with a documented bump;
-    # v3 moved only the two decode fields (v2: 0.03375, 0.04263959390862944)
+    # stream contract v4: these exact values change only with a documented bump;
+    # v4 moved every field drawn from shell radii (v3: decode 0.03275, alpha
+    # 0.28025, KL 1.34517, TVD 0.48366); v3 moved only the two decode fields
+    # (v2: 0.03375, 0.04263959390862944)
     spec = _spec(n=16, psi=0.8, mu=0.7)
     d = sk.simulate(spec, M=4, trials=4000, seed=42).to_dict()
     d.pop("wall_time")
     assert d == {
-        "decode_error_rate": 0.03275,
-        "decode_error_worst_message": 0.04467005076142132,
+        "decode_error_rate": 0.06325,
+        "decode_error_worst_message": 0.08121827411167512,
         "decode_trials": 4000,
         "detection": {
             "detector": "energy",
             "threshold": 19.777861168093956,
-            "alpha": 0.28025,
+            "alpha": 0.262,
             "beta": 0.22775,
-            "sum_error": 0.508,
+            "sum_error": 0.48975,
             "trials_h0": 4000,
             "trials_h1": 4000,
-            "std_err": 0.009715835977927993,
+            "std_err": 0.009607756469384516,
         },
-        "empirical_kl_bits": {"value": 1.3451652387941173, "std_err": 0.034387435350400106},
-        "empirical_tvd": {"value": 0.4836594606971809, "std_err": 0.00401527421952313},
+        "empirical_kl_bits": {"value": 1.3441503309140383, "std_err": 0.03439039329506543},
+        "empirical_tvd": {"value": 0.48519240828326776, "std_err": 0.004018361306975193},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
             "workers": 1, "detector": "energy", "divergence_samples": 4000,
@@ -414,6 +417,16 @@ def test_simulate_rejects_small_divergence_samples_before_any_work(monkeypatch):
         sk.simulate(spec, M=4, trials=100, seed=0, divergence_samples=1)
     with pytest.raises(DomainError, match="divergence_samples"):
         sk.simulate(spec, M=4, trials=1, seed=0)
+
+
+def test_simulate_never_inverts_the_gamma_cdf(monkeypatch):
+    # shell radii come from the rejection sampler, not scipy's gammaincinv
+    def refuse(*args):
+        raise AssertionError("gammaincinv called")
+
+    monkeypatch.setattr(special, "gammaincinv", refuse)
+    res = sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=3000, seed=1)
+    assert res.decode_trials == 3000
 
 
 def test_simulate_builds_ratio_table_once(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from covertawgn import planner as pl
@@ -109,6 +111,96 @@ def test_radius_law_ks(n, mu):
 
     stat, pvalue = stats.kstest(t, cdf)
     assert pvalue > 0.01, (n, mu, stat, pvalue)
+
+
+def _conditioned_cdf(spec):
+    """CDF of t = ||x||^2 / (2 mu psi) ~ Gamma(n/2) conditioned on the shell."""
+    a = 0.5 * spec.n
+    lo = float(special.gammainc(a, a * spec.mu))
+    hi = float(special.gammainc(a, a / spec.mu))
+    return lambda v: (special.gammainc(a, np.asarray(v)) - lo) / (hi - lo)
+
+
+@pytest.mark.parametrize("n,mu,uniform", [
+    (1, 0.5, True),
+    (2, 0.99, True),
+    (4096, 1.0 - 1.0 / 4097, True),  # planner default mu = 1 - 1/(n+1)
+    (16384, 1.0 - 1.0 / 16385, True),
+    (10**6, 0.999, True),
+    (10**6, 0.995, False),
+])
+def test_radius_law_ks_across_proposal_rule(n, mu, uniform):
+    # the radii alone (an n = 1e6 codeword matrix would not fit), 1% level
+    spec = tg.TruncatedGaussianSpec(n=n, psi=0.7, mu=mu)
+    assert tg._radius_proposal(spec)[0] is uniform
+    r = tg._sample_radii(spec, 4000, np.random.default_rng(2024))
+    t = r**2 / (2.0 * spec.variance)
+    stat, pvalue = stats.kstest(t, _conditioned_cdf(spec))
+    assert pvalue > 0.01, (n, mu, stat, pvalue)
+
+
+def _inverse_cdf_radii(spec, count, rng):
+    # the stream-contract-v3 sampler: the conditioned Gamma quantile of a
+    # uniform, through scipy's inverse regularized gamma
+    a = 0.5 * spec.n
+    p_lo = tg.specfn.reg_inc_gamma_lower(a, a * spec.mu)
+    t = special.gammaincinv(a, p_lo + rng.random(count) * spec.delta_mass)
+    return np.sqrt(2.0 * spec.variance * t)
+
+
+@pytest.mark.parametrize("n,mu", [(1, 0.5), (64, 0.8), (512, 0.8), (4096, 1.0 - 1.0 / 4097)])
+def test_radius_sampler_matches_inverse_cdf_reference(n, mu):
+    spec = tg.TruncatedGaussianSpec(n=n, psi=0.7, mu=mu)
+    got = tg._sample_radii(spec, 20_000, np.random.default_rng([n, 1]))
+    ref = _inverse_cdf_radii(spec, 20_000, np.random.default_rng([n, 2]))
+    assert stats.ks_2samp(got, ref).pvalue > 0.01
+
+
+@given(st.floats(0.0, 8.0), st.floats(0.0, 1.0), st.integers(1, 3000))
+def test_radius_sampler_count_shell_and_acceptance(log10_n, v, count):
+    # n log-uniform in [1, 1e8]; 1 - mu log-uniform from 0.95 down to the
+    # planner default 1/(n+1)
+    n = max(1, round(10.0**log10_n))
+    mu = 1.0 - 0.95 ** (1.0 - v) * (1.0 / (n + 1)) ** v
+    try:
+        spec = tg.TruncatedGaussianSpec(n=n, psi=1.0, mu=mu)
+    except DomainError:
+        assume(False)  # a thick shell whose mass rounds to 1 at large n
+    uniform, acceptance, _ = tg._radius_proposal(spec)
+    # n = 1 bottoms out at 0.398 (mu = 0.416), where the two proposals tie
+    assert acceptance >= (0.39 if n == 1 else 0.45), (n, mu, uniform)
+    r = tg._sample_radii(spec, count, np.random.default_rng(n))
+    assert r.shape == (count,)
+    assert r.min() >= spec.r_inner and r.max() <= spec.r_outer
+
+
+class _ZeroGenerator:
+    """Every draw is 0: Gamma proposals fall below the shell, and an Exp(1)
+    draw of 0 accepts no uniform proposal."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def standard_exponential(self, size):
+        self.rounds += 1
+        return np.zeros(size)
+
+    def standard_gamma(self, shape, size):
+        self.rounds += 1
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("n,mu,proposal", [(64, 0.5, "Gamma"), (2, 0.99, "uniform")])
+def test_radius_sampler_fails_fast_with_context(n, mu, proposal):
+    spec = tg.TruncatedGaussianSpec(n=n, psi=0.7, mu=mu)
+    stub = _ZeroGenerator()
+    context = rf"n={n}, mu={mu}, {proposal} proposal, acceptance 0\.\d"
+    with pytest.raises(NumericError, match=context):
+        tg._sample_radii(spec, 100, stub)
+    assert stub.rounds == tg._RADIUS_MAX_ROUNDS
 
 
 def test_direction_is_uniform():
