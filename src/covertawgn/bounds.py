@@ -42,7 +42,6 @@ __all__ = [
     "simplified_asymptotics",
     "throughput_bounds",
     "bounds_grid",
-    "write_bounds_csv",
     "bounds_csv_text",
     "classify_kl_trend",
     "asymptotic_sweep",
@@ -194,29 +193,15 @@ def bounds_grid(
     return rows
 
 
-def write_bounds_csv(dest, rows: list[ThroughputBounds], comments: dict | None = None) -> None:
-    """CSV with the fixed column header; optional '# key=value' comment lines first.
-
-    dest is a path or a text file object.
-    """
-    own = isinstance(dest, (str, bytes))
-    fh = open(dest, "w", newline="") if own else dest
-    try:
-        if comments:
-            for k, v in comments.items():
-                fh.write(f"# {k}={v}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in r.to_row()])
-    finally:
-        if own:
-            fh.close()
-
-
 def bounds_csv_text(rows: list[ThroughputBounds], comments: dict | None = None) -> str:
+    """CSV with the fixed column header; optional '# key=value' comment lines first."""
     buf = io.StringIO()
-    write_bounds_csv(buf, rows, comments)
+    for k, v in (comments or {}).items():
+        buf.write(f"# {k}={v}\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for r in rows:
+        w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in r.to_row()])
     return buf.getvalue()
 
 

@@ -45,9 +45,7 @@ from .truncgauss import (
     _read_only_copy,
     _sample_radii,
     radial_output_density,
-    read_codebook_file,
     sample_codewords,
-    write_codebook_file,
 )
 
 __all__ = [
@@ -57,8 +55,6 @@ __all__ = [
     "Estimate",
     "SimulationResult",
     "build_codebook",
-    "save_codebook",
-    "load_codebook",
     "bob_decode_batch",
     "willie_detect",
     "empirical_divergences",
@@ -159,16 +155,6 @@ def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
         raise DomainError(f"build_codebook: need M >= 2, got {M}")
     rng = _rng(seed, StreamTag.CODEBOOK, 0)
     return Codebook(spec=spec, codewords=sample_codewords(spec, M, rng), seed=seed)
-
-
-def save_codebook(cb: Codebook, path: str) -> None:
-    write_codebook_file(path, cb.codewords, cb.seed, cb.spec.mu, cb.spec.psi)
-
-
-def load_codebook(path: str) -> Codebook:
-    rows, meta = read_codebook_file(path)
-    spec = TruncatedGaussianSpec(n=meta["n"], psi=meta["psi"], mu=meta["mu"])
-    return Codebook(spec=spec, codewords=rows, seed=meta["seed"])
 
 
 # --- Bob's decoder --------------------------------------------------------------

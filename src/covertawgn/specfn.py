@@ -28,7 +28,6 @@ from .errors import DomainError, NumericError
 __all__ = [
     "LOG2E",
     "LN2",
-    "log_gamma",
     "reg_inc_gamma_lower",
     "gaussian_q",
     "gaussian_q_inv",
@@ -67,13 +66,6 @@ def x_minus_log1p(x: float) -> float:
 # exp underflows to 0 below this; branch decisions only, not accuracy-critical
 _EXP_UNDERFLOW = -745.0
 _MAX_ITER = 2_000_000
-
-
-def log_gamma(a: float) -> float:
-    """ln Gamma(a) for a > 0."""
-    if not (a > 0.0) or math.isinf(a):
-        raise DomainError(f"log_gamma: need finite a > 0, got {a!r}")
-    return math.lgamma(a)
 
 
 def _stirling_corr(a: float) -> float:

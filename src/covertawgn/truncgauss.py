@@ -16,7 +16,6 @@ computed by radial quadrature to an explicit accuracy contract.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,15 +30,10 @@ __all__ = [
     "TruncatedGaussianSpec",
     "RadialOutputDensity",
     "shell_mass",
-    "tvd_trunc_vs_full",
     "sample_codewords",
     "char_function_gaussian",
     "radial_output_density",
-    "radial_output_log_density",
     "output_divergences_quadrature",
-    "sqrt_power_schedule",
-    "write_codebook_file",
-    "read_codebook_file",
 ]
 
 
@@ -57,18 +51,6 @@ def shell_mass(n: int, mu: float) -> float:
     return specfn.reg_inc_gamma_lower(a, 0.5 * n / mu) - specfn.reg_inc_gamma_lower(
         a, 0.5 * n * mu
     )
-
-
-def tvd_trunc_vs_full(spec: "TruncatedGaussianSpec") -> float:
-    """V_T between the truncated code law and its generating Gaussian: 1 - Delta."""
-    return 1.0 - spec.delta_mass
-
-
-def sqrt_power_schedule(c: float):
-    """Named preset psi(n) = c / sqrt(n); psi is otherwise a free input."""
-    if not (c > 0.0):
-        raise DomainError(f"sqrt_power_schedule: need c > 0, got {c!r}")
-    return lambda n: c / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -325,17 +307,6 @@ def radial_output_density(spec: TruncatedGaussianSpec) -> RadialOutputDensity:
     return spec._output_model
 
 
-def radial_output_log_density(model: RadialOutputDensity, y_norm: float) -> float:
-    """log f_bar(y) at any point with ||y|| = y_norm (density on R^n).
-
-    Integrates to 1 over R^n within 1e-6 (see output_divergences_quadrature,
-    which checks normalization) and converges to log f0 as psi -> 0.
-    """
-    n = model.spec.n
-    log_f0 = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * y_norm * y_norm
-    return log_f0 + float(model.log_density_ratio(float(y_norm)))
-
-
 def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceReport:
     """KL/TVD/H^2/chi^2 of the AWGN output of the code against pure noise,
     by quadrature over the radial coordinate (both laws are spherical).
@@ -383,47 +354,3 @@ def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceRepor
             ) from exc
         raise
 
-
-# --- codebook file format ----------------------------------------------------
-
-_MAGIC = b"CVTG"
-_FORMAT_VERSION = 1
-# little-endian u64 fields: version, n, M, seed; f64 fields: mu, psi
-_HEADER = struct.Struct("<4sQQQQdd")
-
-
-def write_codebook_file(
-    path: str,
-    codewords: np.ndarray,
-    seed: int,
-    mu: float,
-    psi: float,
-) -> None:
-    """Binary codebook: header (magic, version, n, M, seed, mu, psi) then
-    M*n little-endian float64, row-major."""
-    rows = np.ascontiguousarray(codewords, dtype="<f8")
-    if rows.ndim != 2:
-        raise DomainError(f"write_codebook_file: need an (M, n) matrix, got {rows.shape}")
-    m, n = rows.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n, m, seed, mu, psi))
-        fh.write(rows.tobytes(order="C"))
-
-
-def read_codebook_file(path: str) -> tuple[np.ndarray, dict]:
-    """Read a codebook written by write_codebook_file; returns (codewords, meta)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise DomainError(f"read_codebook_file: truncated header in {path}")
-        magic, version, n, m, seed, mu, psi = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise DomainError(f"read_codebook_file: bad magic {magic!r} in {path}")
-        if version != _FORMAT_VERSION:
-            raise DomainError(f"read_codebook_file: unsupported version {version}")
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-        if data.size != m * n:
-            raise DomainError(f"read_codebook_file: truncated payload in {path}")
-    meta = {"version": version, "n": int(n), "M": int(m), "seed": int(seed),
-            "mu": float(mu), "psi": float(psi)}
-    return data.reshape(m, n).copy(), meta

@@ -135,10 +135,7 @@ def check_05_isotropic_minimizes_kl() -> CheckResult:
     for _ in range(1000):
         w = rng.random(n) + 0.05
         lam = 1.0 + excess * n * w / w.sum()
-        spec = dv.CovarianceSpec(
-            n=n, eigenvalues=tuple(lam), trace_power=float(lam.mean() - 1.0)
-        )
-        worst = min(worst, dv.kl_general_covariance(spec) - iso)
+        worst = min(worst, dv.kl_general_covariance(dv.CovarianceSpec(tuple(lam))) - iso)
     ok = worst >= -1e-9
     detail = f"min(KL_general - KL_iso) = {worst:.3e} over 1000 spectra (n={n}, excess={excess})"
     return _result(5, "isotropic covariance minimizes KL", ok, t0, 10.0, detail)

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -102,14 +101,6 @@ def test_bounds_grid_and_csv_golden_header():
     first = lines[2].split(",")
     assert int(first[0]) == 10**3
     assert float(first[3]) == pytest.approx(rows[0].achievability_bits, rel=1e-11)
-
-
-def test_write_bounds_csv_stream():
-    rows = bd.bounds_grid([10**4], 0.02, 0.1)
-    buf = io.StringIO()
-    bd.write_bounds_csv(buf, rows)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == GOLDEN_HEADER
 
 
 def test_throughput_round_trip_dict_json():

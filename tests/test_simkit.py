@@ -82,17 +82,6 @@ def test_codebook_avg_power_within_shell_band():
     assert spec.mu**2 * spec.psi - 1e-12 <= cb.avg_power <= spec.psi + 1e-12
 
 
-def test_codebook_save_load_roundtrip(tmp_path):
-    spec = _spec()
-    cb = sk.build_codebook(spec, 4, seed=77)
-    path = str(tmp_path / "cb.bin")
-    sk.save_codebook(cb, path)
-    back = sk.load_codebook(path)
-    np.testing.assert_array_equal(back.codewords, cb.codewords)
-    assert back.spec == cb.spec
-    assert back.seed == 77
-
-
 def test_bob_decode_noiseless_and_batch_agree():
     cb = sk.build_codebook(_spec(), 8, seed=21)
     assert sk.bob_decode_batch(cb, cb.codewords).tolist() == list(range(8))

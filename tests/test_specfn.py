@@ -17,16 +17,6 @@ def test_log2e_ln2_constants():
     assert specfn.LN2 * specfn.LOG2E == pytest.approx(1.0, rel=1e-15)
 
 
-def test_log_gamma_integer_factorial():
-    # Gamma(10) = 9! = 362880
-    assert specfn.log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-
-
-@pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 2.5, 7.0, 31.5, 200.0, 4096.0])
-def test_log_gamma_matches_scipy(a):
-    assert specfn.log_gamma(a) == pytest.approx(float(special.gammaln(a)), rel=1e-13, abs=1e-13)
-
-
 def test_reg_inc_gamma_lower_half_half():
     # P(1/2, 1/2) = erf(sqrt(1/2)), the one-sigma normal mass
     assert specfn.reg_inc_gamma_lower(0.5, 0.5) == pytest.approx(0.6826894921370859, rel=1e-13)
