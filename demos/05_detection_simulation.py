@@ -27,7 +27,7 @@ print(f"""
 Bob ({res.decode_trials} trials, M=4):
   decode error rate {res.decode_error_rate:.4f} (worst message {res.decode_error_worst_message:.4f})
 
-Willie ({det.trials_h0}+{det.trials_h1} trials, {det.detector} detector, Bayes threshold):
+Willie ({det.trials_h0}+{det.trials_h1} trials, energy detector, Bayes threshold):
   missed detection alpha = {det.alpha:.4f}
   false alarm      beta  = {det.beta:.4f}
   advantage 1-(alpha+beta) = {1.0 - det.sum_error:.4f} +- {det.std_err:.4f}

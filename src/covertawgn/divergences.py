@@ -78,7 +78,7 @@ class CovarianceSpec:
         return math.fsum(self.eigenvalues) / self.n - 1.0
 
 
-_METHODS = ("closed_form", "quadrature", "monte_carlo")
+_METHODS = ("closed_form", "quadrature")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class DivergenceReport:
     """KL / TVD / Hellinger^2 (and optionally chi^2) for one pair of distributions.
 
     Construction validates the Hellinger sandwich and Pinsker with slack
-    3 * mc_std_err + 1e-9, so an inconsistent report cannot exist.
+    1e-9, so an inconsistent report cannot exist.
     """
 
     kl_bits: float
@@ -94,21 +94,17 @@ class DivergenceReport:
     hellinger_sq: float
     chi_sq: float | None
     method: str
-    mc_std_err: float = 0.0
-    samples: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise DomainError(f"DivergenceReport: unknown method {self.method!r}")
-        if self.mc_std_err < 0.0 or self.samples < 0:
-            raise DomainError("DivergenceReport: negative error bar or sample count")
         if self.chi_sq is not None and self.chi_sq < -1e-12:
             raise DomainError(f"DivergenceReport: chi_sq={self.chi_sq} negative")
         for name in ("tvd", "hellinger_sq"):
             v = getattr(self, name)
             if not (-1e-12 <= v <= 1.0 + 1e-12):
                 raise DomainError(f"DivergenceReport: {name}={v} outside [0, 1]")
-        slack = 3.0 * self.mc_std_err + 1e-9
+        slack = 1e-9
         hi = math.sqrt(max(0.0, 1.0 - (1.0 - self.hellinger_sq) ** 2))
         if self.tvd < self.hellinger_sq - slack or self.tvd > hi + slack:
             raise DomainError(
@@ -128,8 +124,6 @@ class DivergenceReport:
             "hellinger_sq": self.hellinger_sq,
             "chi_sq": self.chi_sq,
             "method": self.method,
-            "mc_std_err": self.mc_std_err,
-            "samples": self.samples,
         }
 
     def to_json(self, **kwargs) -> str:

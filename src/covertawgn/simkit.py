@@ -123,8 +123,10 @@ class Codebook:
             )
         r = np.linalg.norm(self.codewords, axis=1)
         tol = 1e-9 * self.spec.r_outer
-        if (r < self.spec.r_inner - tol).any() or (r > self.spec.r_outer + tol).any():
-            raise DomainError("Codebook: row norm outside [r_inner, r_outer]")
+        # negated, so a NaN norm fails too
+        bad = ~((r >= self.spec.r_inner - tol) & (r <= self.spec.r_outer + tol))
+        if bad.any():
+            raise DomainError(f"Codebook: row norm {r[bad][0]} outside [r_inner, r_outer]")
 
     @property
     def n(self) -> int:
@@ -197,7 +199,6 @@ class DetectionResult:
     observation laws; std_err is the binomial error of the sum.
     """
 
-    detector: str
     threshold: float
     alpha: float
     beta: float
@@ -216,7 +217,6 @@ class DetectionResult:
 
     def to_dict(self) -> dict:
         return {
-            "detector": self.detector,
             "threshold": self.threshold,
             "alpha": self.alpha,
             "beta": self.beta,
@@ -227,35 +227,29 @@ class DetectionResult:
         }
 
 
-def _bayes_crossing(grid_s: np.ndarray, grid_v: np.ndarray) -> float:
-    """Radius where the interpolated log ratio crosses 0 (Bayes threshold
-    for equal priors). Uses the same piecewise-linear table as the bulk
-    statistic so energy and lrt decisions agree exactly."""
+def _bayes_crossing(model: RadialOutputDensity) -> float:
+    """Radius where the log ratio, read piecewise-linearly off
+    `model.ratio_table` as the empirical divergences read it, crosses 0 (the
+    Bayes threshold for equal priors)."""
+    grid_s, grid_v = model.ratio_table
     if grid_v[0] > 0.0:
         return float(grid_s[0])
     idx = np.nonzero(grid_v > 0.0)[0]
     if idx.size == 0:
-        raise NumericError("willie_detect: log-likelihood ratio never crosses 0")
+        raise NumericError(f"willie_detect: log-likelihood ratio never crosses 0 for {model.spec}")
     i = int(idx[0])
     s0, s1, v0, v1 = grid_s[i - 1], grid_s[i], grid_v[i - 1], grid_v[i]
     return float(s0 + (s1 - s0) * (-v0) / (v1 - v0))
 
 
 def willie_detect(
-    h0_radii: np.ndarray,
-    h1_radii: np.ndarray,
-    model: RadialOutputDensity | None = None,
-    detector: str = "energy",
-    threshold_rule: str | float = "bayes",
+    h0_radii: np.ndarray, h1_radii: np.ndarray, model: RadialOutputDensity
 ) -> DetectionResult:
-    """Binary hypothesis test on the observation radii ||z|| (1-D arrays).
-
-    detector "energy" thresholds ||z||^2; "lrt" thresholds the radial
-    log-likelihood ratio. threshold_rule "bayes" places the threshold at the
-    zero crossing of the log ratio (equal priors), which needs `model`; a
-    float is used as an explicit threshold on the chosen statistic. For
-    spherically symmetric alternatives the likelihood ratio is monotone in
-    ||z||, so both detectors make identical decisions under the Bayes rule.
+    """Willie's Bayes test (equal priors) on the observation radii ||z||
+    (1-D arrays): declare "code output" when ||z||^2 exceeds the square of
+    the radius where the log density ratio of `model` crosses 0. Both laws
+    are spherically symmetric, so the likelihood ratio is monotone in ||z||
+    and this energy test is the optimal one.
     """
     r0 = np.asarray(h0_radii, dtype=float)
     r1 = np.asarray(h1_radii, dtype=float)
@@ -263,29 +257,14 @@ def willie_detect(
         raise InputError(
             f"willie_detect: need nonempty 1-D radius arrays, got {r0.shape} and {r1.shape}"
         )
-    if detector not in ("energy", "lrt"):
-        raise InputError(f"willie_detect: unknown detector {detector!r}")
-    if threshold_rule == "bayes" or detector == "lrt":
-        if model is None:
-            raise InputError(
-                "willie_detect: Bayes rule and lrt detector need a RadialOutputDensity"
-            )
-        grid_s, grid_v = model.ratio_table
-    if detector == "energy":
-        if threshold_rule == "bayes":
-            thr = _bayes_crossing(grid_s, grid_v) ** 2
-        else:
-            thr = float(threshold_rule)
-        dec0 = r0 * r0 > thr
-        dec1 = r1 * r1 > thr
-    else:
-        thr = 0.0 if threshold_rule == "bayes" else float(threshold_rule)
-        dec0 = np.interp(r0, grid_s, grid_v) > thr
-        dec1 = np.interp(r1, grid_s, grid_v) > thr
-    beta = float(np.mean(dec0))   # false alarm: H1 declared under H0
-    alpha = float(np.mean(~dec1))  # missed detection: H0 declared under H1
+    for r in (r0, r1):
+        bad = ~(np.isfinite(r) & (r >= 0.0))
+        if bad.any():
+            raise InputError(f"willie_detect: radius {r[bad][0]} is not finite and >= 0")
+    thr = _bayes_crossing(model) ** 2
+    beta = float(np.mean(r0 * r0 > thr))    # false alarm: H1 declared under H0
+    alpha = float(np.mean(r1 * r1 <= thr))  # missed detection: H0 declared under H1
     return DetectionResult(
-        detector=detector,
         threshold=thr,
         alpha=alpha,
         beta=beta,
@@ -307,10 +286,7 @@ class Estimate:
 
 
 def empirical_divergences(
-    spec: TruncatedGaussianSpec,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
+    spec: TruncatedGaussianSpec, n_samples: int, seed: int, workers: int = 1
 ) -> tuple[Estimate, Estimate]:
     """(KL in bits, total variation), each with a standard error.
 
@@ -333,7 +309,9 @@ def empirical_divergences(
         lr1 = np.interp(r1, grid_s, grid_v)
         lr0 = np.interp(r0, grid_s, grid_v)
         if not (np.isfinite(lr1).all() and np.isfinite(lr0).all()):
-            raise NumericError(f"empirical_divergences: non-finite ratio in block {b}")
+            raise NumericError(
+                f"empirical_divergences: non-finite ratio in block {b} of {spec}, seed {seed}"
+            )
         t0 = np.maximum(-np.expm1(lr0), 0.0)
         t1 = np.maximum(-np.expm1(-lr1), 0.0)
         return (
@@ -393,32 +371,21 @@ class SimulationResult:
 
 
 def simulate(
-    spec: TruncatedGaussianSpec,
-    M: int,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    detector: str = "energy",
-    divergence_samples: int | None = None,
-    willie_ensemble: bool = True,
+    spec: TruncatedGaussianSpec, M: int, trials: int, seed: int, workers: int = 1
 ) -> SimulationResult:
     """Build a codebook, run Bob-decode and Willie-detect trials, and estimate
     the output divergences, all from one master seed.
 
     Decode error is pooled over uniformly drawn messages (the worst per-message
-    rate is reported alongside). Willie's alternative
-    draws a fresh shell codeword per trial when willie_ensemble is set (the
-    code-ensemble output law whose V_T the closed forms predict); otherwise a
-    uniformly random row of the fixed codebook.
+    rate is reported alongside). Willie's alternative draws a fresh shell
+    codeword per trial: the code-ensemble output law whose V_T the closed
+    forms predict. Each of the decode, detect and divergence estimates uses
+    `trials` samples, so `trials >= 2`.
     """
-    if trials < 1:
-        raise DomainError(f"simulate: need trials >= 1, got {trials}")
-    div_n = trials if divergence_samples is None else divergence_samples
-    if div_n < 2:
-        raise DomainError(f"simulate: need divergence_samples >= 2, got {div_n}")
+    if trials < 2:
+        raise DomainError(f"simulate: need trials >= 2, got {trials}")
     t0 = time.perf_counter()
     cb = build_codebook(spec, M, seed)
-    model = radial_output_density(spec)
     coords, coords_sq = cb._span
 
     def bob_block(b: int, count: int):
@@ -441,21 +408,16 @@ def simulate(
     per_message = wrong[sent > 0] / sent[sent > 0]
     worst_message = float(per_message.max()) if per_message.size else 0.0
 
-    row_norms = np.linalg.norm(cb.codewords, axis=1)
-
     def willie_block(b: int, count: int):
         rng = _rng(seed, StreamTag.WILLIE_H1, b)
-        if willie_ensemble:
-            r = _sample_radii(spec, count, rng)
-        else:
-            r = row_norms[rng.integers(0, M, size=count)]
+        r = _sample_radii(spec, count, rng)
         r0 = np.sqrt(_rng(seed, StreamTag.WILLIE_H0, b).chisquare(spec.n, count))
         return r0, _output_radii(r, spec.n, rng)
 
     h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials, workers)))
-    detection = willie_detect(h0, h1, model=model, detector=detector)
+    detection = willie_detect(h0, h1, radial_output_density(spec))
 
-    kl, tvd = empirical_divergences(spec, div_n, seed, workers=workers)
+    kl, tvd = empirical_divergences(spec, trials, seed, workers=workers)
 
     config = {
         "n": spec.n,
@@ -465,9 +427,6 @@ def simulate(
         "trials": trials,
         "seed": seed,
         "workers": workers,
-        "detector": detector,
-        "divergence_samples": div_n,
-        "willie_ensemble": willie_ensemble,
     }
     return SimulationResult(
         decode_error_rate=decode_errors / trials,

@@ -171,6 +171,11 @@ def test_exit_code_2_on_bad_inputs(tmp_path):
     )
     assert zero_workers.returncode == 2
     assert "workers" in zero_workers.stderr
+    one_trial = run_cli(
+        "simulate", "--n", "16", "--delta", "0.05", "--mu", "0.8", "--trials", "1"
+    )
+    assert one_trial.returncode == 2
+    assert "trials >= 2" in one_trial.stderr
 
 
 def test_exit_code_2_on_malformed_grid():

@@ -48,10 +48,14 @@ def test_build_codebook_validation():
 
 def test_codebook_rejects_rows_off_shell():
     spec = _spec()
-    rows = sk.build_codebook(spec, 4, seed=0).codewords.copy()
-    rows[2] *= 1.5  # pushed outside r_outer
-    with pytest.raises(DomainError):
-        sk.Codebook(spec=spec, codewords=rows, seed=0)
+    rows = sk.build_codebook(spec, 4, seed=0).codewords
+    pushed = rows.copy()
+    pushed[2] *= 1.5  # pushed outside r_outer
+    not_finite = rows.copy()
+    not_finite[1, 3] = np.nan  # a NaN norm compares False against both radii
+    for bad in (pushed, not_finite):
+        with pytest.raises(DomainError, match="row norm"):
+            sk.Codebook(spec=spec, codewords=bad, seed=0)
 
 
 def test_codebook_copies_caller_rows_read_only():
@@ -127,7 +131,7 @@ def test_bob_decode_pinned_seeded_values():
     # (v3 gave 0.08483333333333333 and 0.4117647058823529; v1 and v2 gave
     # 0.08033333333333334 and 0.35714285714285715 from full n-vectors)
     spec = tg.TruncatedGaussianSpec(n=32, psi=1.0, mu=0.7)
-    res = sk.simulate(spec, M=256, trials=6000, seed=11, divergence_samples=2)
+    res = sk.simulate(spec, M=256, trials=6000, seed=11)
     assert res.decode_error_rate == 0.07883333333333334
     assert res.decode_error_worst_message == 0.34615384615384615
 
@@ -168,7 +172,7 @@ def _full_vector_decode_error(spec, M, trials, seed):
 ], ids=["n512-M16", "n64-M63", "n64-M64", "n64-M65"])
 def test_span_decode_matches_full_vector_oracle(spec, M):
     trials = 40_000
-    got = sk.simulate(spec, M, trials, seed=6, divergence_samples=2).decode_error_rate
+    got = sk.simulate(spec, M, trials, seed=6).decode_error_rate
     ref = _full_vector_decode_error(spec, M, trials, seed=6)
     se = math.sqrt((got * (1 - got) + ref * (1 - ref)) / trials)
     assert 0.05 < ref < 0.95  # a regime where the comparison has power
@@ -178,7 +182,7 @@ def test_span_decode_matches_full_vector_oracle(spec, M):
 def test_two_codeword_decode_error_matches_q_function():
     # M=2: the ML error is exactly Q(||c0 - c1|| / 2) for either message
     trials = 100_000
-    got = sk.simulate(_SPEC_512, M=2, trials=trials, seed=8, divergence_samples=2)
+    got = sk.simulate(_SPEC_512, M=2, trials=trials, seed=8)
     c0, c1 = sk.build_codebook(_SPEC_512, 2, seed=8).codewords
     q = float(stats.norm.sf(np.linalg.norm(c0 - c1) / 2.0))
     assert abs(got.decode_error_rate - q) <= 4 * math.sqrt(q * (1 - q) / trials)
@@ -205,20 +209,25 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
         assert peak < 16 * 2**20
 
 
-def test_willie_detect_energy_equals_lrt():
+def test_willie_detect_matches_interpolated_log_ratio():
     spec = _spec(n=16, psi=0.9, mu=0.7)
     model = tg.radial_output_density(spec)
     rng = np.random.default_rng(5)
     h0 = _norms(rng.standard_normal((4000, 16)))
     h1 = _norms(tg.sample_codewords(spec, 4000, rng) + rng.standard_normal((4000, 16)))
-    de = sk.willie_detect(h0, h1, model=model, detector="energy")
-    dl = sk.willie_detect(h0, h1, model=model, detector="lrt")
-    assert de.alpha == dl.alpha and de.beta == dl.beta
-    assert de.detector == "energy" and dl.detector == "lrt"
-    assert 0.0 <= de.alpha <= 1.0 and 0.0 <= de.beta <= 1.0
-    assert de.trials_h0 == de.trials_h1 == 4000
-    assert de.std_err > 0.0
-    assert de.to_dict()["sum_error"] == pytest.approx(de.alpha + de.beta)
+    det = sk.willie_detect(h0, h1, model)
+    # the likelihood-ratio test, read off the model's own table
+    assert det.beta == float(np.mean(np.interp(h0, *model.ratio_table) > 0.0))
+    assert det.alpha == float(np.mean(np.interp(h1, *model.ratio_table) <= 0.0))
+    # and densely across the one grid cell where the log ratio changes sign
+    s, v = model.ratio_table
+    i = int(np.argmax(v > 0.0))
+    cell = np.linspace(s[i - 1], s[i], 1001)
+    assert sk.willie_detect(cell, cell, model).beta == float(np.mean(np.interp(cell, s, v) > 0.0))
+    assert 0.0 <= det.alpha <= 1.0 and 0.0 <= det.beta <= 1.0
+    assert det.trials_h0 == det.trials_h1 == 4000
+    assert det.std_err > 0.0
+    assert det.to_dict()["sum_error"] == pytest.approx(det.alpha + det.beta)
 
 
 _MODEL_16 = tg.radial_output_density(_spec(n=16, psi=0.9, mu=0.7))
@@ -227,22 +236,13 @@ _S_TOP = float(_MODEL_16.ratio_table[0][-1])
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.floats(0.0, 1.5 * _S_TOP), min_size=1, max_size=40))
-def test_willie_detect_energy_and_lrt_decide_alike(radii):
-    # one radius per call: equal alpha and beta mean equal decisions, radius by radius
+def test_willie_detect_decides_by_the_sign_of_the_log_ratio(radii):
+    # one radius per call: beta is that radius's decision under the energy
+    # test, which must be the likelihood-ratio test's sign, radius by radius
     for r in radii:
-        h = np.array([r])
-        de = sk.willie_detect(h, h, model=_MODEL_16, detector="energy")
-        dl = sk.willie_detect(h, h, model=_MODEL_16, detector="lrt")
-        assert (de.alpha, de.beta) == (dl.alpha, dl.beta)
-
-
-def test_willie_detect_explicit_threshold():
-    rng = np.random.default_rng(2)
-    h0 = _norms(rng.standard_normal((1000, 4)))
-    h1 = _norms(10.0 + rng.standard_normal((1000, 4)))
-    res = sk.willie_detect(h0, h1, detector="energy", threshold_rule=150.0)
-    assert res.threshold == 150.0
-    assert res.sum_error < 0.05  # trivially separable at this offset
+        det = sk.willie_detect(np.array([r]), np.array([r]), _MODEL_16)
+        says_h1 = float(np.interp(r, *_MODEL_16.ratio_table)) > 0.0
+        assert (det.beta, det.alpha) == (float(says_h1), float(not says_h1))
 
 
 def test_willie_detect_input_errors():
@@ -251,15 +251,17 @@ def test_willie_detect_input_errors():
     rng = np.random.default_rng(0)
     obs = _norms(rng.standard_normal((10, 16)))
     with pytest.raises(InputError):
-        sk.willie_detect(obs[:0], obs, model=model)
+        sk.willie_detect(obs[:0], obs, model)
     with pytest.raises(InputError):  # observation matrices, not radii
-        sk.willie_detect(obs[:, None], obs[:, None], model=model)
-    with pytest.raises(InputError):
-        sk.willie_detect(obs, obs, model=model, detector="matched")
-    with pytest.raises(InputError):
-        sk.willie_detect(obs, obs, detector="lrt")  # lrt needs the model
-    with pytest.raises(InputError):
-        sk.willie_detect(obs, obs, detector="energy")  # bayes rule needs it too
+        sk.willie_detect(obs[:, None], obs[:, None], model)
+    nan = float("nan")
+    for h0, h1, first_bad in (
+        ([nan, nan], [-3.0, nan], "nan"),
+        (obs, [1.0, -3.0, nan], "-3.0"),
+        ([2.0, math.inf], obs, "inf"),
+    ):
+        with pytest.raises(InputError, match=f"radius {first_bad} "):
+            sk.willie_detect(h0, h1, model)
 
 
 def test_detection_floor_matches_total_variation():
@@ -368,7 +370,6 @@ def test_simulate_pinned_seeded_values():
         "decode_error_worst_message": 0.08121827411167512,
         "decode_trials": 4000,
         "detection": {
-            "detector": "energy",
             "threshold": 19.777861168093956,
             "alpha": 0.262,
             "beta": 0.22775,
@@ -381,31 +382,28 @@ def test_simulate_pinned_seeded_values():
         "empirical_tvd": {"value": 0.48519240828326776, "std_err": 0.004018361306975193},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
-            "workers": 1, "detector": "energy", "divergence_samples": 4000,
-            "willie_ensemble": True,
+            "workers": 1,
         },
     }
 
 
 def test_simulate_smoke_at_n_1():
     spec = tg.TruncatedGaussianSpec(n=1, psi=1.0, mu=0.5)
-    for ensemble in (True, False):
-        res = sk.simulate(spec, M=2, trials=3000, seed=5, willie_ensemble=ensemble)
-        assert 0.0 <= res.decode_error_rate <= 1.0
-        assert 0.0 <= res.detection.sum_error <= 2.0
-        assert math.isfinite(res.empirical_kl_bits.value) and res.empirical_tvd.value > 0.0
+    res = sk.simulate(spec, M=2, trials=3000, seed=5)
+    assert 0.0 <= res.decode_error_rate <= 1.0
+    assert 0.0 <= res.detection.sum_error <= 2.0
+    assert math.isfinite(res.empirical_kl_bits.value) and res.empirical_tvd.value > 0.0
 
 
-def test_simulate_rejects_small_divergence_samples_before_any_work(monkeypatch):
+def test_simulate_rejects_small_trials_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("simulate did work before validating its arguments")
 
     monkeypatch.setattr(sk, "build_codebook", no_work)
     spec = _spec()
-    with pytest.raises(DomainError, match="divergence_samples"):
-        sk.simulate(spec, M=4, trials=100, seed=0, divergence_samples=1)
-    with pytest.raises(DomainError, match="divergence_samples"):
-        sk.simulate(spec, M=4, trials=1, seed=0)
+    for trials in (1, 0):
+        with pytest.raises(DomainError, match="trials >= 2, got"):
+            sk.simulate(spec, M=4, trials=trials, seed=0)
 
 
 def test_simulate_never_inverts_the_gamma_cdf(monkeypatch):
@@ -449,17 +447,11 @@ def test_simulate_builds_output_model_once_per_spec(monkeypatch):
 
 def test_simulate_result_fields():
     spec = _spec(n=16, psi=0.8, mu=0.7)
-    res = sk.simulate(
-        spec, M=4, trials=3000, seed=7, detector="lrt",
-        divergence_samples=5000, willie_ensemble=False,
-    )
+    res = sk.simulate(spec, M=4, trials=3000, seed=7)
     assert res.decode_trials == 3000
     assert 0.0 <= res.decode_error_rate <= 1.0
     assert res.decode_error_worst_message >= res.decode_error_rate
-    assert res.detection.detector == "lrt"
     assert res.detection.trials_h0 == res.detection.trials_h1 == 3000
-    assert res.config["divergence_samples"] == 5000
-    assert res.config["willie_ensemble"] is False
     d = res.to_dict()
     assert d["config"]["n"] == 16
     assert "value" in d["empirical_kl_bits"]
