@@ -12,7 +12,6 @@ import numpy as np
 
 from covertawgn import (
     TruncatedGaussianSpec,
-    char_function_gaussian,
     output_divergences_quadrature,
     radial_output_density,
     sample_codewords,
@@ -34,10 +33,11 @@ print(f"  shell radii [{spec.r_inner:.4f}, {spec.r_outer:.4f}]"
 print(f"  mean per-coordinate power {np.mean(norms**2) / 64:.6f}"
       f"  (variance parameter mu*psi = {spec.variance:.6f})")
 
+# characteristic function exp(-mu psi ||t||^2 / 2) of the generating Gaussian
 t = np.zeros(100)
 t[0] = 1.0
 print(f"\ncharacteristic function at ||t||=1, n=100, psi=0.1, mu=0.8:"
-      f" {char_function_gaussian(100, 0.1, 0.8, t):.10f} (= exp(-0.04))")
+      f" {math.exp(-0.5 * 0.8 * 0.1 * float(t @ t)):.10f} (= exp(-0.04))")
 
 # What the channel does to the shell: the output f_bar is a mixture of
 # noncentral shells, still spherical, and stays close to pure noise

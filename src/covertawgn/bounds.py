@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -160,9 +159,6 @@ class ThroughputBounds:
         out["caveat"] = _CAVEAT
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def throughput_bounds(params: CovertParams) -> ThroughputBounds:
     """Both exact bounds plus the simplified expansion terms at one point."""
@@ -193,16 +189,21 @@ def bounds_grid(
     return rows
 
 
-def bounds_csv_text(rows: list[ThroughputBounds], comments: dict | None = None) -> str:
-    """CSV with the fixed column header; optional '# key=value' comment lines first."""
+def _csv_text(header, rows, comments: dict | None) -> str:
+    """'# key=value' comment lines, then header and rows; floats to 12 significant digits."""
     buf = io.StringIO()
     for k, v in (comments or {}).items():
         buf.write(f"# {k}={v}\n")
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in rows:
-        w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in r.to_row()])
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
     return buf.getvalue()
+
+
+def bounds_csv_text(rows: list[ThroughputBounds], comments: dict | None = None) -> str:
+    """CSV with the fixed column header; optional '# key=value' comment lines first."""
+    return _csv_text(CSV_COLUMNS, (r.to_row() for r in rows), comments)
 
 
 # --- power-schedule asymptotics ---------------------------------------------
@@ -259,14 +260,6 @@ class AsymptoticSweep:
     classification: str
     plateau_kl_bits: float | None
 
-    @property
-    def trajectories(self) -> list[dict]:
-        """Per-n records (n, kl_bits, tvd, hellinger_sq)."""
-        return [
-            {"n": int(n), "kl_bits": k, "tvd": t, "hellinger_sq": h}
-            for n, k, t, h in zip(self.n_grid, self.kl_bits, self.tvd, self.hellinger_sq)
-        ]
-
     def to_dict(self) -> dict:
         return {
             "c": self.c,
@@ -278,9 +271,6 @@ class AsymptoticSweep:
             "classification": self.classification,
             "plateau_kl_bits": self.plateau_kl_bits,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def asymptotic_sweep(c: float, tau: float, n_grid: np.ndarray | None = None) -> AsymptoticSweep:

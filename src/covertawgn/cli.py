@@ -1,10 +1,12 @@
 """Batch front door: plan / divergence / bounds / sweep / simulate / verify.
 
-Every run resolves its settings from (in order of precedence) command-line
-flags, a key=value config file, and for the seed the COVERT_SEED environment
-variable; the fully resolved config and seed are embedded in every output so
-runs are self-describing. Exit codes: 2 config or domain error, 3 numeric
-failure, 4 verification gate failure.
+Each subcommand accepts exactly the flags it reads (_SUBCOMMAND_FLAGS), plus
+--config. A run resolves its settings from, in order of precedence,
+command-line flags, a key=value config file, and for the simulate seed the
+COVERT_SEED environment variable; the resolved config, holding only what the
+run read, is embedded in every output so runs are self-describing. Exit
+codes: 2 config or domain error (an unknown flag or config key included),
+3 numeric failure, 4 verification gate failure.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .errors import ConfigError, CovertError, DomainError, InputError, NumericEr
 
 __all__ = ["main", "build_parser"]
 
-_SUBCOMMANDS = ("plan", "divergence", "bounds", "sweep", "simulate", "verify")
-
 # flag name -> (converter, help)
 _FLAG_SPEC = {
     "n": (str, "blocklength: single value, comma list, or log grid 'a..b'"),
@@ -42,8 +42,28 @@ _FLAG_SPEC = {
     "trials": (int, "Monte-Carlo trials"),
     "seed": (int, "master seed (fallback: config file, then COVERT_SEED, then 0)"),
     "workers": (int, "worker threads (default 1)"),
-    "format": (str, "output format: json or csv"),
+    "format": (str, "output format: csv (default) or json"),
     "out": (str, "output path (default: stdout)"),
+}
+
+# subcommand -> the flags it reads, in _FLAG_SPEC order
+_SUBCOMMAND_FLAGS = {
+    "plan": ("n", "delta", "epsilon", "mu", "nu2", "eta", "out"),
+    "divergence": ("n", "delta", "mu", "nu2", "tau", "c", "out"),
+    "bounds": ("n", "delta", "epsilon", "format", "out"),
+    "sweep": ("n", "tau", "c", "format", "out"),
+    "simulate": ("n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "workers", "out"),
+    "verify": ("out",),
+}
+
+# what a run reads for a flag it was not given (the seed tries COVERT_SEED first)
+_DEFAULTS = {"epsilon": 0.1, "seed": 0, "workers": 1}
+
+# divergence and simulate set the power by the schedule (tau, c) or by the
+# planned corner (delta, ...); a run gives one of the two
+_POWER_WAYS = {
+    "divergence": (("tau", "c"), ("delta", "mu", "nu2")),
+    "simulate": (("tau", "c"), ("delta", "nu2")),
 }
 
 
@@ -54,15 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
         "on the unit-noise AWGN channel.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name, flags in _SUBCOMMAND_FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file; flags win")
-        for flag, (_, help_text) in _FLAG_SPEC.items():
-            p.add_argument(f"--{flag}", default=None, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None, help=_FLAG_SPEC[flag][1])
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, subcommand: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -74,8 +94,8 @@ def _read_config_file(path: str) -> dict[str, str]:
                 key, val = key.strip(), val.strip()
                 if not sep or not key:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-                if key not in _FLAG_SPEC:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _SUBCOMMAND_FLAGS[subcommand]:
+                    raise ConfigError(f"{path}:{lineno}: unknown {subcommand} key {key!r}")
                 out[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -83,33 +103,32 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values, convert types, resolve the seed."""
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    merged: dict = {"subcommand": args.subcommand}
-    for flag, (conv, _) in _FLAG_SPEC.items():
-        raw = getattr(args, flag)
+    """Merge flags over config-file values, convert types, fill the defaults
+    and the seed, and reject a run that sets the power two ways."""
+    sub = args.subcommand
+    file_cfg = _read_config_file(args.config, sub) if args.config else {}
+    merged: dict = {"subcommand": sub}
+    for flag in _SUBCOMMAND_FLAGS[sub]:
+        raw, source = getattr(args, flag), f"--{flag}"
         if raw is None:
             raw = file_cfg.get(flag)
+        if raw is None and flag == "seed":
+            raw, source = os.environ.get("COVERT_SEED"), "COVERT_SEED"
         if raw is None:
-            merged[flag] = None
+            merged[flag] = _DEFAULTS.get(flag)
             continue
         try:
-            merged[flag] = conv(raw)
+            merged[flag] = _FLAG_SPEC[flag][0](raw)
         except ValueError as exc:
-            raise ConfigError(f"--{flag}: cannot parse {raw!r}") from exc
-    if merged["seed"] is None:
-        env = os.environ.get("COVERT_SEED")
-        if env is not None:
-            try:
-                merged["seed"] = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"COVERT_SEED: cannot parse {env!r}") from exc
-        else:
-            merged["seed"] = 0
-    if merged["workers"] is None:
-        merged["workers"] = 1
-    if merged["epsilon"] is None:
-        merged["epsilon"] = 0.1
+            raise ConfigError(f"{source}: cannot parse {raw!r}") from exc
+    if sub in _POWER_WAYS:
+        schedule, planned = ([k for k in way if merged[k] is not None] for way in _POWER_WAYS[sub])
+        if schedule and planned:
+            raise ConfigError(
+                f"{sub}: --{schedule[0]} and --{planned[0]} set the power two ways; give one"
+            )
+        if merged["c"] is not None and merged["tau"] is None:
+            raise ConfigError(f"{sub}: --c needs --tau")
     return merged
 
 
@@ -160,6 +179,18 @@ def _params(cfg: dict, n: int) -> pl.CovertParams:
     )
 
 
+def _shell_power(cfg: dict, n: int) -> tuple[float, float]:
+    """(mu, psi) for divergence and simulate: mu from --mu (default 1 - 1/(n+1));
+    psi = c n^-tau when --tau is given (c defaults to 1), else psi_suf at
+    --delta and --nu2 (default 1 + 1/n)."""
+    mu = cfg["mu"] if cfg["mu"] is not None else 1.0 - 1.0 / (n + 1)
+    if cfg["tau"] is not None:
+        c = 1.0 if cfg["c"] is None else cfg["c"]
+        return mu, c * float(n) ** (-cfg["tau"])
+    nu2 = cfg["nu2"] if cfg["nu2"] is not None else pl.nu_lemma_shell(n)
+    return mu, pl.psi_suf(n, float(_require(cfg, "delta")), mu, nu2)
+
+
 def _config_echo(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if v is not None}
 
@@ -172,21 +203,18 @@ def _emit(text: str, cfg: dict) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(payload: dict, cfg: dict) -> None:
+def _emit_json(payload: dict | list, cfg: dict) -> None:
     _emit(json.dumps({"config": _config_echo(cfg), "result": payload}, indent=2), cfg)
 
 
-def _want_format(cfg: dict, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = cfg["format"] or default
-    if fmt not in allowed:
-        raise ConfigError(
-            f"{cfg['subcommand']}: format {fmt!r} not supported (allowed: {allowed})"
-        )
+def _want_format(cfg: dict) -> str:
+    fmt = cfg["format"] or "csv"
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"{cfg['subcommand']}: format {fmt!r} not supported (csv or json)")
     return fmt
 
 
 def _cmd_plan(cfg: dict) -> int:
-    _want_format(cfg, "json", ("json",))
     plan = pl.plan(_params(cfg, _single_n(cfg)))
     _emit_json(plan.to_dict(), cfg)
     return 0
@@ -195,21 +223,16 @@ def _cmd_plan(cfg: dict) -> int:
 def _cmd_divergence(cfg: dict) -> int:
     """Closed-form report for the isotropic output law: sigma1^2 = 1 + c n^-tau
     when --tau is given, else 1 + mu * psi_suf at the planned power."""
-    _want_format(cfg, "json", ("json",))
     n = _single_n(cfg)
-    if cfg["tau"] is not None:
-        c = 1.0 if cfg["c"] is None else cfg["c"]
-        excess = c * float(n) ** (-cfg["tau"])
-    else:
-        params = _params(cfg, n)
-        excess = params.mu * pl.psi_suf(n, params.delta, params.mu, params.nu_sq)
+    mu, psi = _shell_power(cfg, n)
+    excess = psi if cfg["tau"] is not None else mu * psi
     report = dv.isotropic_report(dv.IsotropicGaussianPair(n=n, sigma1_sq=1.0 + excess))
     _emit_json(report.to_dict(), cfg)
     return 0
 
 
 def _cmd_bounds(cfg: dict) -> int:
-    fmt = _want_format(cfg, "csv", ("csv", "json"))
+    fmt = _want_format(cfg)
     if cfg["n"] is None:
         raise ConfigError("bounds: --n is required")
     grid = _parse_n_grid(cfg["n"])
@@ -223,7 +246,7 @@ def _cmd_bounds(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    fmt = _want_format(cfg, "csv", ("csv", "json"))
+    fmt = _want_format(cfg)
     tau = float(_require(cfg, "tau"))
     c = 1.0 if cfg["c"] is None else cfg["c"]
     grid = _parse_n_grid(cfg["n"]) if cfg["n"] is not None else None
@@ -231,31 +254,21 @@ def _cmd_sweep(cfg: dict) -> int:
     if fmt == "json":
         _emit_json(sweep.to_dict(), cfg)
         return 0
-    lines = [f"# {k}={v}" for k, v in _config_echo(cfg).items()]
-    lines.append(f"# classification={sweep.classification}")
+    comments = {**_config_echo(cfg), "classification": sweep.classification}
     if sweep.plateau_kl_bits is not None:
-        lines.append(f"# plateau_kl_bits={sweep.plateau_kl_bits!r}")
-    lines.append("n,theta,sigma1_sq,kl_bits,tvd,hellinger_sq")
-    for i in range(sweep.n_grid.size):
-        theta = c * float(sweep.n_grid[i]) ** (-tau)
-        lines.append(
-            f"{sweep.n_grid[i]},{theta:.12g},{1.0 + theta:.12g},"
-            f"{sweep.kl_bits[i]:.12g},{sweep.tvd[i]:.12g},{sweep.hellinger_sq[i]:.12g}"
-        )
-    _emit("\n".join(lines), cfg)
+        comments["plateau_kl_bits"] = sweep.plateau_kl_bits
+    rows = []
+    for n, kl, tvd, h2 in zip(sweep.n_grid, sweep.kl_bits, sweep.tvd, sweep.hellinger_sq):
+        theta = c * float(n) ** (-tau)
+        rows.append((n, theta, 1.0 + theta, kl, tvd, h2))
+    header = ("n", "theta", "sigma1_sq", "kl_bits", "tvd", "hellinger_sq")
+    _emit(bd._csv_text(header, rows, comments), cfg)
     return 0
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    _want_format(cfg, "json", ("json",))
     n = _single_n(cfg)
-    mu = cfg["mu"] if cfg["mu"] is not None else 1.0 - 1.0 / (n + 1)
-    if cfg["tau"] is not None:
-        c = 1.0 if cfg["c"] is None else cfg["c"]
-        psi = c * float(n) ** (-cfg["tau"])
-    else:
-        nu2 = cfg["nu2"] if cfg["nu2"] is not None else pl.nu_lemma_shell(n)
-        psi = pl.psi_suf(n, float(_require(cfg, "delta")), mu, nu2)
+    mu, psi = _shell_power(cfg, n)
     spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=mu)
     result = sk.simulate(
         spec,
@@ -280,24 +293,14 @@ def _cmd_verify(cfg: dict) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed"
           + (f"; failed: {failed}" if failed else ""))
     if cfg["out"]:
-        payload = {
-            "config": _config_echo(cfg),
-            "result": [
-                {
-                    "criterion": r.criterion,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "runtime": r.runtime,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-        }
-        with open(cfg["out"], "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        keys = ("criterion", "name", "passed", "runtime", "detail")
+        _emit_json([{k: getattr(r, k) for k in keys} for r in results], cfg)
     return 4 if failed else 0
 
+
+# one parser per process: a parser built per call is cyclic garbage that
+# piles up between collections when main() runs in a loop
+_PARSER = build_parser()
 
 _HANDLERS = {
     "plan": _cmd_plan,
@@ -310,7 +313,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _resolve(args)
         return _HANDLERS[args.subcommand](cfg)

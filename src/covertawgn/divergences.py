@@ -11,26 +11,20 @@ All divergences are reported in bits.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import specfn
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "IsotropicGaussianPair",
     "CovarianceSpec",
     "DivergenceReport",
-    "HWitness",
     "kl_isotropic",
     "kl_general_covariance",
     "hellinger_sq_isotropic",
     "tvd_isotropic_exact",
-    "h_function_witness",
     "isotropic_report",
 ]
 
@@ -126,9 +120,6 @@ class DivergenceReport:
             "method": self.method,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def kl_isotropic(pair: IsotropicGaussianPair) -> float:
     """D(N(0, s^2 I_n) || N(0, I_n)) = (n/2) [x - ln(1+x)] log2 e bits, x = s^2 - 1."""
@@ -180,50 +171,13 @@ def tvd_isotropic_exact(pair: IsotropicGaussianPair) -> float:
     return abs(v)
 
 
-def isotropic_report(pair: IsotropicGaussianPair, chi_sq: float | None = None) -> DivergenceReport:
+def isotropic_report(pair: IsotropicGaussianPair) -> DivergenceReport:
     """Assemble the closed-form DivergenceReport for an isotropic pair."""
     return DivergenceReport(
         kl_bits=kl_isotropic(pair),
         tvd=tvd_isotropic_exact(pair),
         hellinger_sq=hellinger_sq_isotropic(pair),
-        chi_sq=chi_sq,
+        chi_sq=None,
         method="closed_form",
     )
 
-
-@dataclass(frozen=True)
-class HWitness:
-    """Grid supremum of |h| where (f_bar/f0 - 1) = eps * h on a radial grid."""
-
-    sup_abs_h: float
-    radii: tuple[float, ...]
-    grid_values: tuple[float, ...]
-    exceeds_unit_bound: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exceeds_unit_bound", self.sup_abs_h > 1.0)
-
-
-def h_function_witness(
-    output_model, epsilon: float, radial_grid: Sequence[float]
-) -> HWitness:
-    """Evaluate h(y) = (f_bar(y)/f0(y) - 1) / epsilon on a radial grid.
-
-    Both densities are spherically symmetric, so the grid is over ||y||. The
-    returned supremum is a grid supremum; whether it stays below 1 for the
-    blocklength at hand is reported, not assumed (``exceeds_unit_bound``).
-    """
-    if not (epsilon > 0.0):
-        raise DomainError(f"h_function_witness: need epsilon > 0, got {epsilon!r}")
-    radii = np.asarray(radial_grid, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0 or radii.min() < 0.0:
-        raise DomainError("h_function_witness: radial_grid must be nonnegative radii")
-    log_ratio = output_model.log_density_ratio(radii)
-    if not np.all(np.isfinite(log_ratio)):
-        raise NumericError("h_function_witness: density ratio evaluation failed")
-    h = np.expm1(log_ratio) / epsilon
-    return HWitness(
-        sup_abs_h=float(np.abs(h).max()),
-        radii=tuple(float(r) for r in radii),
-        grid_values=tuple(float(v) for v in h),
-    )

@@ -7,14 +7,14 @@ provides the necessary/sufficient closed-form corners
     Psi_NEC = sqrt(4 delta eta ln 2 / n),
     Psi_SUF = sqrt(4 delta ln 2 / (n mu^2 nu^2)),
 
-the exact Newton solve of the budget equation, and the Taylor-bracket
-validity check x < 3(eta - 1)/(2 eta) that the NEC corner relies on.
+and the exact Newton solve of the budget equation. `plan` flags a NEC corner
+at or past x = 3(eta - 1)/(2 eta), the range in which the Taylor bracket
+x^2/(4 eta) < (x - ln(1+x))/2 < x^2/4 behind that corner is guaranteed.
 All deltas are in bits throughout.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +29,6 @@ __all__ = [
     "psi_suf",
     "kl_budget_bits",
     "solve_exact_power",
-    "taylor_bracket_check",
     "plan",
 ]
 
@@ -146,22 +145,10 @@ def solve_exact_power(n: int, delta: float) -> float:
     raise NumericError(f"solve_exact_power: no convergence (n={n}, delta={delta})")
 
 
-def taylor_bracket_check(x: float, eta: float) -> tuple[bool, bool, float]:
-    """Validity of the sandwich x^2/(4 eta) < (x - ln(1+x))/2 < x^2/4 at x.
-
-    Returns (lower_ok, upper_ok, threshold) where threshold = 3(eta-1)/(2 eta)
-    is the guaranteed validity range of the lower (eta-inflated) side. The
-    upper side holds for every x > 0.
-    """
-    if not (x >= 0.0):
-        raise DomainError(f"taylor_bracket_check: need x >= 0, got {x!r}")
-    if not (eta > 1.0):
-        raise DomainError(f"taylor_bracket_check: need eta > 1, got {eta!r}")
-    threshold = 1.5 * (eta - 1.0) / eta
-    if x == 0.0:
-        return True, True, threshold
-    mid = 0.5 * specfn.x_minus_log1p(x)
-    return (x * x / (4.0 * eta) < mid), (mid < 0.25 * x * x), threshold
+def _bracket_threshold(eta: float) -> float:
+    """3(eta - 1)/(2 eta): below it x^2/(4 eta) < (x - ln(1+x))/2 is guaranteed;
+    the upper side (x - ln(1+x))/2 < x^2/4 holds for every x > 0."""
+    return 1.5 * (eta - 1.0) / eta
 
 
 @dataclass(frozen=True)
@@ -196,9 +183,6 @@ class PowerPlan:
             "flags": list(self.flags),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def plan(params: CovertParams) -> PowerPlan:
     """Compute all three power corners and flag Taylor-bracket violations.
@@ -210,7 +194,7 @@ def plan(params: CovertParams) -> PowerPlan:
     suf = psi_suf(params.n, params.delta, params.mu, params.nu_sq)
     nec = psi_nec(params.n, params.delta, params.eta)
     exact = solve_exact_power(params.n, params.delta)
-    threshold = 1.5 * (params.eta - 1.0) / params.eta
+    threshold = _bracket_threshold(params.eta)
     flags: list[str] = []
     if nec >= threshold:
         flags.append("taylor_bracket_invalid")

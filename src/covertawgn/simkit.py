@@ -27,7 +27,6 @@ changing them changes every seeded result.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -135,12 +134,6 @@ class Codebook:
     @property
     def M(self) -> int:
         return self.codewords.shape[0]
-
-    @property
-    def avg_power(self) -> float:
-        """Mean per-coordinate power of the rows (average-power accounting;
-        the shell already enforces the maximal constraint)."""
-        return float(np.mean(np.sum(self.codewords**2, axis=1))) / self.spec.n
 
     @cached_property
     def _span(self) -> tuple[np.ndarray, np.ndarray]:
@@ -365,9 +358,6 @@ class SimulationResult:
             "config": self.config,
             "wall_time": self.wall_time,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def simulate(

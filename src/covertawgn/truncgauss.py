@@ -4,7 +4,6 @@ The codeword law is x ~ N(0, mu*psi*I_n) conditioned on the radial shell
 sqrt(mu^2 n psi) <= ||x|| <= sqrt(n psi), which enforces the maximal power
 constraint exactly. This module provides the shell mass Delta, exact sampling
 (the squared radius by rejection from its Gamma law, the direction uniform),
-the characteristic-function witness of weak convergence to the point mass,
 and the spherically-symmetric output density after unit-variance AWGN:
 
     f_bar(y) = f0(y) * E_R[ exp(-R^2/2) * 0F1(; n/2; R^2 ||y||^2 / 4) ].
@@ -31,7 +30,6 @@ __all__ = [
     "RadialOutputDensity",
     "shell_mass",
     "sample_codewords",
-    "char_function_gaussian",
     "radial_output_density",
     "output_divergences_quadrature",
 ]
@@ -185,18 +183,6 @@ def sample_codewords(
     return g * (r / norms)[:, None]
 
 
-def char_function_gaussian(n: int, psi: float, mu: float, t: np.ndarray | float) -> float:
-    """Characteristic function exp(-mu psi ||t||^2 / 2) of the generating Gaussian.
-
-    With psi(n) = c/sqrt(n) and fixed t this tends to 1: the code law converges
-    weakly to the point mass at the origin.
-    """
-    if n < 1 or not (psi > 0.0) or not (0.0 < mu < 1.0):
-        raise DomainError(f"char_function_gaussian: invalid (n={n}, psi={psi}, mu={mu})")
-    t_sq = float(np.dot(t, t)) if np.ndim(t) else float(t) ** 2
-    return math.exp(-0.5 * mu * psi * t_sq)
-
-
 # --- radial output density -------------------------------------------------
 
 # Gauss-Legendre nodes of the radius law: first try, and cap of the doubling
@@ -243,7 +229,7 @@ class RadialOutputDensity:
         err = abs(float(self.weights.sum()) - 1.0)
         if err > 1e-10:
             raise NumericError(
-                f"RadialOutputDensity: radius-law weights sum off by {err:.2e}"
+                f"RadialOutputDensity: radius-law weights sum off by {err:.2e} for {self.spec}"
             )
 
     @cached_property
@@ -266,7 +252,9 @@ class RadialOutputDensity:
         scalar = np.ndim(y_norm) == 0
         s = np.atleast_1d(np.asarray(y_norm, dtype=float))
         if (s < 0.0).any():
-            raise DomainError("log_density_ratio: negative radius")
+            raise DomainError(
+                f"log_density_ratio: negative radius {float(s[s < 0.0][0])} for {self.spec}"
+            )
         b = 0.5 * self.spec.n
         out = np.empty_like(s)
         for j in range(0, s.size, _RATIO_BLOCK):
@@ -274,7 +262,11 @@ class RadialOutputDensity:
             log_f = specfn.log_sph_bessel_factor(b, np.outer(self.radii, block))
             out[j : j + _RATIO_BLOCK] = _sp.logsumexp(self._log_mix[:, None] + log_f, axis=0)
         if not np.all(np.isfinite(out)):
-            raise NumericError("log_density_ratio: evaluation overflowed")
+            i = int(np.argmin(np.isfinite(out)))
+            raise NumericError(
+                f"log_density_ratio: evaluation overflowed to {out[i]} at radius {s[i]} "
+                f"for {self.spec}"
+            )
         return float(out[0]) if scalar else out
 
 
@@ -328,7 +320,7 @@ def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceRepor
     if abs(norm0 - 1.0) > 1e-6 or abs(norm1 - 1.0) > 1e-6:
         raise NumericError(
             f"output_divergences_quadrature: normalization off (noise {norm0}, "
-            f"output {norm1})"
+            f"output {norm1}) for {model.spec}"
         )
     kl_bits = float(np.trapezoid(fbar * np.log(ratio), s)) * specfn.LOG2E
     tvd = 0.5 * float(np.trapezoid(np.abs(fbar - f0), s))

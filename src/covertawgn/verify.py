@@ -146,7 +146,7 @@ def check_06_taylor_sandwich() -> CheckResult:
     t0 = time.perf_counter()
     msgs, ok = [], True
     for eta in (1.001, 1.01, 1.1):
-        thr = 1.5 * (eta - 1.0) / eta
+        thr = pl._bracket_threshold(eta)
         xs = np.linspace(thr * 1e-4, thr * (1.0 - 1e-9), 10_000)
         mid = 0.5 * (xs - np.log1p(xs))
         lower_ok = bool(np.all(xs * xs / (4.0 * eta) < mid))

@@ -1,5 +1,5 @@
+import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -121,30 +121,76 @@ def test_simulate_small_run():
     assert res["config"]["seed"] == 3
 
 
+SIM_SMALL = ("simulate", "--n", "16", "--delta", "0.05", "--M", "2", "--trials", "100")
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n=400\ndelta=0.01\nseed=5\n# a comment\n\n")
-    base = run_cli("plan", "--config", str(cfgfile))
+    cfgfile.write_text("n=16\ndelta=0.05\nM=2\ntrials=100\nseed=5\n# a comment\n\n")
+    base = run_cli("simulate", "--config", str(cfgfile))
+    assert base.returncode == 0, base.stderr
     assert json.loads(base.stdout)["config"]["seed"] == 5
-    override = run_cli("plan", "--config", str(cfgfile), "--seed", "7")
+    override = run_cli("simulate", "--config", str(cfgfile), "--seed", "7")
     assert json.loads(override.stdout)["config"]["seed"] == 7
 
 
 def test_env_seed_lowest_precedence(tmp_path):
     env = {"COVERT_SEED": "9"}
-    proc = run_cli("plan", "--n", "400", "--delta", "0.01", env_extra=env)
+    proc = run_cli(*SIM_SMALL, env_extra=env)
     assert json.loads(proc.stdout)["config"]["seed"] == 9
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("seed=5\n")
-    proc = run_cli(
-        "plan", "--n", "400", "--delta", "0.01", "--config", str(cfgfile), env_extra=env
-    )
+    proc = run_cli(*SIM_SMALL, "--config", str(cfgfile), env_extra=env)
     assert json.loads(proc.stdout)["config"]["seed"] == 5
 
 
 def test_default_seed_is_zero():
-    proc = run_cli("plan", "--n", "400", "--delta", "0.01")
-    assert json.loads(proc.stdout)["config"]["seed"] == 0
+    proc = run_cli(*SIM_SMALL)
+    payload = json.loads(proc.stdout)
+    assert payload["config"]["seed"] == 0
+    assert payload["result"]["config"]["seed"] == 0
+
+
+# each subcommand's flags besides --config; 42 (subcommand, flag) pairs in all
+ACCEPTED_FLAGS = {
+    "plan": {"n", "delta", "epsilon", "mu", "nu2", "eta", "out"},
+    "divergence": {"n", "delta", "mu", "nu2", "tau", "c", "out"},
+    "bounds": {"n", "delta", "epsilon", "format", "out"},
+    "sweep": {"n", "tau", "c", "format", "out"},
+    "simulate": {"n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "workers", "out"},
+    "verify": {"out"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {opt[2:] for act in sub._actions for opt in act.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert accepted == {name: flags | {"config"} for name, flags in ACCEPTED_FLAGS.items()}
+    assert sum(len(flags) for flags in accepted.values()) == 42
+
+
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path):
+    assert run_cli("bounds", "--n", "1e4", "--delta", "0.01", "--mu", "0.5").returncode == 2
+    assert run_cli("plan", "--n", "400", "--delta", "0.01", "--seed", "3").returncode == 2
+    seed_key = tmp_path / "seed.cfg"
+    seed_key.write_text("n=400\ndelta=0.01\nseed=3\n")
+    assert run_cli("plan", "--config", str(seed_key)).returncode == 2
+    # the schedule (--tau, --c) and the planned corner (--delta, ...) do not mix
+    mixed = run_cli("divergence", "--n", "400", "--tau", "0.5", "--delta", "0.01")
+    assert mixed.returncode == 2
+    assert "two ways" in mixed.stderr
+    assert run_cli("simulate", "--n", "16", "--delta", "0.05", "--c", "2").returncode == 2
+    assert run_cli("divergence", "--n", "400", "--c", "2").returncode == 2
+    # the bounds CSV echoes only what the run read
+    proc = run_cli("bounds", "--n", "1e3..1e4", "--delta", "0.01")
+    assert proc.returncode == 0, proc.stderr
+    comments = [l for l in proc.stdout.splitlines() if l.startswith("#")]
+    assert comments == ["# subcommand=bounds", "# n=1e3..1e4", "# delta=0.01", "# epsilon=0.1"]
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -176,6 +222,7 @@ def test_exit_code_2_on_bad_inputs(tmp_path):
     )
     assert one_trial.returncode == 2
     assert "trials >= 2" in one_trial.stderr
+    assert run_cli("sweep", "--tau", "0.5", "--format", "xml").returncode == 2
 
 
 def test_exit_code_2_on_malformed_grid():
@@ -211,6 +258,7 @@ def test_verify_gate_exit_code_and_table(tmp_path, monkeypatch, capsys, verify_r
     assert "PASS" in out and "FAIL" in out
     assert "8/10 checks passed; failed: [1, 9]" in out
     payload = json.loads(dest.read_text())
+    assert payload["config"] == {"subcommand": "verify", "out": str(dest)}
     by_crit = {r["criterion"]: r for r in payload["result"]}
     assert len(by_crit) == 10
     assert by_crit[1]["passed"] is False

@@ -91,19 +91,21 @@ def test_sufficient_power_is_inside_exact_budget():
 
 
 def test_taylor_bracket_check():
-    lower_ok, upper_ok, thr = pl.taylor_bracket_check(0.4, 1.5)
+    # x^2/(4 eta) < (x - ln(1+x))/2 < x^2/4 is guaranteed below 3(eta-1)/(2 eta)
+    eta = 1.5
+    thr = pl._bracket_threshold(eta)
     assert thr == pytest.approx(0.5, rel=1e-15)
-    assert lower_ok and upper_ok
+    p = pl.CovertParams(n=400, delta=0.01, epsilon=0.1, mu=0.8, nu_sq=1.0, eta=eta)
+    assert pl.plan(p).bracket_valid_below == thr
+
+    def sides(x):
+        mid = 0.5 * (x - math.log1p(x))
+        return x * x / (4.0 * eta) < mid, mid < 0.25 * x * x
+
+    assert sides(0.4) == (True, True)
     # the threshold is a guarantee, not the exact failure point; by x=1.2 the
     # lower (eta-inflated) side really has crossed for eta=1.5
-    lower_ok, upper_ok, _ = pl.taylor_bracket_check(1.2, 1.5)
-    assert not lower_ok
-    assert upper_ok  # x - ln(1+x) <= x^2/2 holds for every x > 0
-    assert pl.taylor_bracket_check(0.0, 1.5)[:2] == (True, True)
-    with pytest.raises(DomainError):
-        pl.taylor_bracket_check(-0.1, 1.5)
-    with pytest.raises(DomainError):
-        pl.taylor_bracket_check(0.1, 1.0)
+    assert sides(1.2) == (False, True)  # x - ln(1+x) <= x^2/2 for every x > 0
 
 
 def test_plan_defaults_identity_and_flag():
@@ -141,7 +143,7 @@ def test_plan_serialization():
     d = out.to_dict()
     assert d["n"] == 1024
     assert set(d) >= {"n", "delta", "psi_suf", "psi_nec", "psi_exact", "flags"}
-    loaded = json.loads(out.to_json())
+    loaded = json.loads(json.dumps(d))
     assert loaded["psi_exact"] == pytest.approx(out.psi_exact, rel=1e-15)
 
 

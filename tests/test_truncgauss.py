@@ -202,17 +202,24 @@ def test_direction_is_uniform():
     assert np.abs(u.mean(axis=0)).max() < 4.0 / math.sqrt(20_000)
 
 
-def test_char_function_anchor():
-    # n=100, psi = 1/sqrt(100), mu=0.8, ||t||=1 -> exp(-mu psi / 2) = exp(-0.04)
-    got = tg.char_function_gaussian(100, 0.1, 0.8, np.array([1.0] + [0.0] * 99))
-    assert got == pytest.approx(math.exp(-0.04), rel=1e-14)
-    assert tg.char_function_gaussian(100, 0.1, 0.8, 0.0) == 1.0
-
-
-def test_char_function_decays_with_power():
-    t = 2.0
-    vals = [tg.char_function_gaussian(10, psi, 0.8, t) for psi in (0.01, 0.1, 1.0)]
-    assert vals[0] > vals[1] > vals[2] > 0.0
+def test_output_density_errors_name_the_spec_and_the_value():
+    spec = tg.TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8)
+    named = r"TruncatedGaussianSpec\(n=16, psi=0\.1, mu=0\.8\)"
+    model = tg.radial_output_density(spec)
+    with pytest.raises(DomainError, match=rf"negative radius -2\.0 for {named}"):
+        model.log_density_ratio(np.array([1.0, -2.0]))
+    # a node radius whose square overflows sends the log mixture weight to -inf
+    far = tg.RadialOutputDensity(spec=spec, radii=np.array([1e160]), weights=np.array([1.0]))
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericError, match=rf"overflowed to -inf at radius 0\.0 for {named}"
+    ):
+        far.log_density_ratio(np.array([0.0]))
+    with pytest.raises(NumericError, match=rf"weights sum off by 1\.00e\+00 for {named}"):
+        tg.RadialOutputDensity(spec=spec, radii=model.radii, weights=2.0 * model.weights)
+    # all of the output mass sits far beyond the quadrature's radial grid
+    far_out = tg.RadialOutputDensity(spec=spec, radii=np.array([50.0]), weights=np.array([1.0]))
+    with pytest.raises(NumericError, match=rf"normalization off \(noise .*\) for {named}"):
+        tg.output_divergences_quadrature(far_out)
 
 
 def test_radial_model_weights_and_monotone_ratio():
