@@ -7,7 +7,7 @@ Taylor bracket is valid), and the exact solution of
 (n/2)[x - ln(1+x)] log2 e = delta.
 """
 
-from covertawgn import CovertParams, kl_budget_bits, plan
+from covertawgn import CovertParams, IsotropicGaussianPair, kl_isotropic, plan
 
 for n, delta in [(400, 0.01), (400, 0.001), (4096, 0.01), (10**6, 0.05)]:
     p = plan(CovertParams.defaults(n, delta))
@@ -20,7 +20,7 @@ for n, delta in [(400, 0.01), (400, 0.001), (4096, 0.01), (10**6, 0.05)]:
     # the sufficient corner really is sufficient: spend mu * psi_suf of
     # per-coordinate power and the budget is not exhausted
     params = p.params
-    spent = kl_budget_bits(n, params.mu * p.psi_suf)
+    spent = kl_isotropic(IsotropicGaussianPair(n, 1.0 + params.mu * p.psi_suf))
     print(f"  KL at mu*psi_suf = {spent:.6f} bits (budget {delta:g})")
     assert spent <= delta + 1e-12
     print()

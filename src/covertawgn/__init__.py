@@ -35,7 +35,6 @@ from .errors import ConfigError, CovertError, DomainError, InputError, NumericEr
 from .planner import (
     CovertParams,
     PowerPlan,
-    kl_budget_bits,
     nu_lemma_shell,
     plan,
     psi_nec,
@@ -98,7 +97,6 @@ __all__ = [
     "empirical_divergences",
     "hellinger_sq_isotropic",
     "isotropic_report",
-    "kl_budget_bits",
     "kl_general_covariance",
     "kl_isotropic",
     "nu_lemma_shell",

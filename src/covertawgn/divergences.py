@@ -121,11 +121,16 @@ class DivergenceReport:
         }
 
 
+def _kl_excess_bits(n: int, x: float) -> float:
+    """(n/2) [x - ln(1+x)] log2 e: KL of N(0, (1+x) I_n) from N(0, I_n) in bits,
+    for x > -1; the series form of x - ln(1+x) keeps x ~ 0 exact."""
+    return 0.5 * n * specfn.x_minus_log1p(x) * specfn.LOG2E
+
+
 def kl_isotropic(pair: IsotropicGaussianPair) -> float:
     """D(N(0, s^2 I_n) || N(0, I_n)) = (n/2) [x - ln(1+x)] log2 e bits, x = s^2 - 1."""
-    x = pair.excess_power
-    # x > -1 is guaranteed by sigma1_sq > 0; series form keeps x ~ 0 exact
-    return 0.5 * pair.n * specfn.x_minus_log1p(x) * specfn.LOG2E
+    # x > -1 is guaranteed by sigma1_sq > 0
+    return _kl_excess_bits(pair.n, pair.excess_power)
 
 
 def kl_general_covariance(spec: CovarianceSpec) -> float:

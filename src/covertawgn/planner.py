@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfn
+from .divergences import _kl_excess_bits
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "nu_lemma_shell",
     "psi_nec",
     "psi_suf",
-    "kl_budget_bits",
     "solve_exact_power",
     "plan",
 ]
@@ -105,15 +105,6 @@ def psi_suf(n: int, delta: float, mu: float, nu_sq: float) -> float:
     return math.sqrt(4.0 * delta * specfn.LN2 / (n * mu * mu * nu_sq))
 
 
-def kl_budget_bits(n: int, x: float) -> float:
-    """(n/2) [x - ln(1+x)] log2(e): KL of N(0, (1+x) I_n) from N(0, I_n) in bits."""
-    if n < 1:
-        raise DomainError(f"kl_budget_bits: need n >= 1, got {n}")
-    if not (x >= 0.0):
-        raise DomainError(f"kl_budget_bits: need x >= 0, got {x!r}")
-    return 0.5 * n * specfn.x_minus_log1p(x) * specfn.LOG2E
-
-
 # relative residual at which the exact budget solve stops
 _EXACT_POWER_REL_TOL = 1e-12
 
@@ -129,7 +120,7 @@ def solve_exact_power(n: int, delta: float) -> float:
     x = math.sqrt(4.0 * delta * specfn.LN2 / n)
     lo, hi = 0.0, None
     for _ in range(200):
-        f = kl_budget_bits(n, x) - delta
+        f = _kl_excess_bits(n, x) - delta
         if abs(f) <= _EXACT_POWER_REL_TOL * delta:
             return x
         if f > 0.0:

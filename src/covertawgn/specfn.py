@@ -1,10 +1,10 @@
 """Special functions underpinning every closed form in the package.
 
 Scalar functions on top of the C library via ``math`` (lgamma, erfc): the
-regularized lower incomplete gamma P(a, x), the Gaussian upper tail Q and its
-inverse. One numpy kernel, elementwise over arrays, evaluates the logarithm
-of the spherical plane-wave average 0F1(; n/2; t^2/4) that appears in radial
-output densities.
+regularized lower incomplete gamma P(a, x) and the Gaussian upper tail Q,
+whose inverse is the standard library's ``statistics.NormalDist``. One numpy
+kernel, elementwise over arrays, evaluates the logarithm of the spherical
+plane-wave average 0F1(; n/2; t^2/4) that appears in radial output densities.
 
 P(a, x) takes one of three regimes, each a bounded amount of work at any a:
 Temme's uniform expansion (DLMF 8.12) for a >= 100 and |x - a| <= a/2, the
@@ -20,6 +20,7 @@ All functions are pure, deterministic, and thread-safe.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -253,52 +254,14 @@ def gaussian_q(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-# Acklam's rational approximation to the standard normal quantile (|err| < 1.15e-9),
-# used only as the initializer for Newton refinement against gaussian_q.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def _norm_ppf_acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p <= p_high:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-
 def gaussian_q_inv(p: float) -> float:
-    """Inverse of gaussian_q on (0, 1); |Q(Q^-1(p)) - p| <= 1e-10 over [1e-8, 1-1e-8]."""
+    """Inverse of gaussian_q on (0, 1): -Phi^-1(p) by the standard library's
+    NormalDist.inv_cdf (Wichura's AS 241), within 1e-15 relative of a 40-digit
+    reference over [1e-12, 1 - 1e-8]."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"gaussian_q_inv: need 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
-    z = -_norm_ppf_acklam(p)  # Q^-1(p) = -Phi^-1(p)
-    for _ in range(3):
-        err = gaussian_q(z) - p
-        if err == 0.0:
-            break
-        # Q'(z) = -phi(z)
-        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        if phi <= 0.0:
-            break
-        z += err / phi
-    return z
+    # 0.0 - x, not -x: Q^-1(1/2) is +0.0, so the bounds at epsilon = 1/2 print 0.0
+    return 0.0 - NormalDist().inv_cdf(p)
 
 
 # ln 0F1 switches from its series to the Debye expansion at this order
@@ -314,7 +277,9 @@ _DEBYE_U = (
 
 def _log_hyp0f1_series(b: float, t: np.ndarray) -> np.ndarray:
     """ln 0F1(; b; t^2/4) by the positive series from k = 0; each running sum
-    moves into a log scale long before it can overflow, so any t works."""
+    moves into a log scale long before it can overflow. The terms peak near
+    k = t/2, so it takes about t/2 terms and stalls (NumericError) once that
+    passes _MAX_ITER, near t = 4e6; t*t itself overflows past about 1.3e154."""
     z = 0.25 * t * t
     term, s, log_scale = np.ones_like(z), np.ones_like(z), np.zeros_like(z)
     for k in range(_MAX_ITER):

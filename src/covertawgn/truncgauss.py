@@ -188,18 +188,10 @@ def sample_codewords(
 # Gauss-Legendre nodes of the radius law: first try, and cap of the doubling
 _RADIUS_LAW_NODES = 256
 _RADIUS_LAW_MAX_NODES = 4096
-# radial grid sizes: output-divergence quadrature, Monte-Carlo ratio table
-_QUADRATURE_POINTS = 4000
+# points of the ratio table's radial grid
 _RATIO_TABLE_POINTS = 4096
 # output radii per kernel call; bounds log_density_ratio's (nodes, block) temporaries
 _RATIO_BLOCK = 256
-
-
-def _output_radial_grid(spec: TruncatedGaussianSpec, points: int) -> np.ndarray:
-    """Uniform output-radius grid up to ~16 sigma beyond the bulk of ||y||."""
-    n = spec.n
-    s_max = math.sqrt(n * (1.0 + spec.psi) + 16.0 * math.sqrt(2.0 * n) + 80.0)
-    return np.linspace(1e-9, s_max, points)
 
 
 @dataclass(frozen=True)
@@ -209,8 +201,8 @@ class RadialOutputDensity:
     radii and weights are matching node/weight vectors over [r_inner, r_outer]
     whose weights sum to 1 within 1e-10; _log_mix premultiplies the Gaussian
     attenuation exp(-r_k^2/2) used by the convolution kernel, and ratio_table
-    caches the log density ratio on the radial grid that the Monte-Carlo
-    statistics interpolate.
+    caches the log density ratio on the one radial grid that the output
+    quadrature integrates and the Monte-Carlo statistics interpolate.
     """
 
     spec: TruncatedGaussianSpec
@@ -238,10 +230,13 @@ class RadialOutputDensity:
 
     @cached_property
     def ratio_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (radius, log f_bar/f0) table for interpolation, built once per
-        model; the ratio is monotone increasing in the radius, so linear
-        interpolation stays monotone."""
-        s = _output_radial_grid(self.spec, _RATIO_TABLE_POINTS)
+        """Dense (radius, log f_bar/f0) table on a uniform grid up to ~16 sigma
+        beyond the bulk of ||y||, built once per model. output_divergences_quadrature
+        integrates on it; the Monte-Carlo statistics interpolate it, and since
+        the ratio is monotone increasing in the radius, linearly so."""
+        n, psi = self.spec.n, self.spec.psi
+        s_max = math.sqrt(n * (1.0 + psi) + 16.0 * math.sqrt(2.0 * n) + 80.0)
+        s = np.linspace(1e-9, s_max, _RATIO_TABLE_POINTS)
         v = np.asarray(self.log_density_ratio(s))
         s.flags.writeable = v.flags.writeable = False  # one copy serves every caller
         return s, v
@@ -251,9 +246,9 @@ class RadialOutputDensity:
         log-sum-exp over radius nodes r of _log_mix + ln 0F1(; n/2; (r y)^2/4)."""
         scalar = np.ndim(y_norm) == 0
         s = np.atleast_1d(np.asarray(y_norm, dtype=float))
-        if (s < 0.0).any():
+        if (bad := ~(np.isfinite(s) & (s >= 0.0))).any():
             raise DomainError(
-                f"log_density_ratio: negative radius {float(s[s < 0.0][0])} for {self.spec}"
+                f"log_density_ratio: need finite radii >= 0, got {s[bad][0]} for {self.spec}"
             )
         b = 0.5 * self.spec.n
         out = np.empty_like(s)
@@ -301,14 +296,15 @@ def radial_output_density(spec: TruncatedGaussianSpec) -> RadialOutputDensity:
 
 def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceReport:
     """KL/TVD/H^2/chi^2 of the AWGN output of the code against pure noise,
-    by quadrature over the radial coordinate (both laws are spherical).
+    by the trapezoid rule over the radial coordinate (both laws are spherical)
+    on the model's cached ratio_table.
 
     Raises NumericError if either radial density fails to integrate to 1
     within 1e-6.
     """
     n = model.spec.n
-    s = _output_radial_grid(model.spec, _QUADRATURE_POINTS)
-    ratio = np.exp(np.asarray(model.log_density_ratio(s)))
+    s, log_ratio = model.ratio_table
+    ratio = np.exp(log_ratio)
     a = 0.5 * n
     log_f0_rad = (
         math.log(2.0) + (n - 1.0) * np.log(s) - 0.5 * s * s - a * math.log(2.0) - math.lgamma(a)
@@ -322,7 +318,7 @@ def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceRepor
             f"output_divergences_quadrature: normalization off (noise {norm0}, "
             f"output {norm1}) for {model.spec}"
         )
-    kl_bits = float(np.trapezoid(fbar * np.log(ratio), s)) * specfn.LOG2E
+    kl_bits = float(np.trapezoid(fbar * log_ratio, s)) * specfn.LOG2E
     tvd = 0.5 * float(np.trapezoid(np.abs(fbar - f0), s))
     h2 = 1.0 - float(np.trapezoid(np.sqrt(fbar * f0), s))
     chi2 = float(np.trapezoid(f0 * (ratio - 1.0) ** 2, s))

@@ -30,6 +30,14 @@ def test_kl_isotropic_anchor():
     assert dv.kl_isotropic(pair) == pytest.approx(LOG2E - 1.0, rel=1e-14)
 
 
+def test_kl_excess_bits_matches_closed_form():
+    # the one isotropic-KL formula, shared by kl_isotropic and solve_exact_power
+    n, x = 400, 0.0125
+    expect = 0.5 * n * (x - math.log1p(x)) * LOG2E
+    assert dv._kl_excess_bits(n, x) == pytest.approx(expect, rel=1e-14)
+    assert dv._kl_excess_bits(n, 0.0) == 0.0
+
+
 def test_kl_isotropic_equal_pair_is_zero():
     assert dv.kl_isotropic(dv.IsotropicGaussianPair(100, 1.0)) == 0.0
 

@@ -4,9 +4,8 @@ import math
 import pytest
 
 from covertawgn import planner as pl
+from covertawgn.divergences import _kl_excess_bits as _kl
 from covertawgn.errors import DomainError, NumericError
-
-LN2 = math.log(2.0)
 
 
 def test_nu_lemma_shell():
@@ -54,17 +53,10 @@ def test_psi_scaling_in_n_and_delta():
     )
 
 
-def test_kl_budget_bits_matches_closed_form():
-    n, x = 400, 0.0125
-    expect = 0.5 * n * (x - math.log1p(x)) / LN2
-    assert pl.kl_budget_bits(n, x) == pytest.approx(expect, rel=1e-14)
-    assert pl.kl_budget_bits(n, 0.0) == 0.0
-
-
 def test_solve_exact_power_anchor():
     x = pl.solve_exact_power(400, 0.01)
     assert x == pytest.approx(0.0083486670298904038, rel=1e-11)
-    assert pl.kl_budget_bits(400, x) == pytest.approx(0.01, rel=1e-11)
+    assert _kl(400, x) == pytest.approx(0.01, rel=1e-11)
 
 
 def test_solve_exact_power_delta_doubling():
@@ -79,7 +71,7 @@ def test_solve_exact_power_wide_grid():
         for delta in (1e-4, 0.01, 0.5):
             x = pl.solve_exact_power(n, delta)
             assert x > 0.0
-            assert pl.kl_budget_bits(n, x) == pytest.approx(delta, rel=1e-10)
+            assert _kl(n, x) == pytest.approx(delta, rel=1e-10)
 
 
 def test_sufficient_power_is_inside_exact_budget():
@@ -133,7 +125,7 @@ def test_plan_small_delta_bracket_valid():
 def test_plan_flagged_region_understates_kl():
     # with the bracket invalid, the quadratic proxy behind psi_nec undershoots:
     # transmitting at psi_nec does not exhaust the budget
-    kl = pl.kl_budget_bits(400, pl.psi_nec(400, 0.01, 1.0025))
+    kl = _kl(400, pl.psi_nec(400, 0.01, 1.0025))
     assert kl == pytest.approx(0.00996963409243081, rel=1e-12)
     assert kl < 0.01
 

@@ -431,6 +431,22 @@ def test_simulate_builds_ratio_table_once(monkeypatch):
     assert calls == [4096]  # the one table build, none per sample batch
 
 
+def test_quadrature_after_simulate_reuses_the_ratio_table(monkeypatch):
+    spec = _spec(n=16, psi=0.8, mu=0.7)
+    sk.simulate(spec, M=4, trials=3000, seed=1)
+    calls = []
+    original = tg.RadialOutputDensity.log_density_ratio
+
+    def counting(self, y_norm):
+        calls.append(np.size(y_norm))
+        return original(self, y_norm)
+
+    monkeypatch.setattr(tg.RadialOutputDensity, "log_density_ratio", counting)
+    rep = tg.output_divergences_quadrature(tg.radial_output_density(spec))
+    assert calls == []  # the quadrature integrates the table simulate built
+    assert rep.kl_bits > 0.0
+
+
 def test_simulate_builds_output_model_once_per_spec(monkeypatch):
     calls = []
     original = tg.RadialOutputDensity.log_density_ratio

@@ -206,6 +206,16 @@ def test_gaussian_q_inv_anchor():
 
 def test_gaussian_q_inv_median_is_exact_zero():
     assert specfn.gaussian_q_inv(0.5) == 0.0
+    assert math.copysign(1.0, specfn.gaussian_q_inv(0.5)) == 1.0  # +0.0, not -0.0
+
+
+def test_gaussian_q_inv_against_mpmath():
+    # Q^-1(p) = -sqrt(2) erfinv(2p - 1) at 40 digits, from the far tail to near 1
+    ps = np.concatenate([np.logspace(-12, math.log10(0.5), 60), 1.0 - np.logspace(-8, -0.5, 60)])
+    for p in map(float, ps):
+        with mp.workdps(40):
+            ref = float(-mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1))
+        assert specfn.gaussian_q_inv(p) == pytest.approx(ref, rel=1e-14)
 
 
 def test_gaussian_q_roundtrip():

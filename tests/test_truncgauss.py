@@ -206,8 +206,11 @@ def test_output_density_errors_name_the_spec_and_the_value():
     spec = tg.TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8)
     named = r"TruncatedGaussianSpec\(n=16, psi=0\.1, mu=0\.8\)"
     model = tg.radial_output_density(spec)
-    with pytest.raises(DomainError, match=rf"negative radius -2\.0 for {named}"):
-        model.log_density_ratio(np.array([1.0, -2.0]))
+    for bad in ("-2.0", "nan", "inf", "-inf"):
+        with pytest.raises(DomainError, match=rf"need finite radii >= 0, got {bad} for {named}"):
+            model.log_density_ratio(np.array([1.0, float(bad)]))
+    with pytest.raises(DomainError, match=rf"got nan for {named}"):
+        model.log_density_ratio(math.nan)
     # a node radius whose square overflows sends the log mixture weight to -inf
     far = tg.RadialOutputDensity(spec=spec, radii=np.array([1e160]), weights=np.array([1.0]))
     with np.errstate(over="ignore"), pytest.raises(
@@ -316,7 +319,7 @@ def test_quadrature_normalized_across_blocklengths():
 def test_log_density_ratio_one_kernel_call_per_block(monkeypatch):
     spec = tg.TruncatedGaussianSpec(n=4096, psi=1.0 / 64, mu=0.95)
     model = tg.radial_output_density(spec)
-    s = np.linspace(1.0, tg._output_radial_grid(spec, 2)[-1], 8)
+    s = np.linspace(1.0, model.ratio_table[0][-1], 8)
     calls = []
     original = tg.specfn.log_sph_bessel_factor
 
