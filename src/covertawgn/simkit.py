@@ -13,6 +13,10 @@ projection onto the span of the codebook (the theorem of irrelevance), so
 `simulate` decodes in k = min(n, M) span coordinates: with C^T = Q R a reduced
 QR, c_j = Q c~_j and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k) is decided
 exactly as y = c_w + z would be, at O(k M) per trial instead of O(n M).
+From 256 codewords up the scores are computed in float32 with an a-priori
+error bound, and only the points whose best and second-best scores lie within
+twice that bound (or are not finite) are rescored in float64, so every
+decision is the float64 kernel's (see `_nearest`).
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
@@ -62,6 +66,9 @@ __all__ = [
 
 _MC_BLOCK = 4096
 _DECODE_CHUNK = 256  # rows scored at once: caps the score matrix at 256 x M
+# codebooks this wide are scored in float32; below it the certificate's
+# per-chunk passes cost more than the narrower product saves
+_FLOAT32_MIN_ROWS = 256
 
 
 class StreamTag(IntEnum):
@@ -155,11 +162,11 @@ def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
 # --- Bob's decoder --------------------------------------------------------------
 
 
-def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
+def _nearest_float64(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
     """Index of the row nearest each point (lowest index on ties), given the
     rows' squared norms: argmax_j <y, c_j> - ||c_j||^2 / 2 (exactly -1/2 of
     ||c_j||^2 - 2 <y, c_j>, so ties fall alike), scored _DECODE_CHUNK points
-    at a time into one reused score buffer."""
+    at a time into one reused float64 score buffer."""
     half_sq = 0.5 * rows_sq
     out = np.empty(points.shape[0], dtype=np.intp)
     buffer = np.empty((min(_DECODE_CHUNK, points.shape[0]), rows.shape[0]))
@@ -168,6 +175,62 @@ def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.nd
         scores = np.matmul(chunk, rows.T, out=buffer[: chunk.shape[0]])
         scores -= half_sq
         out[i : i + _DECODE_CHUNK] = np.argmax(scores, axis=1)
+    return out
+
+
+def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
+    """The decisions of `_nearest_float64`, from float32 scores once there are
+    at least _FLOAT32_MIN_ROWS rows.
+
+    Rows [c_j, -||c_j||^2/2] and points [y, 1] give each score as one float32
+    product of length k + 1. By Higham's dot-product bound (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3), for any summation
+    order, with u = 2^-24 and gamma_m = m u / (1 - m u), each is within
+        (3u + gamma_{k+1} (1 + u)^2) (||y|| max||c|| + max||c||^2 / 2)
+        + 4 (k + 2) 2^-126 (1 + ||y|| + max||c||)
+    of the exact score: 3u for rounding y, c and ||c||^2/2 to float32 (its
+    slack over 2u + u^2 covers the float64 kernel's own rounding), the last
+    term for underflow, even flushed to zero. A point whose float32 maximum
+    beats its runner-up by more than twice this has the float64 decision; every
+    other point, and any whose maximum is not finite, is rescored in float64.
+    """
+    count = points.shape[0]
+    M, k = rows.shape
+    if M < _FLOAT32_MIN_ROWS:
+        return _nearest_float64(points, rows, rows_sq)
+    u = 2.0**-24
+    m = (k + 1) * u
+    rel = 3.0 * u + (m / (1.0 - m) if m < 0.5 else math.inf) * (1.0 + u) ** 2
+    absolute = 4.0 * (k + 2) * 2.0**-126
+    c_max = math.sqrt(float(rows_sq.max()))
+
+    out = np.empty(count, dtype=np.intp)
+    table = np.empty((k + 1, M), dtype=np.float32)
+    augmented = np.ones((min(_DECODE_CHUNK, count), k + 1), dtype=np.float32)
+    buffer = np.empty((augmented.shape[0], M), dtype=np.float32)
+    rescore = np.zeros(count, dtype=bool)
+    # an overflow or NaN below leaves a non-finite maximum or gap, which is
+    # rescored; an underflow is in the bound's absolute term
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        table[:k] = rows.T
+        table[k] = -0.5 * rows_sq
+        for i in range(0, count, _DECODE_CHUNK):
+            chunk = points[i : i + _DECODE_CHUNK]
+            at = np.arange(chunk.shape[0])
+            aug = augmented[: at.size]
+            aug[:, :k] = chunk
+            scores = np.matmul(aug, table, out=buffer[: at.size])
+            best = np.argmax(scores, axis=1)
+            top = scores[at, best].astype(np.float64)
+            scores[at, best] = -np.inf
+            runner_up = scores.max(axis=1)
+            y_norm = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
+            bound = rel * (y_norm + 0.5 * c_max) * c_max + absolute * (1.0 + y_norm + c_max)
+            out[i : i + at.size] = best
+            # negated, so a NaN gap or bound is rescored too
+            rescore[i : i + at.size] = ~((top - runner_up > 2.0 * bound) & (top < math.inf))
+    redo = np.flatnonzero(rescore)
+    out[redo] = _nearest_float64(points[redo], rows, rows_sq)
     return out
 
 

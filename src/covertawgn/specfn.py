@@ -280,6 +280,14 @@ def _log_hyp0f1_series(b: float, t: np.ndarray) -> np.ndarray:
     moves into a log scale long before it can overflow. The terms peak near
     k = t/2, so it takes about t/2 terms and stalls (NumericError) once that
     passes _MAX_ITER, near t = 4e6; t*t itself overflows past about 1.3e154."""
+    t_max = float(np.max(t, initial=0.0))
+    # the term ratio z / ((b + k)(k + 1)) still exceeds 1 at the last iteration,
+    # so the sum cannot converge: refuse before the loop, and before t*t overflows
+    if 0.5 * t_max > math.sqrt((b + _MAX_ITER) * (_MAX_ITER + 1.0)):
+        raise NumericError(
+            f"log_sph_bessel_factor series stalled at b={b}, t_max={t_max}: its terms "
+            f"still grow after {_MAX_ITER} iterations"
+        )
     z = 0.25 * t * t
     term, s, log_scale = np.ones_like(z), np.ones_like(z), np.zeros_like(z)
     for k in range(_MAX_ITER):

@@ -320,7 +320,8 @@ def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceRepor
         )
     kl_bits = float(np.trapezoid(fbar * log_ratio, s)) * specfn.LOG2E
     tvd = 0.5 * float(np.trapezoid(np.abs(fbar - f0), s))
-    h2 = 1.0 - float(np.trapezoid(np.sqrt(fbar * f0), s))
+    # (1/2) int f0 (sqrt(ratio) - 1)^2, not 1 - int sqrt(f_bar f0), which cancels
+    h2 = 0.5 * float(np.trapezoid(f0 * np.expm1(0.5 * log_ratio) ** 2, s))
     chi2 = float(np.trapezoid(f0 * (ratio - 1.0) ** 2, s))
     try:
         return DivergenceReport(

@@ -154,6 +154,100 @@ def test_bob_decode_in_place_scores_match_reference():
         assert np.array_equal(decide(y), np.argmin(scores, axis=1))
 
 
+def _full_score_argmin(points, rows):
+    # the reference: one full float64 score matrix, lowest index on ties
+    return np.argmin(np.sum(rows**2, axis=1)[None, :] - 2.0 * (points @ rows.T), axis=1)
+
+
+def _wide_rows(M=300, k=8, seed=0):
+    rows = np.random.default_rng(seed).standard_normal((M, k))
+    assert M >= sk._FLOAT32_MIN_ROWS  # the float32 path
+    return rows, np.sum(rows**2, axis=1)
+
+
+def test_float32_decode_rescores_near_ties(monkeypatch):
+    # c_1 = c_0 (1 + 1e-7): along the line through both, the two scores differ
+    # by ||c_0||^2 1e-7 s, far above float64 rounding and far below the float32
+    # bound, so the certificate must hand these points to the float64 kernel
+    rows, _ = _wide_rows()
+    rows[1] = rows[0] * (1.0 + 1e-7)
+    rows_sq = np.sum(rows**2, axis=1)
+    s = np.concatenate([-np.logspace(-6, -2, 150), np.logspace(-6, -2, 150)])[:, None]
+    points = np.vstack([rows[0] * (1.0 + 5e-8 + s), rows[5:9] + 0.1])
+    rescored, float64_kernel = [], sk._nearest_float64
+
+    def counting(p, r, r_sq):
+        rescored.append(p.shape[0])
+        return float64_kernel(p, r, r_sq)
+
+    monkeypatch.setattr(sk, "_nearest_float64", counting)
+    got = sk._nearest(points, rows, rows_sq)
+    ref = _full_score_argmin(points, rows)
+    assert np.array_equal(got, ref)
+    assert ref[:300].tolist() == [0] * 150 + [1] * 150
+    assert rescored == [300]  # the near-ties only, in one float64 call
+
+
+def test_float32_decode_exact_ties_go_to_lowest_index():
+    # small integer coordinates keep every product and sum exact in either
+    # precision, so duplicated rows tie exactly, as do midpoints of two rows
+    rng = np.random.default_rng(1)
+    rows = rng.integers(-3, 4, (300, 8)).astype(float)
+    rows[[200, 250, 299]] = rows[[10, 20, 10]]
+    mid = 0.5 * (rows[rng.integers(0, 300, 200)] + rows[rng.integers(0, 300, 200)])
+    points = np.vstack([rows[[10, 20, 200, 299]], mid])
+    scores = np.sum(rows**2, axis=1)[None, :] - 2.0 * (points @ rows.T)
+    ties = np.sum(scores == scores.min(axis=1, keepdims=True), axis=1) > 1
+    assert ties[:4].all() and ties.sum() > 10
+    got = sk._nearest(points, rows, np.sum(rows**2, axis=1))
+    assert np.array_equal(got, _full_score_argmin(points, rows))
+    assert got[:4].tolist() == [10, 20, 10, 10]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")  # the NaN rows
+def test_float32_decode_non_finite_and_extreme_points():
+    rows, rows_sq = _wide_rows()
+    rng = np.random.default_rng(2)
+    special = np.zeros((6, 8))
+    special[0, 3] = np.nan
+    special[1, 0] = np.inf
+    special[2, 5] = -np.inf
+    special[3, :2] = np.inf, -np.inf
+    special[4] = np.nan
+    special[5, 1] = np.inf
+    points = np.vstack([
+        special,
+        1e30 * rng.standard_normal((50, 8)),    # finite in float32
+        1e39 * rng.standard_normal((50, 8)),    # overflows float32, not float64
+        1e200 * rng.standard_normal((10, 8)),   # ||y||^2 overflows float64
+        1e-40 * rng.standard_normal((50, 8)),   # subnormal in float32
+        rows[rng.integers(0, 300, 300)] + rng.standard_normal((300, 8)),
+    ])
+    got = sk._nearest(points, rows, rows_sq)
+    assert np.array_equal(got, sk._nearest_float64(points, rows, rows_sq))
+    assert np.array_equal(got[6:], _full_score_argmin(points[6:], rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 24),
+    M=st.integers(sk._FLOAT32_MIN_ROWS, 700),
+    count=st.integers(1, 600),
+    log_scale=st.floats(-30.0, 30.0),
+    noise=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_decode_matches_float64_kernel(k, M, count, log_scale, noise, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    rows = scale * rng.standard_normal((M, k))
+    points = rows[rng.integers(0, M, count)] + noise * scale * rng.standard_normal((count, k))
+    rows_sq = np.sum(rows**2, axis=1)
+    assert np.array_equal(
+        sk._nearest(points, rows, rows_sq), sk._nearest_float64(points, rows, rows_sq)
+    )
+
+
 _SPEC_512 = tg.TruncatedGaussianSpec(512, pl.psi_suf(512, 0.05, 0.8, 1.0 + 1.0 / 512), 0.8)
 
 

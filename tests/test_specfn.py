@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from covertawgn import specfn
-from covertawgn.errors import DomainError
+from covertawgn.errors import DomainError, NumericError
 
 
 def test_log2e_ln2_constants():
@@ -288,6 +290,53 @@ def test_log_sph_bessel_factor_huge_argument():
     # 0F1 ~ Gamma(b) e^t (t/2)^(1/2-b) / sqrt(pi... ) -> log ~ t for t >> b
     assert math.isfinite(v)
     assert v > 0.5e5
+
+
+def test_log_sph_bessel_factor_refuses_a_diverging_series_at_once():
+    # from t = 2 sqrt((b + _MAX_ITER)(_MAX_ITER + 1)), about 4e6, the series'
+    # terms still grow at its last iteration; t*t overflows from about 1.3e154
+    for t in (5e6, 1e200, np.array([1.0, 5e6])):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="series stalled at b=8.0"):
+                specfn.log_sph_bessel_factor(8.0, t)
+        assert time.perf_counter() - start < 1.0
+
+
+def _series_loop_alone(b, t, max_iter):
+    # the series loop without the up-front refusal: its value, or None if it stalls
+    z = 0.25 * t * t
+    term, s, log_scale = 1.0, 1.0, 0.0
+    for k in range(max_iter):
+        term *= z / ((b + k) * (k + 1.0))
+        s += term
+        if s > 1e250:
+            log_scale += math.log(s)
+            term /= s
+            s = 1.0
+        if term <= s * 1e-17:
+            return log_scale + math.log(s)
+    return None
+
+
+def test_series_refusal_only_where_the_loop_would_stall(monkeypatch):
+    # with a short iteration cap, every t the loop sums still returns the same
+    # value and every t refused up front would have stalled in the loop
+    cap = 60
+    monkeypatch.setattr(specfn, "_MAX_ITER", cap)
+    for b in (0.5, 8.0, 40.0):
+        edge = 2.0 * math.sqrt((b + cap) * (cap + 1.0))
+        outcomes = set()
+        for t in np.linspace(0.0, 2.0 * edge, 301):
+            ref = _series_loop_alone(b, t, cap)
+            try:
+                got = float(specfn._log_hyp0f1_series(b, np.array([t]))[0])
+            except NumericError:
+                got = None
+            assert got == ref, (b, t)
+            outcomes.add((got is None, t > edge))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 @given(

@@ -295,6 +295,20 @@ def test_output_density_converges_to_noise_at_zero_power():
     assert rep.tvd < 5e-3
 
 
+def test_quadrature_hellinger_does_not_cancel(monkeypatch):
+    # H^2 = (1/2) int f0 (sqrt(f_bar/f0) - 1)^2 on the ratio table: one n=4096
+    # model gives it within 1e-12 on 4096 and 32768 points, where
+    # 1 - int sqrt(f_bar f0) moved by 3.4e-12 relative
+    spec = tg.TruncatedGaussianSpec(4096, 0.01, 0.97)
+    model = tg.radial_output_density(spec)
+    coarse = tg.output_divergences_quadrature(model)
+    monkeypatch.setattr(tg, "_RATIO_TABLE_POINTS", 32768)
+    fine_model = tg.RadialOutputDensity(spec, model.radii, model.weights)
+    fine = tg.output_divergences_quadrature(fine_model)
+    assert fine_model.ratio_table[0].size == 32768
+    assert fine.hellinger_sq == pytest.approx(coarse.hellinger_sq, rel=1e-12, abs=0.0)
+
+
 def test_quadrature_report_anchor_c4():
     # n=64, delta=0.05, mu=0.8, nu^2 = 1 + 1/64, psi at the sufficient power
     psi = pl.psi_suf(64, 0.05, 0.8, 1.0 + 1.0 / 64)
