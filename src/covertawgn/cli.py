@@ -1,19 +1,17 @@
 """Batch front door: plan / divergence / bounds / sweep / simulate / verify.
 
-Each subcommand accepts exactly the flags it reads (_SUBCOMMAND_FLAGS), plus
---config. A run resolves its settings from, in order of precedence,
-command-line flags, a key=value config file, and for the simulate seed the
-COVERT_SEED environment variable; the resolved config, holding only what the
-run read, is embedded in every output so runs are self-describing. Exit
-codes: 2 config or domain error (an unknown flag or config key included),
-3 numeric failure, 4 verification gate failure.
+Each subcommand accepts exactly the flags it reads (_SUBCOMMAND_FLAGS), and
+its settings come from those flags alone, typed and defaulted by argparse;
+the config, holding only what the run read, is embedded in every output so
+runs are self-describing. Exit codes: 2 config, domain or input error (an
+unknown flag or an unparseable value included), 3 numeric failure, 4
+verification gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,22 +26,22 @@ from .errors import ConfigError, CovertError, DomainError, InputError, NumericEr
 
 __all__ = ["main", "build_parser"]
 
-# flag name -> (converter, help)
+# flag name -> (type, default, help)
 _FLAG_SPEC = {
-    "n": (str, "blocklength: single value, comma list, or log grid 'a..b'"),
-    "delta": (float, "covertness budget delta in bits"),
-    "epsilon": (float, "target error probability (default 0.1)"),
-    "mu": (float, "shell truncation ratio in (0,1)"),
-    "nu2": (float, "sufficient-corner slack nu^2 >= 1"),
-    "eta": (float, "necessary-corner slack eta > 1"),
-    "tau": (float, "power-schedule exponent: psi = c * n^-tau"),
-    "c": (float, "power-schedule coefficient (default 1.0)"),
-    "M": (int, "codebook size"),
-    "trials": (int, "Monte-Carlo trials"),
-    "seed": (int, "master seed (fallback: config file, then COVERT_SEED, then 0)"),
-    "workers": (int, "worker threads (default 1)"),
-    "format": (str, "output format: csv (default) or json"),
-    "out": (str, "output path (default: stdout)"),
+    "n": (str, None, "blocklength: single value, comma list, or log grid 'a..b'"),
+    "delta": (float, None, "covertness budget delta in bits"),
+    "epsilon": (float, 0.1, "target error probability (default 0.1)"),
+    "mu": (float, None, "shell truncation ratio in (0,1)"),
+    "nu2": (float, None, "sufficient-corner slack nu^2 >= 1"),
+    "eta": (float, None, "necessary-corner slack eta > 1"),
+    "tau": (float, None, "power-schedule exponent: psi = c * n^-tau"),
+    "c": (float, None, "power-schedule coefficient (default 1.0)"),
+    "M": (int, None, "codebook size (default 4)"),
+    "trials": (int, None, "Monte-Carlo trials (default 10000)"),
+    "seed": (int, 0, "master seed (default 0)"),
+    "workers": (int, 1, "worker threads (default 1)"),
+    "format": (str, None, "output format: csv (default) or json"),
+    "out": (str, None, "output path (default: stdout)"),
 }
 
 # subcommand -> the flags it reads, in _FLAG_SPEC order
@@ -55,9 +53,6 @@ _SUBCOMMAND_FLAGS = {
     "simulate": ("n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "workers", "out"),
     "verify": ("out",),
 }
-
-# what a run reads for a flag it was not given (the seed tries COVERT_SEED first)
-_DEFAULTS = {"epsilon": 0.1, "seed": 0, "workers": 1}
 
 # divergence and simulate set the power by the schedule (tau, c) or by the
 # planned corner (delta, ...); a run gives one of the two
@@ -76,60 +71,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, flags in _SUBCOMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value config file; flags win")
         for flag in flags:
-            p.add_argument(f"--{flag}", default=None, help=_FLAG_SPEC[flag][1])
+            kind, default, text = _FLAG_SPEC[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default, help=text)
     return parser
 
 
-def _read_config_file(path: str, subcommand: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if not sep or not key:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-                if key not in _SUBCOMMAND_FLAGS[subcommand]:
-                    raise ConfigError(f"{path}:{lineno}: unknown {subcommand} key {key!r}")
-                out[key] = val
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return out
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values, convert types, fill the defaults
-    and the seed, and reject a run that sets the power two ways."""
+    """The subcommand's flags, after rejecting a run that sets the power two
+    ways."""
     sub = args.subcommand
-    file_cfg = _read_config_file(args.config, sub) if args.config else {}
-    merged: dict = {"subcommand": sub}
-    for flag in _SUBCOMMAND_FLAGS[sub]:
-        raw, source = getattr(args, flag), f"--{flag}"
-        if raw is None:
-            raw = file_cfg.get(flag)
-        if raw is None and flag == "seed":
-            raw, source = os.environ.get("COVERT_SEED"), "COVERT_SEED"
-        if raw is None:
-            merged[flag] = _DEFAULTS.get(flag)
-            continue
-        try:
-            merged[flag] = _FLAG_SPEC[flag][0](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: cannot parse {raw!r}") from exc
+    cfg = {"subcommand": sub, **{flag: getattr(args, flag) for flag in _SUBCOMMAND_FLAGS[sub]}}
     if sub in _POWER_WAYS:
-        schedule, planned = ([k for k in way if merged[k] is not None] for way in _POWER_WAYS[sub])
+        schedule, planned = ([k for k in way if cfg[k] is not None] for way in _POWER_WAYS[sub])
         if schedule and planned:
             raise ConfigError(
                 f"{sub}: --{schedule[0]} and --{planned[0]} set the power two ways; give one"
             )
-        if merged["c"] is not None and merged["tau"] is None:
+        if cfg["c"] is not None and cfg["tau"] is None:
             raise ConfigError(f"{sub}: --c needs --tau")
-    return merged
+    return cfg
 
 
 def _parse_n_grid(text: str) -> np.ndarray:
@@ -196,11 +157,15 @@ def _config_echo(cfg: dict) -> dict:
 
 
 def _emit(text: str, cfg: dict) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(cfg["out"], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg['out']}: {exc}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _emit_json(payload: dict | list, cfg: dict) -> None:

@@ -88,8 +88,6 @@ def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
 def _map_blocks(fn, total: int, workers: int) -> list:
     """Apply fn(block_index, count) over the fixed-size partition of
     range(total); results in block order."""
-    if workers < 1:
-        raise DomainError(f"simkit: need workers >= 1, got {workers}")
     starts = range(0, total, _MC_BLOCK)
     blocks = [(b, min(_MC_BLOCK, total - lo)) for b, lo in enumerate(starts)]
     if workers == 1:
@@ -241,6 +239,11 @@ def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     `simulate` decides with the same kernel in the codebook's span
     coordinates, without forming n-vectors."""
     y = np.asarray(received, dtype=float)
+    if y.ndim != 2 or y.shape[1] != cb.n:
+        raise InputError(f"bob_decode_batch: need shape (count, {cb.n}), got {y.shape}")
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise InputError(f"bob_decode_batch: received value {y[bad][0]} is not finite")
     return _nearest(y, cb.codewords, np.sum(cb.codewords**2, axis=1))
 
 
@@ -356,6 +359,8 @@ def empirical_divergences(
     """
     if n_samples < 2:
         raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
+    if workers < 1:
+        raise DomainError(f"empirical_divergences: need workers >= 1, got {workers}")
     grid_s, grid_v = radial_output_density(spec).ratio_table
 
     def one_block(b: int, count: int):
@@ -437,6 +442,8 @@ def simulate(
     """
     if trials < 2:
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
+    if workers < 1:
+        raise DomainError(f"simulate: need workers >= 1, got {workers}")
     t0 = time.perf_counter()
     cb = build_codebook(spec, M, seed)
     coords, coords_sq = cb._span

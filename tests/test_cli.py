@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,11 @@ from covertawgn import verify as vf
 from covertawgn.errors import NumericError
 
 RUN = [sys.executable, "-m", "covertawgn.cli"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, env_extra=None, **kwargs):
-    env = dict(os.environ)
-    env.pop("COVERT_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+    env = {**os.environ, **(env_extra or {})}
     return subprocess.run(
         RUN + list(args), capture_output=True, text=True, env=env, **kwargs
     )
@@ -124,34 +124,15 @@ def test_simulate_small_run():
 SIM_SMALL = ("simulate", "--n", "16", "--delta", "0.05", "--M", "2", "--trials", "100")
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n=16\ndelta=0.05\nM=2\ntrials=100\nseed=5\n# a comment\n\n")
-    base = run_cli("simulate", "--config", str(cfgfile))
-    assert base.returncode == 0, base.stderr
-    assert json.loads(base.stdout)["config"]["seed"] == 5
-    override = run_cli("simulate", "--config", str(cfgfile), "--seed", "7")
-    assert json.loads(override.stdout)["config"]["seed"] == 7
-
-
-def test_env_seed_lowest_precedence(tmp_path):
-    env = {"COVERT_SEED": "9"}
-    proc = run_cli(*SIM_SMALL, env_extra=env)
-    assert json.loads(proc.stdout)["config"]["seed"] == 9
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("seed=5\n")
-    proc = run_cli(*SIM_SMALL, "--config", str(cfgfile), env_extra=env)
-    assert json.loads(proc.stdout)["config"]["seed"] == 5
-
-
 def test_default_seed_is_zero():
-    proc = run_cli(*SIM_SMALL)
+    # the seed comes from --seed alone; the environment does not set it
+    proc = run_cli(*SIM_SMALL, env_extra={"COVERT_SEED": "9"})
     payload = json.loads(proc.stdout)
     assert payload["config"]["seed"] == 0
     assert payload["result"]["config"]["seed"] == 0
 
 
-# each subcommand's flags besides --config; 42 (subcommand, flag) pairs in all
+# each subcommand's flags; 36 (subcommand, flag) pairs in all
 ACCEPTED_FLAGS = {
     "plan": {"n", "delta", "epsilon", "mu", "nu2", "eta", "out"},
     "divergence": {"n", "delta", "mu", "nu2", "tau", "c", "out"},
@@ -162,24 +143,35 @@ ACCEPTED_FLAGS = {
 }
 
 
-def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+def _accepted_flags() -> dict[str, set[str]]:
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    accepted = {
+    return {
         name: {opt[2:] for act in sub._actions for opt in act.option_strings
                if opt.startswith("--") and opt != "--help"}
         for name, sub in subparsers.choices.items()
     }
-    assert accepted == {name: flags | {"config"} for name, flags in ACCEPTED_FLAGS.items()}
-    assert sum(len(flags) for flags in accepted.values()) == 42
 
 
-def test_flags_a_subcommand_does_not_read_exit_2(tmp_path):
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    accepted = _accepted_flags()
+    assert accepted == ACCEPTED_FLAGS
+    assert sum(len(flags) for flags in accepted.values()) == 36
+
+
+def test_readme_flag_table_matches_parser():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", section, flags=re.MULTILINE)
+    table = {name: {flag[2:] for flag in flags.split()} for name, flags in rows}
+    assert len(table) == len(rows)
+    assert table == _accepted_flags()
+
+
+def test_flags_a_subcommand_does_not_read_exit_2():
     assert run_cli("bounds", "--n", "1e4", "--delta", "0.01", "--mu", "0.5").returncode == 2
     assert run_cli("plan", "--n", "400", "--delta", "0.01", "--seed", "3").returncode == 2
-    seed_key = tmp_path / "seed.cfg"
-    seed_key.write_text("n=400\ndelta=0.01\nseed=3\n")
-    assert run_cli("plan", "--config", str(seed_key)).returncode == 2
+    assert run_cli("plan", "--n", "400", "--delta", "0.01", "--config", "run.cfg").returncode == 2
     # the schedule (--tau, --c) and the planned corner (--delta, ...) do not mix
     mixed = run_cli("divergence", "--n", "400", "--tau", "0.5", "--delta", "0.01")
     assert mixed.returncode == 2
@@ -202,16 +194,19 @@ def test_out_flag_writes_file(tmp_path):
     assert "achievability_bits" in text
 
 
-def test_exit_code_2_on_bad_inputs(tmp_path):
+def test_out_write_failure_exits_2(tmp_path):
+    dest = tmp_path / "missing" / "bounds.csv"
+    proc = run_cli("bounds", "--n", "1e4", "--delta", "0.01", "--out", str(dest))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {dest}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_exit_code_2_on_bad_inputs():
     assert run_cli("plan", "--n", "0", "--delta", "0.01").returncode == 2
     assert run_cli("plan", "--n", "400").returncode == 2  # missing delta
     assert run_cli("plan", "--n", "400", "--delta", "-1").returncode == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown_key=1\n")
-    assert run_cli("plan", "--config", str(bad), "--n", "4", "--delta", "0.1").returncode == 2
-    missing = run_cli("plan", "--config", str(tmp_path / "nope.cfg"))
-    assert missing.returncode == 2
-    assert "error:" in missing.stderr
+    assert run_cli("bounds", "--n", "1e4", "--delta", "abc").returncode == 2  # unparseable
     zero_workers = run_cli(
         "simulate", "--n", "16", "--delta", "0.05", "--mu", "0.8", "--workers", "0"
     )

@@ -98,6 +98,20 @@ def test_bob_decode_noiseless_and_batch_agree():
     assert sk.bob_decode_batch(cb, ys).tolist() == nearest
 
 
+@pytest.mark.parametrize("M", [8, 300])  # the float64 and the float32 kernel
+def test_bob_decode_rejects_malformed_input(M):
+    cb = sk.build_codebook(_spec(), M, seed=21)
+    for received in (cb.codewords[0], cb.codewords[:, :-1], np.zeros((2, 16, 1))):
+        with pytest.raises(InputError, match=r"need shape \(count, 16\), got "):
+            sk.bob_decode_batch(cb, received)
+    for first_bad in (float("nan"), float("inf"), -float("inf")):
+        y = np.array(cb.codewords[:3])
+        y[1, 4] = first_bad
+        y[2, 0] = float("nan")
+        with pytest.raises(InputError, match=f"received value {first_bad} is not finite"):
+            sk.bob_decode_batch(cb, y)
+
+
 def test_bob_decode_tie_goes_to_lowest_index():
     spec = tg.TruncatedGaussianSpec(n=2, psi=1.0, mu=0.5)
     c0 = np.array([0.9, 0.0])
@@ -403,9 +417,6 @@ def test_empirical_tvd_does_not_saturate_when_laws_separate():
 def test_empirical_divergences_validation():
     with pytest.raises(DomainError):
         sk.empirical_divergences(_spec(), 1, seed=0)
-    for workers in (0, -3):
-        with pytest.raises(DomainError, match="workers"):
-            sk.empirical_divergences(_spec(), 100, seed=0, workers=workers)
 
 
 # the full-vector oracle: ||x + z|| from explicit codewords and noise vectors
@@ -502,6 +513,22 @@ def test_simulate_rejects_small_trials_before_any_work(monkeypatch):
             sk.simulate(spec, M=4, trials=trials, seed=0)
 
 
+def test_workers_below_one_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before validating the arguments")
+
+    monkeypatch.setattr(sk, "build_codebook", no_work)
+    monkeypatch.setattr(sk, "radial_output_density", no_work)
+    spec = _spec()
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match=f"simulate: need workers >= 1, got {workers}"):
+            sk.simulate(spec, M=4, trials=100, seed=7, workers=workers)
+        with pytest.raises(
+            DomainError, match=f"empirical_divergences: need workers >= 1, got {workers}"
+        ):
+            sk.empirical_divergences(spec, 100, seed=0, workers=workers)
+
+
 def test_simulate_never_inverts_the_gamma_cdf(monkeypatch):
     # shell radii come from the rejection sampler, not scipy's gammaincinv
     def refuse(*args):
@@ -570,6 +597,3 @@ def test_simulate_result_fields():
     assert json.loads(json.dumps(d)) == d
     with pytest.raises(DomainError):
         sk.simulate(spec, M=4, trials=0, seed=7)
-    for workers in (0, -3):
-        with pytest.raises(DomainError, match="workers"):
-            sk.simulate(spec, M=4, trials=100, seed=7, workers=workers)
