@@ -95,20 +95,23 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _parse_n_grid(text: str) -> np.ndarray:
     """'a..b' -> log grid at 40 points/decade; 'x,y,z' -> list; 'x' -> single."""
+    # int(float("inf")) and int64 conversion of a huge value raise OverflowError
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
-            lo, hi = int(float(lo_s)), int(float(hi_s))
-        except ValueError as exc:
+            lo, hi = np.asarray([int(float(lo_s)), int(float(hi_s))], dtype=np.int64).tolist()
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"--n: cannot parse grid {text!r}") from exc
         return bd.default_n_grid(lo, hi)
     try:
-        vals = [int(float(tok)) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+        vals = np.asarray(
+            [int(float(tok)) for tok in text.split(",") if tok.strip()], dtype=np.int64
+        )
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"--n: cannot parse {text!r}") from exc
-    if not vals:
+    if not vals.size:
         raise ConfigError("--n: empty grid")
-    return np.asarray(vals, dtype=np.int64)
+    return vals
 
 
 def _single_n(cfg: dict) -> int:

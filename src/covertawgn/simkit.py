@@ -21,12 +21,15 @@ decision is the float64 kernel's (see `_nearest`).
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
 are reduced in block order — so results are bit-identical for any worker
-count. The stream tags below and the draws made from each stream are the
-reproducibility contract (v2: the Willie and divergence streams draw radii;
-v3: the Bob stream draws the message indices, then count x k span-coordinate
-normals; v4: every shell radius, in the codebook, Willie H1 and divergence
-streams, comes from the rejection sampler `truncgauss._sample_radii`);
-changing them changes every seeded result.
+count. `simulate` runs its two sides concurrently: Bob's decode in the calling
+thread, and Willie's test with the empirical divergences on one helper thread.
+They share no stream and no partial result, so the results do not depend on
+how the two threads are scheduled. The stream tags below and the draws made
+from each stream are the reproducibility contract (v2: the Willie and
+divergence streams draw radii; v3: the Bob stream draws the message indices,
+then count x k span-coordinate normals; v4: every shell radius, in the
+codebook, Willie H1 and divergence streams, comes from the rejection sampler
+`truncgauss._sample_radii`); changing them changes every seeded result.
 """
 
 from __future__ import annotations
@@ -103,6 +106,30 @@ def _output_radii(r: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
     raises)."""
     g = rng.standard_normal(r.size)
     return np.sqrt((r + g) ** 2 + 2.0 * rng.standard_gamma(0.5 * (n - 1), r.size))
+
+
+def _read_ratio(x: np.ndarray, s: np.ndarray, v: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """np.interp(x, s, v), bit for bit, on a uniform grid s (a `linspace`)
+    with slope = np.diff(v) / np.diff(s), finding each bin by index arithmetic
+    instead of np.interp's binary search.
+
+    The scaled offset lands within one bin of the right one, and one
+    comparison each way makes j np.interp's bin: s[j] <= x < s[j + 1], -1 below
+    the grid and the last index at or past its end. Inside, the value is
+    numpy's own slope[j] * (x - s[j]) + v[j], or v[j] on a grid point; outside
+    it is clamped to the end values.
+    """
+    top = s.size - 1
+    guess = np.floor((x - s[0]) * (top / (s[top] - s[0])))
+    j = np.fmin(np.fmax(guess, 0.0), top - 1).astype(np.intp)  # fmax sends NaN to 0
+    j -= x < s[j]
+    j += x >= s[j + 1]
+    k = np.clip(j, 0, top - 1)
+    at = s[k]
+    out = np.where(x == at, v[k], slope[k] * (x - at) + v[k])
+    out[j < 0] = v[0]
+    out[j == top] = v[top]
+    return out
 
 # --- codebooks ----------------------------------------------------------------
 
@@ -355,20 +382,23 @@ def empirical_divergences(
     measure, so the estimate cannot saturate the way the absolute-ratio form
     does when the hypotheses are nearly disjoint. The density ratio is read
     off a dense monotone interpolation table; its horizon lies ~16 sigma
-    beyond the bulk, so the clipped tail is negligible.
+    beyond the bulk, so the clipped tail is negligible. The table's grid is
+    uniform, so each radius finds its bin by index arithmetic (`_read_ratio`),
+    with the values np.interp would give, bit for bit.
     """
     if n_samples < 2:
         raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
     if workers < 1:
         raise DomainError(f"empirical_divergences: need workers >= 1, got {workers}")
     grid_s, grid_v = radial_output_density(spec).ratio_table
+    slope = np.diff(grid_v) / np.diff(grid_s)
 
     def one_block(b: int, count: int):
         rng = _rng(seed, StreamTag.DIVERGENCE, b)
         r1 = _output_radii(_sample_radii(spec, count, rng), spec.n, rng)
         r0 = np.sqrt(rng.chisquare(spec.n, count))
-        lr1 = np.interp(r1, grid_s, grid_v)
-        lr0 = np.interp(r0, grid_s, grid_v)
+        lr1 = _read_ratio(r1, grid_s, grid_v, slope)
+        lr0 = _read_ratio(r0, grid_s, grid_v, slope)
         if not (np.isfinite(lr1).all() and np.isfinite(lr0).all()):
             raise NumericError(
                 f"empirical_divergences: non-finite ratio in block {b} of {spec}, seed {seed}"
@@ -438,7 +468,9 @@ def simulate(
     rate is reported alongside). Willie's alternative draws a fresh shell
     codeword per trial: the code-ensemble output law whose V_T the closed
     forms predict. Each of the decode, detect and divergence estimates uses
-    `trials` samples, so `trials >= 2`.
+    `trials` samples, so `trials >= 2`. Willie's test and the divergences run
+    on one helper thread beside Bob's decode; `workers` sets the block
+    threads within each side.
     """
     if trials < 2:
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
@@ -459,25 +491,32 @@ def simulate(
             np.bincount(w[wrong], minlength=M),
         )
 
-    sent = np.zeros(M, dtype=np.int64)
-    wrong = np.zeros(M, dtype=np.int64)
-    for s, e in _map_blocks(bob_block, trials, workers):
-        sent += s
-        wrong += e
-    decode_errors = int(wrong.sum())
-    per_message = wrong[sent > 0] / sent[sent > 0]
-    worst_message = float(per_message.max()) if per_message.size else 0.0
-
     def willie_block(b: int, count: int):
         rng = _rng(seed, StreamTag.WILLIE_H1, b)
         r = _sample_radii(spec, count, rng)
         r0 = np.sqrt(_rng(seed, StreamTag.WILLIE_H0, b).chisquare(spec.n, count))
         return r0, _output_radii(r, spec.n, rng)
 
-    h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials, workers)))
-    detection = willie_detect(h0, h1, radial_output_density(spec))
+    def detector_side():
+        h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials, workers)))
+        detection = willie_detect(h0, h1, radial_output_density(spec))
+        return detection, *empirical_divergences(spec, trials, seed, workers=workers)
 
-    kl, tvd = empirical_divergences(spec, trials, seed, workers=workers)
+    # The detector side runs on a helper thread beside Bob's decode. Once it
+    # starts, Bob's side calls only private kernels, so calls into the public
+    # functions never interleave across the two threads (a tracer wrapping
+    # them keeps one call stack per process).
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simkit-detector") as helper:
+        detector = helper.submit(detector_side)
+        sent = np.zeros(M, dtype=np.int64)
+        wrong = np.zeros(M, dtype=np.int64)
+        for s, e in _map_blocks(bob_block, trials, workers):
+            sent += s
+            wrong += e
+        detection, kl, tvd = detector.result()
+    decode_errors = int(wrong.sum())
+    per_message = wrong[sent > 0] / sent[sent > 0]
+    worst_message = float(per_message.max()) if per_message.size else 0.0
 
     config = {
         "n": spec.n,

@@ -225,6 +225,13 @@ def test_exit_code_2_on_malformed_grid():
     assert run_cli("bounds", "--n", "1e5..1e3", "--delta", "0.01").returncode == 2
 
 
+@pytest.mark.parametrize("grid", ["inf", "1..inf", "1e30"])
+def test_overflowing_grid_exits_2_naming_n(grid, capsys):
+    # int(float("inf")) and an n past int64 raise OverflowError, not ValueError
+    assert cli.main(["bounds", "--n", grid, "--delta", "0.01"]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_numeric_failure(monkeypatch, capsys):
     def boom(params):
         raise NumericError("synthetic instability")

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from covertawgn import divergences as dv
 from covertawgn import planner as pl
 from covertawgn import simkit as sk
 from covertawgn import truncgauss as tg
-from covertawgn.errors import DomainError, InputError
+from covertawgn.errors import DomainError, InputError, NumericError
 
 
 def _spec(n=16, psi=0.5, mu=0.7):
@@ -419,6 +420,35 @@ def test_empirical_divergences_validation():
         sk.empirical_divergences(_spec(), 1, seed=0)
 
 
+@pytest.mark.parametrize("spec", [
+    tg.TruncatedGaussianSpec(1, 1.0, 0.5),
+    _spec(n=16, psi=0.9, mu=0.7),
+    _SPEC_512,
+    tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95),
+], ids=["n1", "n16", "n512", "n4096"])
+def test_ratio_lookup_equals_np_interp_bit_for_bit(spec):
+    s, v = tg.radial_output_density(spec).ratio_table
+    slope = np.diff(v) / np.diff(s)
+    rng = np.random.default_rng(spec.n)
+    x = np.concatenate([
+        s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),  # grid points and neighbours
+        rng.uniform(0.0, s[-1], 200_000),
+        [0.0, s[0] / 2, np.nextafter(s[-1], np.inf), 1.5 * s[-1], 1e300],  # off the grid
+    ])
+    got = sk._read_ratio(x, s, v, slope)
+    assert np.array_equal(got.view(np.int64), np.interp(x, s, v).view(np.int64))
+
+
+def test_ratio_lookup_returns_grid_values_with_their_sign_of_zero():
+    # on a grid point np.interp returns v[j] itself; the formula with slope >= 0
+    # would turn a -0.0 there into +0.0
+    s = np.linspace(1e-9, 8.0, 4096)
+    v = np.where(np.arange(4096) % 3 == 0, -0.0, s)
+    slope = np.diff(v) / np.diff(s)
+    got = sk._read_ratio(s, s, v, slope)
+    assert np.array_equal(got.view(np.int64), np.interp(s, s, v).view(np.int64))
+
+
 # the full-vector oracle: ||x + z|| from explicit codewords and noise vectors
 @pytest.mark.parametrize("n", [1, 16, 512])
 @pytest.mark.parametrize("law", ["h1_ensemble", "h1_rows", "h0"])
@@ -462,6 +492,41 @@ def test_simulate_reproducible_across_workers():
     r1 = sk.simulate(spec, M=4, trials=4000, seed=42, workers=1)
     r4 = sk.simulate(spec, M=4, trials=4000, seed=42, workers=4)
     assert _strip_volatile(r1.to_dict()) == _strip_volatile(r4.to_dict())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_detector_side_equals_its_sequential_composition(workers):
+    # Willie's radii drawn by hand, then his test, then the divergences: what
+    # the helper thread computes beside Bob's decode, to the last bit
+    spec, trials, seed = _spec(n=16, psi=0.8, mu=0.7), 5000, 42
+    res = sk.simulate(spec, M=4, trials=trials, seed=seed, workers=workers)
+    h0, h1 = [], []
+    for b, lo in enumerate(range(0, trials, sk._MC_BLOCK)):
+        count = min(sk._MC_BLOCK, trials - lo)
+        rng = sk._rng(seed, sk.StreamTag.WILLIE_H1, b)
+        r = tg._sample_radii(spec, count, rng)
+        h0.append(np.sqrt(sk._rng(seed, sk.StreamTag.WILLIE_H0, b).chisquare(spec.n, count)))
+        h1.append(sk._output_radii(r, spec.n, rng))
+    model = tg.radial_output_density(spec)
+    assert res.detection == sk.willie_detect(np.concatenate(h0), np.concatenate(h1), model)
+    kl, tvd = sk.empirical_divergences(spec, trials, seed)
+    assert res.empirical_kl_bits == kl
+    assert res.empirical_tvd == tvd
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, workers):
+    failure = NumericError("synthetic detector-side failure")
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(sk, "empirical_divergences", fail)
+    baseline = threading.active_count()
+    with pytest.raises(NumericError) as raised:
+        sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=5000, seed=1, workers=workers)
+    assert raised.value is failure
+    assert threading.active_count() == baseline  # every helper thread joined
 
 
 def test_simulate_pinned_seeded_values():
