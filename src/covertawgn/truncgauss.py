@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special as _sp
 
 from . import specfn
 from .divergences import DivergenceReport
@@ -243,7 +242,8 @@ class RadialOutputDensity:
 
     def log_density_ratio(self, y_norm: np.ndarray | float) -> np.ndarray | float:
         """log( f_bar(y) / f0(y) ) at ||y|| = y_norm (scalar or vector): the
-        log-sum-exp over radius nodes r of _log_mix + ln 0F1(; n/2; (r y)^2/4)."""
+        log-sum-exp (`_log_sum_exp_cols`) over radius nodes r of
+        _log_mix + ln 0F1(; n/2; (r y)^2/4)."""
         scalar = np.ndim(y_norm) == 0
         s = np.atleast_1d(np.asarray(y_norm, dtype=float))
         if (bad := ~(np.isfinite(s) & (s >= 0.0))).any():
@@ -255,7 +255,7 @@ class RadialOutputDensity:
         for j in range(0, s.size, _RATIO_BLOCK):
             block = s[j : j + _RATIO_BLOCK]
             log_f = specfn.log_sph_bessel_factor(b, np.outer(self.radii, block))
-            out[j : j + _RATIO_BLOCK] = _sp.logsumexp(self._log_mix[:, None] + log_f, axis=0)
+            out[j : j + _RATIO_BLOCK] = _log_sum_exp_cols(self._log_mix[:, None] + log_f)
         if not np.all(np.isfinite(out)):
             i = int(np.argmin(np.isfinite(out)))
             raise NumericError(
@@ -263,6 +263,25 @@ class RadialOutputDensity:
                 f"for {self.spec}"
             )
         return float(out[0]) if scalar else out
+
+
+def _log_sum_exp_cols(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x), axis=0)) of a 2-D float array, bit for bit as
+    scipy.special.logsumexp(x, axis=0) (scipy 1.17) computes it: with m0 the
+    column peak and k the number of entries equal to it, the other entries give
+    s = sum exp(x - m0) / k, and the result is log1p(s) + log(k) + m0. Where
+    that is not finite (a column of -inf, a +inf or a nan) the direct
+    log(sum(exp(x))) stands instead, so a column of -inf gives -inf."""
+    m0 = x.max(axis=0)
+    peak = x == m0
+    k = np.count_nonzero(peak, axis=0).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(np.where(peak, -np.inf, x) - m0).sum(axis=0)
+        out = np.log1p(s / k) + np.log(k) + m0
+    if not (finite := np.isfinite(out)).all():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[~finite] = np.log(np.exp(x[:, ~finite]).sum(axis=0))
+    return out
 
 
 def _gauss_legendre_radius_law(

@@ -225,6 +225,44 @@ def test_output_density_errors_name_the_spec_and_the_value():
         tg.output_divergences_quadrature(far_out)
 
 
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_log_sum_exp_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for shape in [(256, 256), (4096, 7), (300, 1), (1, 5)]:
+        x = rng.normal(scale=50.0, size=shape)
+        assert _same_bits(tg._log_sum_exp_cols(x), special.logsumexp(x, axis=0)), shape
+    x = np.round(rng.normal(scale=3.0, size=(40, 512))) * 0.7  # many tied peaks per column
+    assert _same_bits(tg._log_sum_exp_cols(x), special.logsumexp(x, axis=0))
+    x = rng.normal(size=(9, 6))
+    x[[3, 5]] = x.max(axis=0)  # columns 0 and 5 keep two tied peaks
+    x[:, 1] = -math.inf
+    x[2, 2] = math.inf
+    x[4, 3] = math.nan
+    x[:, 4] = 3.0  # nine tied peaks
+    got, want = tg._log_sum_exp_cols(x), special.logsumexp(x, axis=0)
+    assert _same_bits(got, want)
+    assert got[1] == -math.inf and got[2] == math.inf and math.isnan(got[3])
+
+
+@pytest.mark.parametrize("n,psi,mu", [(16, 0.1, 0.8), (64, 0.3, 0.6), (512, 0.05, 0.8),
+                                      (4096, 0.02, 0.9)])
+def test_ratio_table_equals_scipy_built_table(n, psi, mu):
+    model = tg.radial_output_density(tg.TruncatedGaussianSpec(n=n, psi=psi, mu=mu))
+    s, got = model.ratio_table
+    want = np.concatenate([
+        special.logsumexp(
+            model._log_mix[:, None]
+            + tg.specfn.log_sph_bessel_factor(0.5 * n, np.outer(model.radii, block)),
+            axis=0,
+        )
+        for block in np.split(s, range(tg._RATIO_BLOCK, s.size, tg._RATIO_BLOCK))
+    ])
+    assert _same_bits(got, want)
+
+
 def test_radial_model_weights_and_monotone_ratio():
     spec = tg.TruncatedGaussianSpec(n=16, psi=0.3, mu=0.7)
     model = tg.radial_output_density(spec)
