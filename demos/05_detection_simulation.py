@@ -19,7 +19,7 @@ psi = psi_suf(n, delta, mu, 1.0 + 1.0 / n)
 spec = TruncatedGaussianSpec(n=n, psi=psi, mu=mu)
 print(f"n={n}, delta={delta} bits -> psi = {psi:.6f} (per-symbol SNR {mu * psi:.6f})")
 
-res = simulate(spec, M=4, trials=60_000, seed=2024, workers=4)
+res = simulate(spec, M=4, trials=60_000, seed=2024)
 det = res.detection
 
 rep = output_divergences_quadrature(radial_output_density(spec))

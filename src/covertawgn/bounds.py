@@ -213,6 +213,8 @@ def default_n_grid(n_min: int = 100, n_max: int = 10**8, per_decade: int = 40) -
     """Log-spaced integer blocklengths, per_decade points per decade, deduplicated."""
     if not (1 <= n_min < n_max):
         raise DomainError(f"default_n_grid: need 1 <= n_min < n_max, got ({n_min}, {n_max})")
+    if per_decade < 1:
+        raise DomainError(f"default_n_grid: need per_decade >= 1, got {per_decade}")
     lo, hi = math.log10(n_min), math.log10(n_max)
     count = int(round((hi - lo) * per_decade)) + 1
     grid = np.unique(np.round(np.logspace(lo, hi, num=count)).astype(np.int64))

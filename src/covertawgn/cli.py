@@ -39,7 +39,6 @@ _FLAG_SPEC = {
     "M": (int, None, "codebook size (default 4)"),
     "trials": (int, None, "Monte-Carlo trials (default 10000)"),
     "seed": (int, 0, "master seed (default 0)"),
-    "workers": (int, 1, "worker threads (default 1)"),
     "format": (str, None, "output format: csv (default) or json"),
     "out": (str, None, "output path (default: stdout)"),
 }
@@ -50,7 +49,7 @@ _SUBCOMMAND_FLAGS = {
     "divergence": ("n", "delta", "mu", "nu2", "tau", "c", "out"),
     "bounds": ("n", "delta", "epsilon", "format", "out"),
     "sweep": ("n", "tau", "c", "format", "out"),
-    "simulate": ("n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "workers", "out"),
+    "simulate": ("n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "out"),
     "verify": ("out",),
 }
 
@@ -243,7 +242,6 @@ def _cmd_simulate(cfg: dict) -> int:
         M=cfg["M"] if cfg["M"] is not None else 4,
         trials=cfg["trials"] if cfg["trials"] is not None else 10_000,
         seed=cfg["seed"],
-        workers=cfg["workers"],
     )
     _emit_json(result.to_dict(), cfg)
     return 0

@@ -20,12 +20,12 @@ decision is the float64 kernel's (see `_nearest`).
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
-are reduced in block order — so results are bit-identical for any worker
-count. `simulate` runs its two sides concurrently: Bob's decode in the calling
-thread, and Willie's test with the empirical divergences on one helper thread.
-They share no stream and no partial result, so the results do not depend on
-how the two threads are scheduled. The stream tags below and the draws made
-from each stream are the reproducibility contract (v2: the Willie and
+are reduced in block order. `simulate` runs its two sides concurrently, each
+block by block in order: Bob's decode in the calling thread, and Willie's test
+with the empirical divergences on one helper thread. They share no stream and
+no partial result, so the results do not depend on how the two threads are
+scheduled. The stream tags below and the draws made from each stream are the
+reproducibility contract (v2: the Willie and
 divergence streams draw radii; v3: the Bob stream draws the message indices,
 then count x k span-coordinate normals; v4: every shell radius, in the
 codebook, Willie H1 and divergence streams, comes from the rejection sampler
@@ -88,16 +88,10 @@ def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, int(tag), block]))
 
 
-def _map_blocks(fn, total: int, workers: int) -> list:
-    """Apply fn(block_index, count) over the fixed-size partition of
-    range(total); results in block order."""
-    starts = range(0, total, _MC_BLOCK)
-    blocks = [(b, min(_MC_BLOCK, total - lo)) for b, lo in enumerate(starts)]
-    if workers == 1:
-        return [fn(b, cnt) for b, cnt in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, b, cnt) for b, cnt in blocks]
-        return [f.result() for f in futs]
+def _map_blocks(fn, total: int) -> list:
+    """fn(block_index, count) over the fixed-size partition of range(total),
+    in block order in the calling thread."""
+    return [fn(b, min(_MC_BLOCK, total - lo)) for b, lo in enumerate(range(0, total, _MC_BLOCK))]
 
 
 def _output_radii(r: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,29 +101,6 @@ def _output_radii(r: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
     g = rng.standard_normal(r.size)
     return np.sqrt((r + g) ** 2 + 2.0 * rng.standard_gamma(0.5 * (n - 1), r.size))
 
-
-def _read_ratio(x: np.ndarray, s: np.ndarray, v: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """np.interp(x, s, v), bit for bit, on a uniform grid s (a `linspace`)
-    with slope = np.diff(v) / np.diff(s), finding each bin by index arithmetic
-    instead of np.interp's binary search.
-
-    The scaled offset lands within one bin of the right one, and one
-    comparison each way makes j np.interp's bin: s[j] <= x < s[j + 1], -1 below
-    the grid and the last index at or past its end. Inside, the value is
-    numpy's own slope[j] * (x - s[j]) + v[j], or v[j] on a grid point; outside
-    it is clamped to the end values.
-    """
-    top = s.size - 1
-    guess = np.floor((x - s[0]) * (top / (s[top] - s[0])))
-    j = np.fmin(np.fmax(guess, 0.0), top - 1).astype(np.intp)  # fmax sends NaN to 0
-    j -= x < s[j]
-    j += x >= s[j + 1]
-    k = np.clip(j, 0, top - 1)
-    at = s[k]
-    out = np.where(x == at, v[k], slope[k] * (x - at) + v[k])
-    out[j < 0] = v[0]
-    out[j == top] = v[top]
-    return out
 
 # --- codebooks ----------------------------------------------------------------
 
@@ -313,21 +284,6 @@ class DetectionResult:
         }
 
 
-def _bayes_crossing(model: RadialOutputDensity) -> float:
-    """Radius where the log ratio, read piecewise-linearly off
-    `model.ratio_table` as the empirical divergences read it, crosses 0 (the
-    Bayes threshold for equal priors)."""
-    grid_s, grid_v = model.ratio_table
-    if grid_v[0] > 0.0:
-        return float(grid_s[0])
-    idx = np.nonzero(grid_v > 0.0)[0]
-    if idx.size == 0:
-        raise NumericError(f"willie_detect: log-likelihood ratio never crosses 0 for {model.spec}")
-    i = int(idx[0])
-    s0, s1, v0, v1 = grid_s[i - 1], grid_s[i], grid_v[i - 1], grid_v[i]
-    return float(s0 + (s1 - s0) * (-v0) / (v1 - v0))
-
-
 def willie_detect(
     h0_radii: np.ndarray, h1_radii: np.ndarray, model: RadialOutputDensity
 ) -> DetectionResult:
@@ -347,7 +303,7 @@ def willie_detect(
         bad = ~(np.isfinite(r) & (r >= 0.0))
         if bad.any():
             raise InputError(f"willie_detect: radius {r[bad][0]} is not finite and >= 0")
-    thr = _bayes_crossing(model) ** 2
+    thr = model._bayes_crossing() ** 2
     beta = float(np.mean(r0 * r0 > thr))    # false alarm: H1 declared under H0
     alpha = float(np.mean(r1 * r1 <= thr))  # missed detection: H0 declared under H1
     return DetectionResult(
@@ -372,7 +328,7 @@ class Estimate:
 
 
 def empirical_divergences(
-    spec: TruncatedGaussianSpec, n_samples: int, seed: int, workers: int = 1
+    spec: TruncatedGaussianSpec, n_samples: int, seed: int
 ) -> tuple[Estimate, Estimate]:
     """(KL in bits, total variation), each with a standard error.
 
@@ -382,23 +338,20 @@ def empirical_divergences(
     measure, so the estimate cannot saturate the way the absolute-ratio form
     does when the hypotheses are nearly disjoint. The density ratio is read
     off a dense monotone interpolation table; its horizon lies ~16 sigma
-    beyond the bulk, so the clipped tail is negligible. The table's grid is
-    uniform, so each radius finds its bin by index arithmetic (`_read_ratio`),
-    with the values np.interp would give, bit for bit.
+    beyond the bulk, so the clipped tail is negligible. The model reads it
+    (`RadialOutputDensity._ratio_at`) with the values np.interp would give,
+    bit for bit.
     """
     if n_samples < 2:
         raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
-    if workers < 1:
-        raise DomainError(f"empirical_divergences: need workers >= 1, got {workers}")
-    grid_s, grid_v = radial_output_density(spec).ratio_table
-    slope = np.diff(grid_v) / np.diff(grid_s)
+    model = radial_output_density(spec)
 
     def one_block(b: int, count: int):
         rng = _rng(seed, StreamTag.DIVERGENCE, b)
         r1 = _output_radii(_sample_radii(spec, count, rng), spec.n, rng)
         r0 = np.sqrt(rng.chisquare(spec.n, count))
-        lr1 = _read_ratio(r1, grid_s, grid_v, slope)
-        lr0 = _read_ratio(r0, grid_s, grid_v, slope)
+        lr1 = model._ratio_at(r1)
+        lr0 = model._ratio_at(r0)
         if not (np.isfinite(lr1).all() and np.isfinite(lr0).all()):
             raise NumericError(
                 f"empirical_divergences: non-finite ratio in block {b} of {spec}, seed {seed}"
@@ -411,7 +364,7 @@ def empirical_divergences(
             t1.sum(), (t1**2).sum(),
         )
 
-    parts = _map_blocks(one_block, n_samples, workers)
+    parts = _map_blocks(one_block, n_samples)
     sums = [math.fsum(p[i] for p in parts) for i in range(6)]
     m = float(n_samples)
 
@@ -458,9 +411,7 @@ class SimulationResult:
         }
 
 
-def simulate(
-    spec: TruncatedGaussianSpec, M: int, trials: int, seed: int, workers: int = 1
-) -> SimulationResult:
+def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> SimulationResult:
     """Build a codebook, run Bob-decode and Willie-detect trials, and estimate
     the output divergences, all from one master seed.
 
@@ -469,13 +420,10 @@ def simulate(
     codeword per trial: the code-ensemble output law whose V_T the closed
     forms predict. Each of the decode, detect and divergence estimates uses
     `trials` samples, so `trials >= 2`. Willie's test and the divergences run
-    on one helper thread beside Bob's decode; `workers` sets the block
-    threads within each side.
+    on one helper thread beside Bob's decode in the calling thread.
     """
     if trials < 2:
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
-    if workers < 1:
-        raise DomainError(f"simulate: need workers >= 1, got {workers}")
     t0 = time.perf_counter()
     cb = build_codebook(spec, M, seed)
     coords, coords_sq = cb._span
@@ -498,9 +446,9 @@ def simulate(
         return r0, _output_radii(r, spec.n, rng)
 
     def detector_side():
-        h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials, workers)))
+        h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials)))
         detection = willie_detect(h0, h1, radial_output_density(spec))
-        return detection, *empirical_divergences(spec, trials, seed, workers=workers)
+        return detection, *empirical_divergences(spec, trials, seed)
 
     # The detector side runs on a helper thread beside Bob's decode. Once it
     # starts, Bob's side calls only private kernels, so calls into the public
@@ -510,7 +458,7 @@ def simulate(
         detector = helper.submit(detector_side)
         sent = np.zeros(M, dtype=np.int64)
         wrong = np.zeros(M, dtype=np.int64)
-        for s, e in _map_blocks(bob_block, trials, workers):
+        for s, e in _map_blocks(bob_block, trials):
             sent += s
             wrong += e
         detection, kl, tvd = detector.result()
@@ -525,7 +473,6 @@ def simulate(
         "M": M,
         "trials": trials,
         "seed": seed,
-        "workers": workers,
     }
     return SimulationResult(
         decode_error_rate=decode_errors / trials,

@@ -1,8 +1,8 @@
 """Special functions underpinning every closed form in the package.
 
 Scalar functions on top of the C library via ``math`` (lgamma, erfc): the
-regularized lower incomplete gamma P(a, x) and the Gaussian upper tail Q,
-whose inverse is the standard library's ``statistics.NormalDist``. One numpy
+regularized lower incomplete gamma P(a, x); the inverse Gaussian upper tail
+Q^-1 is the standard library's ``statistics.NormalDist``. One numpy
 kernel, elementwise over arrays, evaluates the logarithm of the spherical
 plane-wave average 0F1(; n/2; t^2/4) that appears in radial output densities.
 
@@ -30,7 +30,6 @@ __all__ = [
     "LOG2E",
     "LN2",
     "reg_inc_gamma_lower",
-    "gaussian_q",
     "gaussian_q_inv",
     "log_sph_bessel_factor",
     "x_minus_log1p",
@@ -249,15 +248,10 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
     return 1.0 - _q_upper_contfrac(a, x)
 
 
-def gaussian_q(x: float) -> float:
-    """Standard normal upper tail Q(x) = P[N(0,1) > x]."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def gaussian_q_inv(p: float) -> float:
-    """Inverse of gaussian_q on (0, 1): -Phi^-1(p) by the standard library's
-    NormalDist.inv_cdf (Wichura's AS 241), within 1e-15 relative of a 40-digit
-    reference over [1e-12, 1 - 1e-8]."""
+    """Inverse on (0, 1) of the Gaussian upper tail Q(x) = P[N(0,1) > x]:
+    -Phi^-1(p) by the standard library's NormalDist.inv_cdf (Wichura's AS 241),
+    within 1e-15 relative of a 40-digit reference over [1e-12, 1 - 1e-8]."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"gaussian_q_inv: need 0 < p < 1, got {p!r}")
     # 0.0 - x, not -x: Q^-1(1/2) is +0.0, so the bounds at epsilon = 1/2 print 0.0

@@ -240,6 +240,36 @@ class RadialOutputDensity:
         s.flags.writeable = v.flags.writeable = False  # one copy serves every caller
         return s, v
 
+    @cached_property
+    def _ratio_slope(self) -> np.ndarray:
+        s, v = self.ratio_table
+        slope = np.diff(v) / np.diff(s)
+        slope.flags.writeable = False
+        return slope
+
+    def _ratio_at(self, x: np.ndarray) -> np.ndarray:
+        """np.interp(x, *ratio_table), bit for bit, by `_read_ratio` on the
+        slopes computed once per model: how the Monte-Carlo statistics read
+        the log ratio at radii x."""
+        s, v = self.ratio_table
+        return _read_ratio(x, s, v, self._ratio_slope)
+
+    def _bayes_crossing(self) -> float:
+        """Radius where the log ratio, read piecewise-linearly off ratio_table
+        as `_ratio_at` reads it, crosses 0 (the Bayes threshold for equal
+        priors)."""
+        grid_s, grid_v = self.ratio_table
+        if grid_v[0] > 0.0:
+            return float(grid_s[0])
+        idx = np.nonzero(grid_v > 0.0)[0]
+        if idx.size == 0:
+            raise NumericError(
+                f"willie_detect: log-likelihood ratio never crosses 0 for {self.spec}"
+            )
+        i = int(idx[0])
+        s0, s1, v0, v1 = grid_s[i - 1], grid_s[i], grid_v[i - 1], grid_v[i]
+        return float(s0 + (s1 - s0) * (-v0) / (v1 - v0))
+
     def log_density_ratio(self, y_norm: np.ndarray | float) -> np.ndarray | float:
         """log( f_bar(y) / f0(y) ) at ||y|| = y_norm (scalar or vector): the
         log-sum-exp (`_log_sum_exp_cols`) over radius nodes r of
@@ -281,6 +311,30 @@ def _log_sum_exp_cols(x: np.ndarray) -> np.ndarray:
     if not (finite := np.isfinite(out)).all():
         with np.errstate(divide="ignore", over="ignore"):
             out[~finite] = np.log(np.exp(x[:, ~finite]).sum(axis=0))
+    return out
+
+
+def _read_ratio(x: np.ndarray, s: np.ndarray, v: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """np.interp(x, s, v), bit for bit, on a uniform grid s (a `linspace`)
+    with slope = np.diff(v) / np.diff(s), finding each bin by index arithmetic
+    instead of np.interp's binary search.
+
+    The scaled offset lands within one bin of the right one, and one
+    comparison each way makes j np.interp's bin: s[j] <= x < s[j + 1], -1 below
+    the grid and the last index at or past its end. Inside, the value is
+    numpy's own slope[j] * (x - s[j]) + v[j], or v[j] on a grid point; outside
+    it is clamped to the end values.
+    """
+    top = s.size - 1
+    guess = np.floor((x - s[0]) * (top / (s[top] - s[0])))
+    j = np.fmin(np.fmax(guess, 0.0), top - 1).astype(np.intp)  # fmax sends NaN to 0
+    j -= x < s[j]
+    j += x >= s[j + 1]
+    k = np.clip(j, 0, top - 1)
+    at = s[k]
+    out = np.where(x == at, v[k], slope[k] * (x - at) + v[k])
+    out[j < 0] = v[0]
+    out[j == top] = v[top]
     return out
 
 

@@ -124,6 +124,12 @@ def test_default_n_grid_shape():
     assert small[0] == 100 and small[-1] == 1000
 
 
+def test_default_n_grid_rejects_per_decade_below_one():
+    for per_decade in (0, -5):
+        with pytest.raises(DomainError, match=f"per_decade >= 1, got {per_decade}"):
+            bd.default_n_grid(100, 1000, per_decade=per_decade)
+
+
 def test_classify_kl_trend_synthetic():
     n = np.logspace(2, 6, 30)
     assert bd.classify_kl_trend(n, np.sqrt(n)) == "divergent"

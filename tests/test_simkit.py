@@ -396,16 +396,9 @@ def test_empirical_divergences_match_quadrature():
     spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=0.8)
     model = tg.radial_output_density(spec)
     rep = tg.output_divergences_quadrature(model)
-    kl, tvd = sk.empirical_divergences(spec, 150_000, seed=9, workers=2)
+    kl, tvd = sk.empirical_divergences(spec, 150_000, seed=9)
     assert abs(kl.value - rep.kl_bits) <= 4 * kl.std_err
     assert abs(tvd.value - rep.tvd) <= 4 * tvd.std_err
-
-
-def test_empirical_divergences_worker_invariant():
-    spec = _spec(n=8, psi=0.4, mu=0.6)
-    a = sk.empirical_divergences(spec, 30_000, seed=4, workers=1)
-    b = sk.empirical_divergences(spec, 30_000, seed=4, workers=4)
-    assert a == b
 
 
 def test_empirical_tvd_does_not_saturate_when_laws_separate():
@@ -418,35 +411,6 @@ def test_empirical_tvd_does_not_saturate_when_laws_separate():
 def test_empirical_divergences_validation():
     with pytest.raises(DomainError):
         sk.empirical_divergences(_spec(), 1, seed=0)
-
-
-@pytest.mark.parametrize("spec", [
-    tg.TruncatedGaussianSpec(1, 1.0, 0.5),
-    _spec(n=16, psi=0.9, mu=0.7),
-    _SPEC_512,
-    tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95),
-], ids=["n1", "n16", "n512", "n4096"])
-def test_ratio_lookup_equals_np_interp_bit_for_bit(spec):
-    s, v = tg.radial_output_density(spec).ratio_table
-    slope = np.diff(v) / np.diff(s)
-    rng = np.random.default_rng(spec.n)
-    x = np.concatenate([
-        s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),  # grid points and neighbours
-        rng.uniform(0.0, s[-1], 200_000),
-        [0.0, s[0] / 2, np.nextafter(s[-1], np.inf), 1.5 * s[-1], 1e300],  # off the grid
-    ])
-    got = sk._read_ratio(x, s, v, slope)
-    assert np.array_equal(got.view(np.int64), np.interp(x, s, v).view(np.int64))
-
-
-def test_ratio_lookup_returns_grid_values_with_their_sign_of_zero():
-    # on a grid point np.interp returns v[j] itself; the formula with slope >= 0
-    # would turn a -0.0 there into +0.0
-    s = np.linspace(1e-9, 8.0, 4096)
-    v = np.where(np.arange(4096) % 3 == 0, -0.0, s)
-    slope = np.diff(v) / np.diff(s)
-    got = sk._read_ratio(s, s, v, slope)
-    assert np.array_equal(got.view(np.int64), np.interp(s, s, v).view(np.int64))
 
 
 # the full-vector oracle: ||x + z|| from explicit codewords and noise vectors
@@ -480,26 +444,11 @@ def test_triangle_chain_bounds_codebook_output():
     assert tvd.value <= iso + (1.0 - spec.delta_mass) + 3.0 * tvd.std_err
 
 
-def _strip_volatile(d):
-    d = dict(d)
-    d.pop("wall_time")
-    d["config"] = {k: v for k, v in d["config"].items() if k != "workers"}
-    return d
-
-
-def test_simulate_reproducible_across_workers():
-    spec = _spec(n=16, psi=0.8, mu=0.7)
-    r1 = sk.simulate(spec, M=4, trials=4000, seed=42, workers=1)
-    r4 = sk.simulate(spec, M=4, trials=4000, seed=42, workers=4)
-    assert _strip_volatile(r1.to_dict()) == _strip_volatile(r4.to_dict())
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_simulate_detector_side_equals_its_sequential_composition(workers):
+def test_simulate_detector_side_equals_its_sequential_composition():
     # Willie's radii drawn by hand, then his test, then the divergences: what
     # the helper thread computes beside Bob's decode, to the last bit
     spec, trials, seed = _spec(n=16, psi=0.8, mu=0.7), 5000, 42
-    res = sk.simulate(spec, M=4, trials=trials, seed=seed, workers=workers)
+    res = sk.simulate(spec, M=4, trials=trials, seed=seed)
     h0, h1 = [], []
     for b, lo in enumerate(range(0, trials, sk._MC_BLOCK)):
         count = min(sk._MC_BLOCK, trials - lo)
@@ -514,8 +463,7 @@ def test_simulate_detector_side_equals_its_sequential_composition(workers):
     assert res.empirical_tvd == tvd
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, workers):
+def test_detector_side_error_leaves_simulate_unchanged(monkeypatch):
     failure = NumericError("synthetic detector-side failure")
 
     def fail(*args, **kwargs):
@@ -524,9 +472,32 @@ def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, workers):
     monkeypatch.setattr(sk, "empirical_divergences", fail)
     baseline = threading.active_count()
     with pytest.raises(NumericError) as raised:
-        sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=5000, seed=1, workers=workers)
+        sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=5000, seed=1)
     assert raised.value is failure
-    assert threading.active_count() == baseline  # every helper thread joined
+    assert threading.active_count() == baseline  # the helper thread joined
+
+
+def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
+    # Bob decodes block by block on the calling thread; every detector-side
+    # draw (Willie's H1 radii and the divergence samples) on one other thread
+    decode_threads, draw_threads = [], []
+
+    def recording(kernel, threads):
+        def wrapped(*args):
+            threads.append(threading.get_ident())
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(sk, "_nearest", recording(sk._nearest, decode_threads))
+    monkeypatch.setattr(sk, "_output_radii", recording(sk._output_radii, draw_threads))
+    baseline = threading.active_count()
+    trials = 3 * sk._MC_BLOCK
+    sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=trials, seed=3)
+    assert decode_threads == [threading.get_ident()] * 3
+    assert len(draw_threads) == 6  # three H1 blocks, three divergence blocks
+    assert len(set(draw_threads)) == 1
+    assert draw_threads[0] != threading.get_ident()
+    assert threading.active_count() == baseline
 
 
 def test_simulate_pinned_seeded_values():
@@ -554,7 +525,6 @@ def test_simulate_pinned_seeded_values():
         "empirical_tvd": {"value": 0.48519240828326776, "std_err": 0.004018361306975193},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
-            "workers": 1,
         },
     }
 
@@ -576,22 +546,6 @@ def test_simulate_rejects_small_trials_before_any_work(monkeypatch):
     for trials in (1, 0):
         with pytest.raises(DomainError, match="trials >= 2, got"):
             sk.simulate(spec, M=4, trials=trials, seed=0)
-
-
-def test_workers_below_one_rejected_before_any_work(monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work done before validating the arguments")
-
-    monkeypatch.setattr(sk, "build_codebook", no_work)
-    monkeypatch.setattr(sk, "radial_output_density", no_work)
-    spec = _spec()
-    for workers in (0, -3):
-        with pytest.raises(DomainError, match=f"simulate: need workers >= 1, got {workers}"):
-            sk.simulate(spec, M=4, trials=100, seed=7, workers=workers)
-        with pytest.raises(
-            DomainError, match=f"empirical_divergences: need workers >= 1, got {workers}"
-        ):
-            sk.empirical_divergences(spec, 100, seed=0, workers=workers)
 
 
 def test_simulate_never_inverts_the_gamma_cdf(monkeypatch):

@@ -263,6 +263,33 @@ def test_ratio_table_equals_scipy_built_table(n, psi, mu):
     assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("spec", [
+    tg.TruncatedGaussianSpec(1, 1.0, 0.5),
+    tg.TruncatedGaussianSpec(16, 0.9, 0.7),
+    tg.TruncatedGaussianSpec(512, pl.psi_suf(512, 0.05, 0.8, 1.0 + 1.0 / 512), 0.8),
+    tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95),
+], ids=["n1", "n16", "n512", "n4096"])
+def test_ratio_lookup_equals_np_interp_bit_for_bit(spec):
+    model = tg.radial_output_density(spec)
+    s, v = model.ratio_table
+    rng = np.random.default_rng(spec.n)
+    x = np.concatenate([
+        s, np.nextafter(s, 0.0), np.nextafter(s, np.inf),  # grid points and neighbours
+        rng.uniform(0.0, s[-1], 200_000),
+        [0.0, s[0] / 2, np.nextafter(s[-1], np.inf), 1.5 * s[-1], 1e300],  # off the grid
+    ])
+    assert _same_bits(model._ratio_at(x), np.interp(x, s, v))
+
+
+def test_ratio_lookup_returns_grid_values_with_their_sign_of_zero():
+    # on a grid point np.interp returns v[j] itself; the formula with slope >= 0
+    # would turn a -0.0 there into +0.0
+    s = np.linspace(1e-9, 8.0, 4096)
+    v = np.where(np.arange(4096) % 3 == 0, -0.0, s)
+    slope = np.diff(v) / np.diff(s)
+    assert _same_bits(tg._read_ratio(s, s, v, slope), np.interp(s, s, v))
+
+
 def test_radial_model_weights_and_monotone_ratio():
     spec = tg.TruncatedGaussianSpec(n=16, psi=0.3, mu=0.7)
     model = tg.radial_output_density(spec)
