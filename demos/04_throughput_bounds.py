@@ -31,7 +31,7 @@ print(f"  first(2 delta)/first(delta) = {b / a:.6f}  sqrt(2) = {math.sqrt(2):.6f
 
 # power schedules psi = c n^-tau: only tau = 1/2 balances covertness and rate
 print("\npower-schedule regimes (c = 1):")
-grid = default_n_grid(100, 10**7, per_decade=8)
+grid = default_n_grid(100, 10**7)
 for tau in (0.25, 0.5, 0.75):
     sweep = asymptotic_sweep(1.0, tau, grid)
     tail = sweep.kl_bits[-1]

@@ -1,15 +1,19 @@
 """Finite-blocklength throughput bounds under a KL covertness budget.
 
-Both directions take the normal-approximation form
+Both directions are the AWGN normal approximation (Polyanskiy, Poor, Verdu,
+"Channel coding rate in the finite blocklength regime", IEEE T-IT 2010)
 
-    log M  =  (n/2) log2(1 + x)  -  sqrt(n V) Qinv(epsilon) log2(e) * k  +  order log2(n),
+    log2 M  =  (n/2) log2(1 + x)  -  sqrt(n v / 2) log2(e) Qinv(epsilon)  +  order log2(n),
 
-with x the admissible per-coordinate power for budget delta (bits), V a
-Gaussian dispersion evaluated at that power, and the residual O(1) terms set
-to zero. The achievability direction prices in the shell slacks (mu, nu);
-the converse direction the Taylor slack eta. simplified_asymptotics is the
-shared first-order term sqrt(n delta ln 2) log2(e), and asymptotic_sweep
-classifies the covertness trend of a power schedule psi = c n^(-tau).
+with x a per-coordinate power read from `planner`, v = x(x + 2)/(1 + x)^2
+twice PPV's dispersion V(x) in nats^2, and the residual O(1) terms set to
+zero. The converse takes x = psi_nec and order 3/2; the achievability takes
+the code's power mu psi_suf, the dispersion at psi_suf skewed by the shell
+slack mu, and order 1/2. simplified_asymptotics gives the first-order term
+sqrt(n delta ln 2) log2(e) and the paper's second-order coefficients, the
+small-power limits of the two dispersion terms under the CovertParams.defaults
+presets only; asymptotic_sweep classifies the covertness trend of a power
+schedule psi = c n^(-tau).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .divergences import (
     tvd_isotropic_exact,
 )
 from .errors import DomainError
-from .planner import CovertParams
+from .planner import CovertParams, psi_nec, psi_suf
 
 __all__ = [
     "ThroughputBounds",
@@ -67,68 +71,61 @@ _CAVEAT = (
 )
 
 
-def v1_dispersion(n: int, delta: float, mu: float, nu: float) -> float:
-    """Achievability-side dispersion at the sufficient power corner.
+def _dispersion(x: float) -> float:
+    """x(x + 2)/(1 + x)^2: twice the AWGN dispersion V(x) at power x, in nats^2."""
+    return x * (x + 2.0) / (1.0 + x) ** 2
 
-    V1 = (d + mu nu sqrt(d n)) / (d + mu nu sqrt(d n) + n mu^2 nu^2 / 4)
-    with d = delta ln 2; lies in (0, 1) and vanishes like 2/sqrt(d n).
+
+def _normal_approximation(n: int, x: float, v: float, epsilon: float, order: float) -> float:
+    """(n/2) log2(1 + x) - sqrt(n v / 2) log2(e) Qinv(epsilon) + order log2(n), in bits."""
+    first = 0.5 * n * math.log1p(x) * specfn.LOG2E
+    penalty = math.sqrt(0.5 * n * v) * specfn.LOG2E * specfn.gaussian_q_inv(epsilon)
+    return first - penalty + order * math.log2(n)
+
+
+def v1_dispersion(n: int, delta: float, mu: float, nu: float) -> float:
+    """Achievability-side dispersion x(x + 2)/(1 + x)^2 at x = psi_suf(n, delta, mu, nu^2).
+
+    Lies in (0, 1) and vanishes like 2 psi_suf.
     """
-    d = delta * specfn.LN2
-    s = d + mu * nu * math.sqrt(d * n)
-    return s / (s + 0.25 * n * mu * mu * nu * nu)
+    return _dispersion(psi_suf(n, delta, mu, nu * nu))
 
 
 def v2_dispersion(n: int, delta: float, eta: float) -> float:
-    """Converse-side dispersion at the eta-inflated necessary corner.
-
-    V2 = (d eta + sqrt(d eta n)) / (d eta + sqrt(d eta n) + n/4), d = delta ln 2.
-    """
-    d = delta * specfn.LN2
-    s = d * eta + math.sqrt(d * eta * n)
-    return s / (s + 0.25 * n)
+    """Converse-side dispersion x(x + 2)/(1 + x)^2 at x = psi_nec(n, delta, eta)."""
+    return _dispersion(psi_nec(n, delta, eta))
 
 
 def achievability_bound(params: CovertParams) -> float:
     """Largest guaranteed log2 M at blocklength n, budget delta, error epsilon.
 
-    (n/2) log2(1 + mu psi_suf) minus the dispersion penalty, plus (1/2) log2 n.
+    The normal approximation at the code's power mu psi_suf, its dispersion
+    skewed by (2 mu + psi_suf)/(2 + psi_suf) from the one at psi_suf, plus
+    (1/2) log2 n.
     """
-    n, delta = params.n, params.delta
-    nu = math.sqrt(params.nu_sq)
-    mu = params.mu
-    d = delta * specfn.LN2
-    x = math.sqrt(4.0 * d / (n * params.nu_sq))  # equals mu * psi_suf
-    first = 0.5 * n * math.log1p(x) * specfn.LOG2E
-    v1 = v1_dispersion(n, delta, mu, nu)
-    skew = (mu * mu * nu * math.sqrt(n) + math.sqrt(d)) / (
-        mu * nu * math.sqrt(n) + math.sqrt(d)
-    )
-    penalty = math.sqrt(0.5 * n * specfn.LOG2E**2 * skew * v1) * specfn.gaussian_q_inv(
-        params.epsilon
-    )
-    return first - penalty + 0.5 * math.log2(n)
+    p = psi_suf(params.n, params.delta, params.mu, params.nu_sq)
+    v = (2.0 * params.mu + p) / (2.0 + p) * _dispersion(p)
+    return _normal_approximation(params.n, params.mu * p, v, params.epsilon, 0.5)
 
 
 def converse_bound(params: CovertParams) -> float:
-    """Smallest log2 M no code can beat at the same (n, delta, epsilon)."""
-    n, delta, eta = params.n, params.delta, params.eta
-    d = delta * specfn.LN2
-    x = math.sqrt(4.0 * eta * d / n)
-    first = 0.5 * n * math.log1p(x) * specfn.LOG2E
-    v2 = v2_dispersion(n, delta, eta)
-    penalty = math.sqrt(0.5 * n * specfn.LOG2E**2 * v2) * specfn.gaussian_q_inv(
-        params.epsilon
-    )
-    return first - penalty + 1.5 * math.log2(n)
+    """Smallest log2 M no code can beat at the same (n, delta, epsilon): the
+    normal approximation at psi_nec, plus (3/2) log2 n."""
+    p = psi_nec(params.n, params.delta, params.eta)
+    return _normal_approximation(params.n, p, _dispersion(p), params.epsilon, 1.5)
 
 
 def simplified_asymptotics(params: CovertParams) -> tuple[float, float, float]:
     """Closed-form expansion terms (first_order, second_order_conv, second_order_achiev).
 
-    first_order = sqrt(n delta log2 e); both bounds divided by it tend to 1.
-    The second-order coefficients are sqrt(2) (converse) and sqrt(2/mu)
-    (achievability) times (n delta)^(1/4) (log2 e)^(3/4) Qinv(epsilon); they
-    coincide as mu -> 1.
+    first_order = sqrt(n delta log2 e); second_order_conv = sqrt(2) base and
+    second_order_achiev = sqrt(2/mu) base, with base = (n delta)^(1/4)
+    (log2 e)^(3/4) Qinv(epsilon). Under the CovertParams.defaults presets
+    (mu, nu, eta -> 1) both bounds over first_order tend to 1, and each
+    bound's dispersion term over its coefficient tends to 1. At fixed slacks
+    they do not: achievability / first_order tends to 1/nu and converse /
+    first_order to sqrt(eta); the achievability's dispersion term tends to
+    sqrt(2/nu) base and the converse's to sqrt(2) eta^(1/4) base.
     """
     n, delta = params.n, params.delta
     first = math.sqrt(n * delta * specfn.LOG2E)
@@ -209,14 +206,12 @@ def bounds_csv_text(rows: list[ThroughputBounds], comments: dict | None = None) 
 # --- power-schedule asymptotics ---------------------------------------------
 
 
-def default_n_grid(n_min: int = 100, n_max: int = 10**8, per_decade: int = 40) -> np.ndarray:
-    """Log-spaced integer blocklengths, per_decade points per decade, deduplicated."""
+def default_n_grid(n_min: int = 100, n_max: int = 10**8) -> np.ndarray:
+    """Log-spaced integer blocklengths, 40 points per decade, deduplicated."""
     if not (1 <= n_min < n_max):
         raise DomainError(f"default_n_grid: need 1 <= n_min < n_max, got ({n_min}, {n_max})")
-    if per_decade < 1:
-        raise DomainError(f"default_n_grid: need per_decade >= 1, got {per_decade}")
     lo, hi = math.log10(n_min), math.log10(n_max)
-    count = int(round((hi - lo) * per_decade)) + 1
+    count = int(round((hi - lo) * 40)) + 1
     grid = np.unique(np.round(np.logspace(lo, hi, num=count)).astype(np.int64))
     return grid
 

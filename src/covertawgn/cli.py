@@ -22,7 +22,7 @@ from . import planner as pl
 from . import simkit as sk
 from . import truncgauss as tg
 from . import verify as vf
-from .errors import ConfigError, CovertError, DomainError, InputError, NumericError
+from .errors import ConfigError, CovertError, NumericError
 
 __all__ = ["main", "build_parser"]
 
@@ -283,13 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         return _HANDLERS[args.subcommand](cfg)
-    except (ConfigError, InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except CovertError as exc:  # any other package error: treat as config-level
+    except CovertError as exc:  # config, domain and input errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,8 +75,29 @@ def test_dispersion_factors_in_unit_interval():
             assert 0.0 < bd.v2_dispersion(n, delta, p.eta) < 1.0
 
 
+def test_dispersions_inherit_planner_domain_checks():
+    with pytest.raises(DomainError, match="psi_suf"):
+        bd.v1_dispersion(1000, 0.01, 1.0, 1.0)
+    with pytest.raises(DomainError, match="psi_nec"):
+        bd.v2_dispersion(1000, 0.01, 1.0)
+
+
+@pytest.mark.parametrize("n,tol", [(10**6, 2e-4), (10**8, 2e-5)])
+def test_dispersion_terms_approach_second_order_coefficients_at_presets(n, tol):
+    # capacity term + log-n offset - bound is each bound's dispersion term;
+    # under the presets it tends to the paper's second-order coefficients
+    p = _p(n)
+    _, so_conv, so_ach = bd.simplified_asymptotics(p)
+    x_ach = p.mu * pl.psi_suf(n, p.delta, p.mu, p.nu_sq)
+    x_conv = pl.psi_nec(n, p.delta, p.eta)
+    pen_ach = 0.5 * n * math.log1p(x_ach) * LOG2E + 0.5 * math.log2(n) - bd.achievability_bound(p)
+    pen_conv = 0.5 * n * math.log1p(x_conv) * LOG2E + 1.5 * math.log2(n) - bd.converse_bound(p)
+    assert pen_ach / so_ach == pytest.approx(1.0, abs=tol)
+    assert pen_conv / so_conv == pytest.approx(1.0, abs=tol)
+
+
 def test_ordering_and_gap_on_grid():
-    grid = bd.default_n_grid(10**3, 10**6, per_decade=10)
+    grid = bd.default_n_grid(10**3, 10**6)
     for n in grid:
         tb = bd.throughput_bounds(_p(int(n)))
         assert tb.achievability_bits < tb.converse_bits
@@ -120,14 +141,14 @@ def test_default_n_grid_shape():
     assert grid[0] == 100 and grid[-1] == 10**8
     assert np.all(np.diff(grid) > 0)
     assert 230 <= grid.size <= 241  # ~40 per decade over 6 decades, deduplicated
-    small = bd.default_n_grid(100, 1000, per_decade=5)
-    assert small[0] == 100 and small[-1] == 1000
+    small = bd.default_n_grid(100, 1000)
+    assert small[0] == 100 and small[-1] == 1000 and small.size == 41
 
 
-def test_default_n_grid_rejects_per_decade_below_one():
-    for per_decade in (0, -5):
-        with pytest.raises(DomainError, match=f"per_decade >= 1, got {per_decade}"):
-            bd.default_n_grid(100, 1000, per_decade=per_decade)
+def test_default_n_grid_rejects_empty_or_nonpositive_range():
+    for n_min, n_max in ((1000, 1000), (0, 10)):
+        with pytest.raises(DomainError, match=r"need 1 <= n_min < n_max"):
+            bd.default_n_grid(n_min, n_max)
 
 
 def test_classify_kl_trend_synthetic():
@@ -135,6 +156,7 @@ def test_classify_kl_trend_synthetic():
     assert bd.classify_kl_trend(n, np.sqrt(n)) == "divergent"
     assert bd.classify_kl_trend(n, 1.0 / np.sqrt(n)) == "vanishing"
     assert bd.classify_kl_trend(n, np.full(n.size, 0.37)) == "plateau"
+    assert bd.classify_kl_trend(n, np.zeros(n.size)) == "vanishing"
     with pytest.raises(DomainError):
         bd.classify_kl_trend(n[:4], np.ones(4))  # needs a full decade of span
 

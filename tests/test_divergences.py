@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -79,6 +80,23 @@ def test_tvd_isotropic_shrinking_and_widening():
         dv.tvd_isotropic_exact(flipped), rel=1e-12
     )
     assert dv.tvd_isotropic_exact(dv.IsotropicGaussianPair(7, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096])
+@pytest.mark.parametrize("x", [1e-9, -1e-9])
+def test_tvd_isotropic_near_unit_variance_against_mpmath(n, x):
+    # |s^2 - 1| < 1e-8 takes the series for ln(1+x)/x in the crossing radius
+    s2 = 1.0 + x
+    with mp.workdps(60):
+        s2m = mp.mpf(s2)
+        r2 = n * s2m * mp.log(s2m) / (s2m - 1)
+        a = mp.mpf(n) / 2
+        ref = abs(
+            mp.gammainc(a, 0, r2 / 2, regularized=True)
+            - mp.gammainc(a, 0, r2 / (2 * s2m), regularized=True)
+        )
+    got = dv.tvd_isotropic_exact(dv.IsotropicGaussianPair(n, s2))
+    assert got == pytest.approx(float(ref), rel=1e-6)
 
 
 def test_tvd_isotropic_monotone_in_power():

@@ -60,6 +60,13 @@ def test_codebook_rejects_rows_off_shell():
             sk.Codebook(spec=spec, codewords=bad, seed=0)
 
 
+def test_codebook_rejects_rows_of_wrong_length():
+    spec = _spec()
+    rows = np.zeros((4, spec.n + 1))
+    with pytest.raises(DomainError, match=rf"shape \(4, {spec.n + 1}\) does not match n={spec.n}"):
+        sk.Codebook(spec=spec, codewords=rows, seed=0)
+
+
 def test_codebook_copies_caller_rows_read_only():
     spec = _spec()
     rows = sk.build_codebook(spec, 4, seed=0).codewords.copy()
