@@ -160,6 +160,15 @@ def test_bob_decode_pinned_seeded_values():
     assert res.decode_error_worst_message == 0.34615384615384615
 
 
+def test_bob_decode_pinned_seeded_values_at_m_1024():
+    # about a third of the trials decode wrong: the error check settles some
+    # on the first columns alone and scores every other trial on all 1024
+    spec = tg.TruncatedGaussianSpec(n=64, psi=0.3, mu=0.8)
+    res = sk.simulate(spec, M=1024, trials=16384, seed=5)
+    assert res.decode_error_rate == 0.3231201171875
+    assert res.decode_error_worst_message == 0.9090909090909091
+
+
 def test_bob_decode_in_place_scores_match_reference():
     # the chunked kernel decides as one full score matrix does, on full
     # vectors and on span coordinates, with a partial last chunk
