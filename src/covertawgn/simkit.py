@@ -16,7 +16,11 @@ exactly as y = c_w + z would be, at O(k M) per trial instead of O(n M).
 From 256 codewords up the scores are computed in float32 with an a-priori
 error bound, and only the points whose best and second-best scores lie within
 twice that bound (or are not finite) are rescored in float64, so every
-decision is the float64 kernel's (see `_nearest`).
+decision is the float64 kernel's (see `_nearest`). `simulate` needs only
+whether each trial decodes wrong. So it scores every trial on the first 256
+codewords, and goes on to the rest only with the trials for which none of
+those certainly outscores the sent codeword (see `_decode_errors`). The error
+flags are still exactly those of the float64 decisions.
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
@@ -72,6 +76,12 @@ _DECODE_CHUNK = 256  # rows scored at once: caps the score matrix at 256 x M
 # codebooks this wide are scored in float32; below it the certificate's
 # per-chunk passes cost more than the narrower product saves
 _FLOAT32_MIN_ROWS = 256
+# Bob's error check scores every point on this many rows first, and the rest
+# only for the points not yet certainly wrong (measured against 128 and 512)
+_FIRST_STAGE_ROWS = 256
+# once that split scores more than this share of the full score matrix on a
+# chunk, the check scores its remaining chunks on all rows at once
+_SPLIT_MAX_WORK = 0.7
 
 
 class StreamTag(IntEnum):
@@ -174,42 +184,61 @@ def _nearest_float64(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) 
     return out
 
 
-def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
-    """The decisions of `_nearest_float64`, from float32 scores once there are
-    at least _FLOAT32_MIN_ROWS rows.
+def _float32_table(rows: np.ndarray, rows_sq: np.ndarray):
+    """(table, bound): the float32 columns [c_j; -||c_j||^2/2], shape
+    (k + 1, M), so that with a point as [y, 1] each score
+    <y, c_j> - ||c_j||^2/2 is one float32 product of length k + 1; and
+    bound(points), per point the float64 bound on how far any such score,
+    summed in any order, lies from the float64 kernel's score.
 
-    Rows [c_j, -||c_j||^2/2] and points [y, 1] give each score as one float32
-    product of length k + 1. By Higham's dot-product bound (Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 3), for any summation
-    order, with u = 2^-24 and gamma_m = m u / (1 - m u), each is within
+    By Higham's dot-product bound (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3), for any summation order, with u = 2^-24 and
+    gamma_m = m u / (1 - m u), each score is within
         (3u + gamma_{k+1} (1 + u)^2) (||y|| max||c|| + max||c||^2 / 2)
         + 4 (k + 2) 2^-126 (1 + ||y|| + max||c||)
     of the exact score: 3u for rounding y, c and ||c||^2/2 to float32 (its
     slack over 2u + u^2 covers the float64 kernel's own rounding), the last
-    term for underflow, even flushed to zero. A point whose float32 maximum
-    beats its runner-up by more than twice this has the float64 decision; every
-    other point, and any whose maximum is not finite, is rescored in float64.
+    term for underflow, even flushed to zero. So two float32 scores more than
+    twice this apart are ordered strictly, as the float64 scores are. The
+    bound assumes no overflow: only a finite difference may be trusted.
     """
-    count = points.shape[0]
     M, k = rows.shape
-    if M < _FLOAT32_MIN_ROWS:
-        return _nearest_float64(points, rows, rows_sq)
     u = 2.0**-24
     m = (k + 1) * u
     rel = 3.0 * u + (m / (1.0 - m) if m < 0.5 else math.inf) * (1.0 + u) ** 2
     absolute = 4.0 * (k + 2) * 2.0**-126
     c_max = math.sqrt(float(rows_sq.max()))
-
-    out = np.empty(count, dtype=np.intp)
     table = np.empty((k + 1, M), dtype=np.float32)
+    table[:k] = rows.T
+    table[k] = -0.5 * rows_sq
+
+    def bound(points: np.ndarray) -> np.ndarray:
+        y_norm = np.sqrt(np.einsum("ij,ij->i", points, points))
+        return rel * (y_norm + 0.5 * c_max) * c_max + absolute * (1.0 + y_norm + c_max)
+
+    return table, bound
+
+
+def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
+    """The decisions of `_nearest_float64`, from float32 scores once there are
+    at least _FLOAT32_MIN_ROWS rows.
+
+    A point whose float32 maximum beats its runner-up by more than twice the
+    bound of `_float32_table` has the float64 decision; every other point, and
+    any whose maximum is not finite, is rescored in float64.
+    """
+    count = points.shape[0]
+    M, k = rows.shape
+    if M < _FLOAT32_MIN_ROWS:
+        return _nearest_float64(points, rows, rows_sq)
+    out = np.empty(count, dtype=np.intp)
     augmented = np.ones((min(_DECODE_CHUNK, count), k + 1), dtype=np.float32)
     buffer = np.empty((augmented.shape[0], M), dtype=np.float32)
     rescore = np.zeros(count, dtype=bool)
     # an overflow or NaN below leaves a non-finite maximum or gap, which is
     # rescored; an underflow is in the bound's absolute term
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        table[:k] = rows.T
-        table[k] = -0.5 * rows_sq
+        table, bound = _float32_table(rows, rows_sq)
         for i in range(0, count, _DECODE_CHUNK):
             chunk = points[i : i + _DECODE_CHUNK]
             at = np.arange(chunk.shape[0])
@@ -220,14 +249,87 @@ def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.nd
             top = scores[at, best].astype(np.float64)
             scores[at, best] = -np.inf
             runner_up = scores.max(axis=1)
-            y_norm = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
-            bound = rel * (y_norm + 0.5 * c_max) * c_max + absolute * (1.0 + y_norm + c_max)
             out[i : i + at.size] = best
             # negated, so a NaN gap or bound is rescored too
-            rescore[i : i + at.size] = ~((top - runner_up > 2.0 * bound) & (top < math.inf))
+            rescore[i : i + at.size] = ~((top - runner_up > 2.0 * bound(chunk)) & (top < math.inf))
     redo = np.flatnonzero(rescore)
     out[redo] = _nearest_float64(points[redo], rows, rows_sq)
     return out
+
+
+def _decode_errors(
+    points: np.ndarray, sent: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray
+) -> np.ndarray:
+    """`_nearest(points, rows, rows_sq) != sent`, with each point scored only
+    until its error is certain, in float32 once there are at least
+    _FLOAT32_MIN_ROWS rows.
+
+    The float64 kernel errs on a point sent as w exactly when some j != w
+    outscores w, or ties with it from a lower index. Let B be the point's
+    bound from `_float32_table`, s_j its float32 scores and s_w the one on
+    row w. Each s_j is within B of its float64 score, so a two-sided test
+    decides without looking at indices:
+      - some j != w with s_j - s_w > 2B outscores w strictly in float64: the
+        point is certainly wrong;
+      - s_w - max_{j != w} s_j > 2B makes w the strict float64 maximum: the
+        point is certainly right.
+    B holds for a float32 product of length k + 1 summed in any order, so it
+    also holds for s_w computed by a product of its own, apart from the score
+    matrix, which therefore need not reach row w. Every point is scored on
+    the first _FIRST_STAGE_ROWS rows, and only those not yet certainly wrong
+    on the rest. Once that split scores more than _SPLIT_MAX_WORK of the full
+    matrix on a chunk, the remaining chunks are scored on all rows at once
+    and read s_w off the matrix. A gap counts only when finite, since B
+    assumes no overflow. Every point left undecided (a tie, a near-tie, a NaN
+    or an overflow) is rescored in float64.
+    """
+    M, k = rows.shape
+    if M < _FLOAT32_MIN_ROWS:
+        return _nearest_float64(points, rows, rows_sq) != sent
+    count = points.shape[0]
+    width = min(_FIRST_STAGE_ROWS, M)
+    wrong = np.zeros(count, dtype=bool)
+    settled = np.zeros(count, dtype=bool)
+    augmented = np.ones((min(_DECODE_CHUNK, count), k + 1), dtype=np.float32)
+    buffer = np.empty(augmented.shape[0] * M, dtype=np.float32)
+    # an overflow or NaN below leaves a non-finite gap, which settles nothing;
+    # an underflow is in the bound's absolute term
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        table, bound = _float32_table(rows, rows_sq)
+        for i in range(0, count, _DECODE_CHUNK):
+            chunk = points[i : i + _DECODE_CHUNK]
+            w = sent[i : i + _DECODE_CHUNK]
+            c = w.size
+            aug = augmented[:c]
+            aug[:, :k] = chunk
+            scores = np.matmul(aug, table[:, :width], out=buffer[: c * width].reshape(c, width))
+            if width == M:
+                own = scores[np.arange(c), w].astype(np.float64)
+            else:
+                # rows[w] rounds to float32 exactly as the table's columns do
+                own = np.einsum("ij,ij->i", aug[:, :k], rows[w].astype(np.float32))
+                own = (own + table[k, w]).astype(np.float64)
+            hit = np.flatnonzero(w < width)
+            scores[hit, w[hit]] = -np.inf
+            gap = scores.max(axis=1) - own
+            margin = 2.0 * bound(chunk)
+            if width < M:
+                pend = np.flatnonzero(~((gap > margin) & (gap < math.inf)))
+                tail = np.matmul(
+                    aug[pend], table[:, width:],
+                    out=buffer[: pend.size * (M - width)].reshape(pend.size, M - width),
+                )
+                hit = np.flatnonzero(w[pend] >= width)
+                tail[hit, w[pend[hit]] - width] = -np.inf
+                gap[pend] = np.maximum(gap[pend], tail.max(axis=1) - own[pend])
+                if c * width + pend.size * (M - width) > _SPLIT_MAX_WORK * c * M:
+                    width = M
+            lost = (gap > margin) & (gap < math.inf)
+            wrong[i : i + c] = lost
+            settled[i : i + c] = lost | ((-gap > margin) & (-gap < math.inf))
+    redo = np.flatnonzero(~settled)
+    wrong[redo] = _nearest_float64(points[redo], rows, rows_sq) != sent[redo]
+    return wrong
 
 
 def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
@@ -433,7 +535,7 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         w = rng.integers(0, M, size=count)
         y = rng.standard_normal((count, coords.shape[1]))
         y += coords[w]
-        wrong = _nearest(y, coords, coords_sq) != w
+        wrong = _decode_errors(y, w, coords, coords_sq)
         return (
             np.bincount(w, minlength=M),
             np.bincount(w[wrong], minlength=M),

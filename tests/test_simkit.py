@@ -196,6 +196,15 @@ def _wide_rows(M=300, k=8, seed=0):
     return rows, np.sum(rows**2, axis=1)
 
 
+def _assert_errors_match(points, sent, rows):
+    # the error check says exactly what the float32 decisions say
+    rows_sq = np.sum(rows**2, axis=1)
+    got = sk._decode_errors(points, sent, rows, rows_sq)
+    assert got.dtype == bool
+    assert np.array_equal(got, sk._nearest(points, rows, rows_sq) != sent)
+    return got
+
+
 def test_float32_decode_rescores_near_ties(monkeypatch):
     # c_1 = c_0 (1 + 1e-7): along the line through both, the two scores differ
     # by ||c_0||^2 1e-7 s, far above float64 rounding and far below the float32
@@ -233,6 +242,13 @@ def test_float32_decode_exact_ties_go_to_lowest_index():
     got = sk._nearest(points, rows, np.sum(rows**2, axis=1))
     assert np.array_equal(got, _full_score_argmin(points, rows))
     assert got[:4].tolist() == [10, 20, 10, 10]
+    # a point on a duplicated row is right when sent as the lowest copy and
+    # wrong when sent as a higher one, on either side of the first stage
+    assert 250 < sk._FIRST_STAGE_ROWS <= 299
+    for first in ([10, 20, 10, 10], [200, 250, 299, 200]):
+        for rest in (got[4:], rng.integers(0, 300, 200)):
+            wrong = _assert_errors_match(points, np.concatenate([first, rest]), rows)
+            assert wrong[:4].tolist() == [first[0] != 10] * 4
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")  # the NaN rows
@@ -257,6 +273,8 @@ def test_float32_decode_non_finite_and_extreme_points():
     got = sk._nearest(points, rows, rows_sq)
     assert np.array_equal(got, sk._nearest_float64(points, rows, rows_sq))
     assert np.array_equal(got[6:], _full_score_argmin(points[6:], rows))
+    for sent in (got, rng.integers(0, 300, got.size)):
+        _assert_errors_match(points, sent, rows)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -272,11 +290,75 @@ def test_float32_decode_matches_float64_kernel(k, M, count, log_scale, noise, se
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     rows = scale * rng.standard_normal((M, k))
-    points = rows[rng.integers(0, M, count)] + noise * scale * rng.standard_normal((count, k))
+    true_rows = rng.integers(0, M, count)
+    points = rows[true_rows] + noise * scale * rng.standard_normal((count, k))
     rows_sq = np.sum(rows**2, axis=1)
     assert np.array_equal(
         sk._nearest(points, rows, rows_sq), sk._nearest_float64(points, rows, rows_sq)
     )
+    for sent in (true_rows, rng.integers(0, M, count)):
+        _assert_errors_match(points, sent, rows)
+
+
+def test_decode_errors_rescore_near_ties_only(monkeypatch):
+    # the near-ties above, sent as either of the two rows: right or wrong, the
+    # float32 scores cannot tell. The clear points come first, so they are
+    # scored while the first stage is split from the rest.
+    rows, _ = _wide_rows()
+    rows[1] = rows[0] * (1.0 + 1e-7)
+    s = np.concatenate([-np.logspace(-6, -2, 150), np.logspace(-6, -2, 150)])[:, None]
+    points = np.vstack([rows[5:9] + 0.1, rows[[280, 299]], rows[0] * (1.0 + 5e-8 + s)])
+    sent = np.concatenate([[5, 6, 7, 8, 3, 299], np.arange(300) % 2])
+    rescored, float64_kernel = [], sk._nearest_float64
+
+    def counting(p, r, r_sq):
+        rescored.append(p.shape[0])
+        return float64_kernel(p, r, r_sq)
+
+    monkeypatch.setattr(sk, "_nearest_float64", counting)
+    got = sk._decode_errors(points, sent, rows, np.sum(rows**2, axis=1))
+    monkeypatch.undo()
+    assert np.array_equal(got, _full_score_argmin(points, rows) != sent)
+    assert got[:6].tolist() == [False] * 4 + [True, False]
+    assert got[6:].tolist() == [False, True] * 75 + [True, False] * 75
+    assert rescored == [300]  # every clear point is settled in float32, right or wrong
+
+
+@pytest.mark.parametrize("near,far", [(3, 280), (280, 3)])  # both sides of the first stage
+def test_float32_overflow_certifies_nothing(near, far):
+    # k = 1, y = 1.5e19: the far row's product y c = 3.75e38 overflows float32
+    # to +inf, though its exact score 0.625e38 loses to the near row's 1e38;
+    # every other row scores below 0. An infinite float32 gap must not count.
+    rows = -np.linspace(1.0, 2.0, 300)[:, None]
+    rows[near], rows[far] = 1e19, 2.5e19
+    rows_sq = np.sum(rows**2, axis=1)
+    points = np.full((4, 1), 1.5e19)
+    assert sk._nearest(points, rows, rows_sq).tolist() == [near] * 4
+    sent = np.array([near, far, near, far])
+    assert sk._decode_errors(points, sent, rows, rows_sq).tolist() == [False, True] * 2
+
+
+@pytest.mark.parametrize("M", [sk._FIRST_STAGE_ROWS, sk._FIRST_STAGE_ROWS + 1])
+@pytest.mark.parametrize("noise", [0.3, 3.0])  # mostly right, and mostly wrong
+def test_decode_errors_at_the_first_stage_width(M, noise):
+    # all rows in the first stage, or one row after it; sent just below and
+    # just above the boundary; three chunks, so a split may be dropped midway
+    assert M >= sk._FLOAT32_MIN_ROWS
+    rng = np.random.default_rng(M)
+    rows = rng.standard_normal((M, 8))
+    count = 2 * sk._DECODE_CHUNK + 59
+    true_rows = rng.integers(0, M, count)
+    true_rows[:4] = sk._FIRST_STAGE_ROWS - 1, M - 1, 0, M - 1
+    points = rows[true_rows] + noise * rng.standard_normal((count, 8))
+    for sent in (true_rows, rng.integers(0, M, count), np.full(count, M - 1)):
+        _assert_errors_match(points, sent, rows)
+
+
+def test_decode_errors_below_the_float32_width_is_the_float64_kernel(monkeypatch):
+    rows = np.random.default_rng(3).standard_normal((sk._FLOAT32_MIN_ROWS - 1, 8))
+    points, sent = rows[:5] + 0.5, np.arange(5)
+    monkeypatch.setattr(sk, "_float32_table", None)  # never built
+    _assert_errors_match(points, sent, rows)
 
 
 _SPEC_512 = tg.TruncatedGaussianSpec(512, pl.psi_suf(512, 0.05, 0.8, 1.0 + 1.0 / 512), 0.8)
@@ -322,10 +404,11 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
     tg.radial_output_density(spec).ratio_table  # the model is cached per spec
     rng = np.random.default_rng(2)
     rows, points = rng.standard_normal((4096, 8)), rng.standard_normal((4096, 8))
-    rows_sq = np.sum(rows**2, axis=1)
+    rows_sq, sent = np.sum(rows**2, axis=1), rng.integers(0, 4096, 4096)
     for run in (
         lambda: sk.simulate(spec, M=4, trials=4096, seed=1),
         lambda: sk._nearest(points, rows, rows_sq),
+        lambda: sk._decode_errors(points, sent, rows, rows_sq),
     ):
         tracemalloc.start()
         try:
@@ -504,7 +587,7 @@ def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
             return kernel(*args)
         return wrapped
 
-    monkeypatch.setattr(sk, "_nearest", recording(sk._nearest, decode_threads))
+    monkeypatch.setattr(sk, "_decode_errors", recording(sk._decode_errors, decode_threads))
     monkeypatch.setattr(sk, "_output_radii", recording(sk._output_radii, draw_threads))
     baseline = threading.active_count()
     trials = 3 * sk._MC_BLOCK
