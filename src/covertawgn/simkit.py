@@ -17,10 +17,11 @@ From 256 codewords up the scores are computed in float32 with an a-priori
 error bound, and only the points whose best and second-best scores lie within
 twice that bound (or are not finite) are rescored in float64, so every
 decision is the float64 kernel's (see `_nearest`). `simulate` needs only
-whether each trial decodes wrong. So it scores every trial on the first 256
-codewords, and goes on to the rest only with the trials for which none of
-those certainly outscores the sent codeword (see `_decode_errors`). The error
-flags are still exactly those of the float64 decisions.
+whether each trial decodes wrong. So it keeps one float32 table per codebook,
+in column slabs [0, 256), [256, 1024), [1024, 4096), ..., scores every trial
+on the first slab, and each later slab only with the trials for which no
+earlier codeword certainly outscores the sent one (see `_decode_errors`). The
+error flags are still exactly those of the float64 decisions.
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
@@ -72,16 +73,19 @@ __all__ = [
 ]
 
 _MC_BLOCK = 4096
-_DECODE_CHUNK = 256  # rows scored at once: caps the score matrix at 256 x M
+# rows the decision kernels score at once, capping their score matrix at
+# 256 x M; the error check scores at least this many per pass
+_DECODE_CHUNK = 256
 # codebooks this wide are scored in float32; below it the certificate's
 # per-chunk passes cost more than the narrower product saves
 _FLOAT32_MIN_ROWS = 256
-# Bob's error check scores every point on this many rows first, and the rest
-# only for the points not yet certainly wrong (measured against 128 and 512)
-_FIRST_STAGE_ROWS = 256
-# once that split scores more than this share of the full score matrix on a
-# chunk, the check scores its remaining chunks on all rows at once
-_SPLIT_MAX_WORK = 0.7
+# Bob's error check scores the float32 table in column slabs [0, 256),
+# [256, 1024), [1024, 4096), ... (see `_slab_edges`); a first slab of 256
+# was measured against 128 and 512
+_FIRST_SLAB = 256
+# augmented float32 points per row chunk of the error check (at least
+# _DECODE_CHUNK rows): about 1000 rows at k = 64
+_CHUNK_ELEMENTS = 2**16
 
 
 class StreamTag(IntEnum):
@@ -120,7 +124,7 @@ class Codebook:
     """M codewords of blocklength n, all inside the power shell of `spec`.
 
     `codewords` is a read-only copy of the rows passed in, so the cached span
-    coordinates cannot go stale.
+    coordinates and their float32 table cannot go stale.
     """
 
     spec: TruncatedGaussianSpec
@@ -155,6 +159,12 @@ class Codebook:
         QR C^T = Q R (k = min(n, M)), and their squared norms."""
         coords = _read_only_copy(np.linalg.qr(self.codewords.T, mode="r").T)
         return coords, _read_only_copy(np.sum(coords**2, axis=1))
+
+    @cached_property
+    def _span_table(self):
+        """`_float32_table` of the span coordinates, built once for every
+        block `simulate` decodes."""
+        return _float32_table(*self._span)
 
 
 def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
@@ -211,6 +221,7 @@ def _float32_table(rows: np.ndarray, rows_sq: np.ndarray):
     table = np.empty((k + 1, M), dtype=np.float32)
     table[:k] = rows.T
     table[k] = -0.5 * rows_sq
+    table.flags.writeable = False
 
     def bound(points: np.ndarray) -> np.ndarray:
         y_norm = np.sqrt(np.einsum("ij,ij->i", points, points))
@@ -257,12 +268,25 @@ def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.nd
     return out
 
 
+def _slab_edges(M: int) -> list[int]:
+    """[0, 256, 1024, 4096, ..., M]: the column slabs of the float32 table
+    that Bob's error check scores in turn, each three times as wide as all
+    before it. A remainder narrower than the first slab joins the slab
+    before it, since a check for so few columns costs more than it saves."""
+    edges, edge = [0], _FIRST_SLAB
+    while edge + _FIRST_SLAB <= M:
+        edges.append(edge)
+        edge *= 4
+    return edges + [M]
+
+
 def _decode_errors(
-    points: np.ndarray, sent: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray
+    points: np.ndarray, sent: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray, table=None
 ) -> np.ndarray:
     """`_nearest(points, rows, rows_sq) != sent`, with each point scored only
     until its error is certain, in float32 once there are at least
-    _FLOAT32_MIN_ROWS rows.
+    _FLOAT32_MIN_ROWS rows. `table` is `_float32_table(rows, rows_sq)` when
+    the caller keeps one (`Codebook._span_table`); otherwise it is built here.
 
     The float64 kernel errs on a point sent as w exactly when some j != w
     outscores w, or ties with it from a lower index. Let B be the point's
@@ -273,60 +297,99 @@ def _decode_errors(
         point is certainly wrong;
       - s_w - max_{j != w} s_j > 2B makes w the strict float64 maximum: the
         point is certainly right.
-    B holds for a float32 product of length k + 1 summed in any order, so it
-    also holds for s_w computed by a product of its own, apart from the score
-    matrix, which therefore need not reach row w. Every point is scored on
-    the first _FIRST_STAGE_ROWS rows, and only those not yet certainly wrong
-    on the rest. Once that split scores more than _SPLIT_MAX_WORK of the full
-    matrix on a chunk, the remaining chunks are scored on all rows at once
-    and read s_w off the matrix. A gap counts only when finite, since B
-    assumes no overflow. Every point left undecided (a tie, a near-tie, a NaN
-    or an overflow) is rescored in float64.
+    B holds for a float32 product of length k + 1 summed in any order, so s_w
+    may be read off the scores once w's slab is scored, or computed by a
+    product of its own before that.
+
+    The points are taken about _CHUNK_ELEMENTS / (k + 1) at a time (at least
+    _DECODE_CHUNK) and scored on the column slabs of `_slab_edges` in turn.
+    After each slab but the last, the points with a known s_w that is
+    certainly beaten are done. After the first slab only the points sent on
+    it have s_w, read off their scores. If the share of them certainly
+    wrong, times the columns left, reaches the first slab's width, the other
+    points get an s_w of their own and are checked too. If not, that product
+    would cost more than it saves, and the later chunks score the first two
+    slabs at once. One flat buffer holds each pass: a chunk on the first
+    slab, or _DECODE_CHUNK points on the widest slab or on the first two. A
+    gap counts only when finite, since B assumes no overflow. Every point
+    left undecided after the last slab (a tie, a near-tie, a NaN or an
+    overflow) is rescored in float64.
     """
     M, k = rows.shape
     if M < _FLOAT32_MIN_ROWS:
         return _nearest_float64(points, rows, rows_sq) != sent
     count = points.shape[0]
-    width = min(_FIRST_STAGE_ROWS, M)
+    edges = _slab_edges(M)
+    step = min(count, max(_DECODE_CHUNK, _CHUNK_ELEMENTS // (k + 1)))
+    # a pass: a chunk on the first slab, or _DECODE_CHUNK points on a later
+    # slab or on the first two at once
+    widest = max([edges[min(2, len(edges) - 1)], *np.diff(edges)])
+    buffer = np.empty(max(step * edges[1], min(count, _DECODE_CHUNK) * widest), dtype=np.float32)
+    augmented = np.ones((step, k + 1), dtype=np.float32)
     wrong = np.zeros(count, dtype=bool)
     settled = np.zeros(count, dtype=bool)
-    augmented = np.ones((min(_DECODE_CHUNK, count), k + 1), dtype=np.float32)
-    buffer = np.empty(augmented.shape[0] * M, dtype=np.float32)
+    stages = edges[1:]
     # an overflow or NaN below leaves a non-finite gap, which settles nothing;
     # an underflow is in the bound's absolute term
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        table, bound = _float32_table(rows, rows_sq)
-        for i in range(0, count, _DECODE_CHUNK):
-            chunk = points[i : i + _DECODE_CHUNK]
-            w = sent[i : i + _DECODE_CHUNK]
-            c = w.size
-            aug = augmented[:c]
-            aug[:, :k] = chunk
-            scores = np.matmul(aug, table[:, :width], out=buffer[: c * width].reshape(c, width))
-            if width == M:
-                own = scores[np.arange(c), w].astype(np.float64)
-            else:
-                # rows[w] rounds to float32 exactly as the table's columns do
-                own = np.einsum("ij,ij->i", aug[:, :k], rows[w].astype(np.float32))
-                own = (own + table[k, w]).astype(np.float64)
-            hit = np.flatnonzero(w < width)
-            scores[hit, w[hit]] = -np.inf
-            gap = scores.max(axis=1) - own
+        table, bound = _float32_table(rows, rows_sq) if table is None else table
+        for i in range(0, count, step):
+            chunk = points[i : i + step]
+            c = chunk.shape[0]
+            augmented[:c, :k] = chunk
+            w = sent[i : i + c]
             margin = 2.0 * bound(chunk)
-            if width < M:
-                pend = np.flatnonzero(~((gap > margin) & (gap < math.inf)))
-                tail = np.matmul(
-                    aug[pend], table[:, width:],
-                    out=buffer[: pend.size * (M - width)].reshape(pend.size, M - width),
-                )
-                hit = np.flatnonzero(w[pend] >= width)
-                tail[hit, w[pend[hit]] - width] = -np.inf
-                gap[pend] = np.maximum(gap[pend], tail.max(axis=1) - own[pend])
-                if c * width + pend.size * (M - width) > _SPLIT_MAX_WORK * c * M:
-                    width = M
-            lost = (gap > margin) & (gap < math.inf)
-            wrong[i : i + c] = lost
-            settled[i : i + c] = lost | ((-gap > margin) & (-gap < math.inf))
+            own = np.zeros(c)  # s_w, where known
+            known = np.zeros(c, dtype=bool)
+            best = np.full(c, -np.inf, dtype=np.float32)  # max over j != w so far
+            live = np.arange(c)  # the points augmented[: live.size] holds
+            lo = 0
+            for hi in stages:
+                width = hi - lo
+                per = min(step, buffer.size // width)
+                for a in range(0, live.size, per):
+                    at = live[a : a + per]
+                    # laid out along the longer side, which the maximum runs fastest on
+                    scores = buffer[: at.size * width]
+                    if width >= per:
+                        scores = scores.reshape(at.size, width)
+                    else:
+                        scores = scores.reshape(width, at.size).T
+                    np.matmul(augmented[a : a + at.size], table[:, lo:hi], out=scores)
+                    j = w[at] - lo
+                    hit = np.flatnonzero((j >= 0) & (j < width))
+                    own[at[hit]] = scores[hit, j[hit]]
+                    known[at[hit]] = True
+                    scores[hit, j[hit]] = -np.inf
+                    best[at] = np.maximum(best[at], scores.max(axis=1))
+                lo = hi
+                if lo == M:
+                    break
+                if lo == edges[1]:
+                    # the points sent on the first slab: are enough of them
+                    # settled to pay for an s_w of their own for the rest?
+                    gap = best - own
+                    lost = known & (gap > margin) & (gap < math.inf)
+                    if lost.sum() * (M - lo) >= lo * known.sum():
+                        for a in range(0, c, _DECODE_CHUNK):
+                            # rows[w] rounds to float32 exactly as the table's columns do
+                            at = slice(a, min(a + _DECODE_CHUNK, c))
+                            s_w = np.einsum(
+                                "ij,ij->i", augmented[at, :k], rows[w[at]].astype(np.float32)
+                            )
+                            own[at] = s_w + table[k, w[at]]
+                        known[:] = True
+                    else:
+                        stages = edges[2:]  # for the later chunks
+                gap = best[live] - own[live]
+                lost = known[live] & (gap > margin[live]) & (gap < math.inf)
+                if lost.any():
+                    keep = ~lost
+                    augmented[: keep.sum()] = augmented[: live.size][keep]
+                    live = live[keep]
+            gap = best - own
+            wrong[i : i + c] = (gap > margin) & (gap < math.inf)
+            settled[i : i + c] = wrong[i : i + c] | ((-gap > margin) & (-gap < math.inf))
     redo = np.flatnonzero(~settled)
     wrong[redo] = _nearest_float64(points[redo], rows, rows_sq) != sent[redo]
     return wrong
@@ -529,13 +592,15 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
     t0 = time.perf_counter()
     cb = build_codebook(spec, M, seed)
     coords, coords_sq = cb._span
+    table = cb._span_table if M >= _FLOAT32_MIN_ROWS else None
 
     def bob_block(b: int, count: int):
         rng = _rng(seed, StreamTag.BOB_NOISE, b)
         w = rng.integers(0, M, size=count)
         y = rng.standard_normal((count, coords.shape[1]))
-        y += coords[w]
-        wrong = _decode_errors(y, w, coords, coords_sq)
+        for a in range(0, count, _DECODE_CHUNK):  # no block-sized copy of coords[w]
+            y[a : a + _DECODE_CHUNK] += coords[w[a : a + _DECODE_CHUNK]]
+        wrong = _decode_errors(y, w, coords, coords_sq, table)
         return (
             np.bincount(w, minlength=M),
             np.bincount(w[wrong], minlength=M),

@@ -232,23 +232,25 @@ def test_float32_decode_exact_ties_go_to_lowest_index():
     # small integer coordinates keep every product and sum exact in either
     # precision, so duplicated rows tie exactly, as do midpoints of two rows
     rng = np.random.default_rng(1)
-    rows = rng.integers(-3, 4, (300, 8)).astype(float)
-    rows[[200, 250, 299]] = rows[[10, 20, 10]]
-    mid = 0.5 * (rows[rng.integers(0, 300, 200)] + rows[rng.integers(0, 300, 200)])
-    points = np.vstack([rows[[10, 20, 200, 299]], mid])
+    rows = rng.integers(-3, 4, (1300, 8)).astype(float)
+    rows[[200, 250, 299, 1030, 1099]] = rows[[10, 20, 10, 1020, 10]]
+    rows_sq = np.sum(rows**2, axis=1)
+    mid = 0.5 * (rows[rng.integers(0, 1300, 200)] + rows[rng.integers(0, 1300, 200)])
+    points = np.vstack([rows[[10, 20, 200, 299, 1020, 1030, 1099]], mid])
     scores = np.sum(rows**2, axis=1)[None, :] - 2.0 * (points @ rows.T)
     ties = np.sum(scores == scores.min(axis=1, keepdims=True), axis=1) > 1
-    assert ties[:4].all() and ties.sum() > 10
-    got = sk._nearest(points, rows, np.sum(rows**2, axis=1))
+    assert ties[:7].all() and ties.sum() > 10
+    got = sk._nearest(points, rows, rows_sq)
     assert np.array_equal(got, _full_score_argmin(points, rows))
-    assert got[:4].tolist() == [10, 20, 10, 10]
+    assert got[:7].tolist() == [10, 20, 10, 10, 1020, 1020, 10]
     # a point on a duplicated row is right when sent as the lowest copy and
-    # wrong when sent as a higher one, on either side of the first stage
-    assert 250 < sk._FIRST_STAGE_ROWS <= 299
-    for first in ([10, 20, 10, 10], [200, 250, 299, 200]):
-        for rest in (got[4:], rng.integers(0, 300, 200)):
+    # wrong when sent as a higher one, with the copies in one slab or across
+    # the slab edges at 256 and 1024
+    assert sk._slab_edges(1300) == [0, 256, 1024, 1300]
+    for first in ([10, 20, 10, 10, 1020, 1020, 10], [200, 250, 299, 200, 1030, 1030, 1099]):
+        for rest in (got[7:], rng.integers(0, 1300, 200)):
             wrong = _assert_errors_match(points, np.concatenate([first, rest]), rows)
-            assert wrong[:4].tolist() == [first[0] != 10] * 4
+            assert wrong[:7].tolist() == [first[0] != 10] * 7
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")  # the NaN rows
@@ -280,7 +282,7 @@ def test_float32_decode_non_finite_and_extreme_points():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     k=st.integers(1, 24),
-    M=st.integers(sk._FLOAT32_MIN_ROWS, 700),
+    M=st.integers(sk._FLOAT32_MIN_ROWS, 1400),
     count=st.integers(1, 600),
     log_scale=st.floats(-30.0, 30.0),
     noise=st.floats(0.0, 2.0),
@@ -302,8 +304,8 @@ def test_float32_decode_matches_float64_kernel(k, M, count, log_scale, noise, se
 
 def test_decode_errors_rescore_near_ties_only(monkeypatch):
     # the near-ties above, sent as either of the two rows: right or wrong, the
-    # float32 scores cannot tell. The clear points come first, so they are
-    # scored while the first stage is split from the rest.
+    # float32 scores cannot tell; the clear points beside them are settled in
+    # float32, right or wrong
     rows, _ = _wide_rows()
     rows[1] = rows[0] * (1.0 + 1e-7)
     s = np.concatenate([-np.logspace(-6, -2, 150), np.logspace(-6, -2, 150)])[:, None]
@@ -324,12 +326,13 @@ def test_decode_errors_rescore_near_ties_only(monkeypatch):
     assert rescored == [300]  # every clear point is settled in float32, right or wrong
 
 
-@pytest.mark.parametrize("near,far", [(3, 280), (280, 3)])  # both sides of the first stage
+# the near and the far row in the first, second and third slab
+@pytest.mark.parametrize("near,far", [(3, 280), (280, 3), (3, 1050), (1050, 3)])
 def test_float32_overflow_certifies_nothing(near, far):
     # k = 1, y = 1.5e19: the far row's product y c = 3.75e38 overflows float32
     # to +inf, though its exact score 0.625e38 loses to the near row's 1e38;
     # every other row scores below 0. An infinite float32 gap must not count.
-    rows = -np.linspace(1.0, 2.0, 300)[:, None]
+    rows = -np.linspace(1.0, 2.0, 1300)[:, None]
     rows[near], rows[far] = 1e19, 2.5e19
     rows_sq = np.sum(rows**2, axis=1)
     points = np.full((4, 1), 1.5e19)
@@ -338,20 +341,26 @@ def test_float32_overflow_certifies_nothing(near, far):
     assert sk._decode_errors(points, sent, rows, rows_sq).tolist() == [False, True] * 2
 
 
-@pytest.mark.parametrize("M", [sk._FIRST_STAGE_ROWS, sk._FIRST_STAGE_ROWS + 1])
+@pytest.mark.parametrize("M", [256, 257, 1024, 1025, 1280, 4096, 4097])
 @pytest.mark.parametrize("noise", [0.3, 3.0])  # mostly right, and mostly wrong
 def test_decode_errors_at_the_first_stage_width(M, noise):
-    # all rows in the first stage, or one row after it; sent just below and
-    # just above the boundary; three chunks, so a split may be dropped midway
-    assert M >= sk._FLOAT32_MIN_ROWS
+    # M at a slab edge or one past it; sent just below and just above 256,
+    # 1024 and 4096; more points than one row chunk of the check holds
     rng = np.random.default_rng(M)
     rows = rng.standard_normal((M, 8))
-    count = 2 * sk._DECODE_CHUNK + 59
+    rows_sq = np.sum(rows**2, axis=1)
+    edges = [e for e in (256, 1024, 4096) if e < M]
+    # one past an edge joins the slab before it
+    assert sk._slab_edges(M) == [0] + [e for e in edges if e + 256 <= M] + [M]
+    count = max(sk._DECODE_CHUNK, sk._CHUNK_ELEMENTS // 9) + 59
     true_rows = rng.integers(0, M, count)
-    true_rows[:4] = sk._FIRST_STAGE_ROWS - 1, M - 1, 0, M - 1
+    near = [e + d for e in edges for d in (-1, 0)] + [0, M - 1]
+    true_rows[: len(near)] = near
     points = rows[true_rows] + noise * rng.standard_normal((count, 8))
+    decided = sk._nearest(points, rows, rows_sq)
     for sent in (true_rows, rng.integers(0, M, count), np.full(count, M - 1)):
-        _assert_errors_match(points, sent, rows)
+        got = sk._decode_errors(points, sent, rows, rows_sq)
+        assert np.array_equal(got, decided != sent)
 
 
 def test_decode_errors_below_the_float32_width_is_the_float64_kernel(monkeypatch):
@@ -399,16 +408,22 @@ def test_two_codeword_decode_error_matches_q_function():
 
 def test_simulate_and_decode_kernel_memory_stay_bounded():
     # a (trials, n) noise block at n = 4096, or a (4096, M) score block at
-    # M = 4096, would alone be 128 MiB
+    # M = 4096, would alone be 128 MiB; at the k = 64, M = 4096 shape of a
+    # simulate block the error check holds its 3 MiB score buffer and the
+    # 1 MiB float32 table, and little else
     spec = tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95)
     tg.radial_output_density(spec).ratio_table  # the model is cached per spec
     rng = np.random.default_rng(2)
     rows, points = rng.standard_normal((4096, 8)), rng.standard_normal((4096, 8))
     rows_sq, sent = np.sum(rows**2, axis=1), rng.integers(0, 4096, 4096)
-    for run in (
-        lambda: sk.simulate(spec, M=4, trials=4096, seed=1),
-        lambda: sk._nearest(points, rows, rows_sq),
-        lambda: sk._decode_errors(points, sent, rows, rows_sq),
+    wide_rows = rng.standard_normal((4096, 64))
+    wide_sq = np.sum(wide_rows**2, axis=1)
+    wide_points = wide_rows[sent] + rng.standard_normal((4096, 64))
+    for run, bound_mib in (
+        (lambda: sk.simulate(spec, M=4, trials=4096, seed=1), 16),
+        (lambda: sk._nearest(points, rows, rows_sq), 16),
+        (lambda: sk._decode_errors(points, sent, rows, rows_sq), 16),
+        (lambda: sk._decode_errors(wide_points, sent, wide_rows, wide_sq), 6),
     ):
         tracemalloc.start()
         try:
@@ -416,7 +431,7 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < bound_mib * 2**20
 
 
 def test_willie_detect_matches_interpolated_log_ratio():
@@ -597,6 +612,26 @@ def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
     assert len(set(draw_threads)) == 1
     assert draw_threads[0] != threading.get_ident()
     assert threading.active_count() == baseline
+
+
+def test_simulate_builds_the_float32_table_once(monkeypatch):
+    # one table per codebook, read-only like its span coordinates, for all
+    # of simulate's blocks
+    built, original = [], sk._float32_table
+
+    def counting(rows, rows_sq):
+        built.append(rows.shape)
+        return original(rows, rows_sq)
+
+    monkeypatch.setattr(sk, "_float32_table", counting)
+    sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=3 * sk._MC_BLOCK, seed=3)
+    assert built == [(300, 16)]
+    cb = sk.build_codebook(_spec(n=16, psi=0.8, mu=0.7), 300, seed=3)
+    table, _ = cb._span_table
+    assert cb._span_table is cb._span_table and len(built) == 2
+    assert table.shape == (17, 300) and table.dtype == np.float32
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_simulate_pinned_seeded_values():
