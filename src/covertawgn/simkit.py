@@ -13,38 +13,40 @@ projection onto the span of the codebook (the theorem of irrelevance), so
 `simulate` decodes in k = min(n, M) span coordinates: with C^T = Q R a reduced
 QR, c_j = Q c~_j and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k) is decided
 exactly as y = c_w + z would be, at O(k M) per trial instead of O(n M).
-From 256 codewords up the scores are computed in float32 with an a-priori
-error bound, and only the points whose best and second-best scores lie within
-twice that bound (or are not finite) are rescored in float64, so every
-decision is the float64 kernel's (see `_nearest`). `simulate` needs only
-whether each trial decodes wrong. So it keeps one float32 table per codebook,
-in column slabs [0, 256), [256, 1024), [1024, 4096), ..., scores every trial
-on the first slab, and each later slab only with the trials for which no
-earlier codeword certainly outscores the sent one (see `_decode_errors`). The
-error flags are still exactly those of the float64 decisions.
+`simulate` needs only whether each trial decodes wrong. From 256 codewords up
+it scores in float32 against one table per codebook, in column slabs [0, 256),
+[256, 1024), [1024, 4096), ..., every trial on the first slab and each later
+slab only with the trials for which no earlier codeword certainly outscores the
+sent one, by an a-priori error bound; a trial the bound cannot settle is
+rescored in float64. So the error flags are exactly those of the float64
+decisions (see `_decode_errors`).
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
-are reduced in block order. `simulate` runs its two sides concurrently, each
-block by block in order: Bob's decode in the calling thread, and Willie's test
-with the empirical divergences on one helper thread. They share no stream and
-no partial result, so the results do not depend on how the two threads are
-scheduled. The stream tags below and the draws made from each stream are the
-reproducibility contract (v2: the Willie and
-divergence streams draw radii; v3: the Bob stream draws the message indices,
-then count x k span-coordinate normals; v4: every shell radius, in the
-codebook, Willie H1 and divergence streams, comes from the rejection sampler
-`truncgauss._sample_radii`); changing them changes every seeded result.
+are reduced in block order. `simulate` decodes Bob's blocks in order on the
+calling thread. One helper thread runs Willie's test with the empirical
+divergences, then draws Bob's noise one block ahead of his decode (the caller
+draws a block the helper has not started). A draw depends only on its stream
+key, so the results do not depend on which thread draws or how the threads are
+scheduled. While `simulate` runs, the OpenBLAS that numpy loaded is held to one
+thread, process-wide, and restored afterwards (a no-op where none is found).
+The stream tags below and the draws made from each stream are the
+reproducibility contract (v2: the Willie and divergence streams draw radii;
+v3: the Bob stream draws the message indices, then count x k span-coordinate
+normals; v4, still in force: every shell radius, in the codebook, Willie H1 and
+divergence streams, comes from the rejection sampler `truncgauss._sample_radii`);
+changing them changes every seeded result.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -230,44 +232,6 @@ def _float32_table(rows: np.ndarray, rows_sq: np.ndarray):
     return table, bound
 
 
-def _nearest(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
-    """The decisions of `_nearest_float64`, from float32 scores once there are
-    at least _FLOAT32_MIN_ROWS rows.
-
-    A point whose float32 maximum beats its runner-up by more than twice the
-    bound of `_float32_table` has the float64 decision; every other point, and
-    any whose maximum is not finite, is rescored in float64.
-    """
-    count = points.shape[0]
-    M, k = rows.shape
-    if M < _FLOAT32_MIN_ROWS:
-        return _nearest_float64(points, rows, rows_sq)
-    out = np.empty(count, dtype=np.intp)
-    augmented = np.ones((min(_DECODE_CHUNK, count), k + 1), dtype=np.float32)
-    buffer = np.empty((augmented.shape[0], M), dtype=np.float32)
-    rescore = np.zeros(count, dtype=bool)
-    # an overflow or NaN below leaves a non-finite maximum or gap, which is
-    # rescored; an underflow is in the bound's absolute term
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        table, bound = _float32_table(rows, rows_sq)
-        for i in range(0, count, _DECODE_CHUNK):
-            chunk = points[i : i + _DECODE_CHUNK]
-            at = np.arange(chunk.shape[0])
-            aug = augmented[: at.size]
-            aug[:, :k] = chunk
-            scores = np.matmul(aug, table, out=buffer[: at.size])
-            best = np.argmax(scores, axis=1)
-            top = scores[at, best].astype(np.float64)
-            scores[at, best] = -np.inf
-            runner_up = scores.max(axis=1)
-            out[i : i + at.size] = best
-            # negated, so a NaN gap or bound is rescored too
-            rescore[i : i + at.size] = ~((top - runner_up > 2.0 * bound(chunk)) & (top < math.inf))
-    redo = np.flatnonzero(rescore)
-    out[redo] = _nearest_float64(points[redo], rows, rows_sq)
-    return out
-
-
 def _slab_edges(M: int) -> list[int]:
     """[0, 256, 1024, 4096, ..., M]: the column slabs of the float32 table
     that Bob's error check scores in turn, each three times as wide as all
@@ -399,7 +363,7 @@ def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     """Minimum-distance (= ML under Gaussian noise) decisions for the rows of
     `received` (full n-vectors, shape (count, n)), lowest index on ties.
 
-    `simulate` decides with the same kernel in the codebook's span
+    `simulate` reaches the same decisions in the codebook's span
     coordinates, without forming n-vectors."""
     y = np.asarray(received, dtype=float)
     if y.ndim != 2 or y.shape[1] != cb.n:
@@ -407,7 +371,7 @@ def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(y)
     if bad.any():
         raise InputError(f"bob_decode_batch: received value {y[bad][0]} is not finite")
-    return _nearest(y, cb.codewords, np.sum(cb.codewords**2, axis=1))
+    return _nearest_float64(y, cb.codewords, np.sum(cb.codewords**2, axis=1))
 
 
 # --- Willie's detector ----------------------------------------------------------
@@ -552,6 +516,58 @@ def empirical_divergences(
 # --- full experiment ------------------------------------------------------------
 
 
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded,
+    found among the libraries mapped into this process, or None."""
+    import ctypes  # here, so importing the package does not load it
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    # numpy's wheels carry a scipy-openblas with 64-bit integers
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        for path in paths:
+            try:
+                get, put = (getattr(ctypes.CDLL(path), name.format(op)) for op in ("get", "set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """OpenBLAS runs on one thread inside `with`. The count is process-wide,
+    so the one in force when the first of overlapping blocks enters is put
+    back when the last leaves. Does nothing where no OpenBLAS is found."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0 and (calls := _openblas_threads()):
+                self._saved = calls[0]()
+                calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and (calls := _openblas_threads()):
+                calls[1](self._saved)
+
+
+# OpenBLAS's own worker thread speeds up none of Bob's small products, and
+# takes the core `simulate`'s helper thread would compute on
+_one_blas_thread = _OneBlasThread()
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     decode_error_rate: float
@@ -584,27 +600,23 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
     rate is reported alongside). Willie's alternative draws a fresh shell
     codeword per trial: the code-ensemble output law whose V_T the closed
     forms predict. Each of the decode, detect and divergence estimates uses
-    `trials` samples, so `trials >= 2`. Willie's test and the divergences run
-    on one helper thread beside Bob's decode in the calling thread.
+    `trials` samples, so `trials >= 2`. Bob decodes on the calling thread.
+    One helper thread runs Willie's test and the divergences, then draws
+    Bob's noise one block ahead of his decode. OpenBLAS is held to one
+    thread, process-wide, until the call returns (see the module docstring).
     """
     if trials < 2:
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
     t0 = time.perf_counter()
-    cb = build_codebook(spec, M, seed)
-    coords, coords_sq = cb._span
-    table = cb._span_table if M >= _FLOAT32_MIN_ROWS else None
+    counts = _map_blocks(lambda b, count: count, trials)
+    # two noise buffers: block b + 1's draw, queued as block b's decode
+    # starts, writes the one block b - 1 was decoded in
+    noise = np.empty((2, counts[0], min(spec.n, M)))
 
-    def bob_block(b: int, count: int):
+    def bob_draw(b: int, count: int):
         rng = _rng(seed, StreamTag.BOB_NOISE, b)
         w = rng.integers(0, M, size=count)
-        y = rng.standard_normal((count, coords.shape[1]))
-        for a in range(0, count, _DECODE_CHUNK):  # no block-sized copy of coords[w]
-            y[a : a + _DECODE_CHUNK] += coords[w[a : a + _DECODE_CHUNK]]
-        wrong = _decode_errors(y, w, coords, coords_sq, table)
-        return (
-            np.bincount(w, minlength=M),
-            np.bincount(w[wrong], minlength=M),
-        )
+        return w, rng.standard_normal(out=noise[b % 2, :count])
 
     def willie_block(b: int, count: int):
         rng = _rng(seed, StreamTag.WILLIE_H1, b)
@@ -617,30 +629,33 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         detection = willie_detect(h0, h1, radial_output_density(spec))
         return detection, *empirical_divergences(spec, trials, seed)
 
-    # The detector side runs on a helper thread beside Bob's decode. Once it
-    # starts, Bob's side calls only private kernels, so calls into the public
-    # functions never interleave across the two threads (a tracer wrapping
-    # them keeps one call stack per process).
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simkit-detector") as helper:
-        detector = helper.submit(detector_side)
-        sent = np.zeros(M, dtype=np.int64)
-        wrong = np.zeros(M, dtype=np.int64)
-        for s, e in _map_blocks(bob_block, trials):
-            sent += s
-            wrong += e
-        detection, kl, tvd = detector.result()
+    with _one_blas_thread:
+        cb = build_codebook(spec, M, seed)
+        # The helper thread runs the detector side, then Bob's noise draws one
+        # block ahead of his decode. Once it starts, Bob's side calls only
+        # private kernels, on either thread, so calls into the public
+        # functions never interleave across the two threads (a tracer
+        # wrapping them keeps one call stack per process).
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simkit-helper") as helper:
+            detector = helper.submit(detector_side)
+            draw = helper.submit(bob_draw, 0, counts[0])
+            coords, coords_sq = cb._span
+            table = cb._span_table if M >= _FLOAT32_MIN_ROWS else None
+            sent, wrong = np.zeros((2, M), dtype=np.int64)
+            for b, count in enumerate(counts):
+                # a draw the helper has not started yet is made here instead
+                w, y = bob_draw(b, count) if draw.cancel() else draw.result()
+                if b + 1 < len(counts):
+                    draw = helper.submit(bob_draw, b + 1, counts[b + 1])
+                for a in range(0, count, _DECODE_CHUNK):  # no block-sized copy of coords[w]
+                    y[a : a + _DECODE_CHUNK] += coords[w[a : a + _DECODE_CHUNK]]
+                sent += np.bincount(w, minlength=M)
+                wrong += np.bincount(w[_decode_errors(y, w, coords, coords_sq, table)], minlength=M)
+            detection, kl, tvd = detector.result()
     decode_errors = int(wrong.sum())
     per_message = wrong[sent > 0] / sent[sent > 0]
     worst_message = float(per_message.max()) if per_message.size else 0.0
 
-    config = {
-        "n": spec.n,
-        "psi": spec.psi,
-        "mu": spec.mu,
-        "M": M,
-        "trials": trials,
-        "seed": seed,
-    }
     return SimulationResult(
         decode_error_rate=decode_errors / trials,
         decode_error_worst_message=worst_message,
@@ -648,6 +663,6 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         detection=detection,
         empirical_kl_bits=kl,
         empirical_tvd=tvd,
-        config=config,
+        config=dict(n=spec.n, psi=spec.psi, mu=spec.mu, M=M, trials=trials, seed=seed),
         wall_time=time.perf_counter() - t0,
     )

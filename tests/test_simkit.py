@@ -106,7 +106,7 @@ def test_bob_decode_noiseless_and_batch_agree():
     assert sk.bob_decode_batch(cb, ys).tolist() == nearest
 
 
-@pytest.mark.parametrize("M", [8, 300])  # the float64 and the float32 kernel
+@pytest.mark.parametrize("M", [8, 300])  # narrower and wider than the float32 error check
 def test_bob_decode_rejects_malformed_input(M):
     cb = sk.build_codebook(_spec(), M, seed=21)
     for received in (cb.codewords[0], cb.codewords[:, :-1], np.zeros((2, 16, 1))):
@@ -178,7 +178,7 @@ def test_bob_decode_in_place_scores_match_reference():
     coords, coords_sq = cb._span
     for book, decide in (
         (cb.codewords, lambda y: sk.bob_decode_batch(cb, y)),
-        (coords, lambda y: sk._nearest(y, coords, coords_sq)),
+        (coords, lambda y: sk._nearest_float64(y, coords, coords_sq)),
     ):
         y = book[np.arange(rows) % 64] + z
         scores = np.sum(book**2, axis=1)[None, :] - 2.0 * (y @ book.T)
@@ -197,35 +197,12 @@ def _wide_rows(M=300, k=8, seed=0):
 
 
 def _assert_errors_match(points, sent, rows):
-    # the error check says exactly what the float32 decisions say
+    # the error check says exactly what the float64 decisions say
     rows_sq = np.sum(rows**2, axis=1)
     got = sk._decode_errors(points, sent, rows, rows_sq)
     assert got.dtype == bool
-    assert np.array_equal(got, sk._nearest(points, rows, rows_sq) != sent)
+    assert np.array_equal(got, sk._nearest_float64(points, rows, rows_sq) != sent)
     return got
-
-
-def test_float32_decode_rescores_near_ties(monkeypatch):
-    # c_1 = c_0 (1 + 1e-7): along the line through both, the two scores differ
-    # by ||c_0||^2 1e-7 s, far above float64 rounding and far below the float32
-    # bound, so the certificate must hand these points to the float64 kernel
-    rows, _ = _wide_rows()
-    rows[1] = rows[0] * (1.0 + 1e-7)
-    rows_sq = np.sum(rows**2, axis=1)
-    s = np.concatenate([-np.logspace(-6, -2, 150), np.logspace(-6, -2, 150)])[:, None]
-    points = np.vstack([rows[0] * (1.0 + 5e-8 + s), rows[5:9] + 0.1])
-    rescored, float64_kernel = [], sk._nearest_float64
-
-    def counting(p, r, r_sq):
-        rescored.append(p.shape[0])
-        return float64_kernel(p, r, r_sq)
-
-    monkeypatch.setattr(sk, "_nearest_float64", counting)
-    got = sk._nearest(points, rows, rows_sq)
-    ref = _full_score_argmin(points, rows)
-    assert np.array_equal(got, ref)
-    assert ref[:300].tolist() == [0] * 150 + [1] * 150
-    assert rescored == [300]  # the near-ties only, in one float64 call
 
 
 def test_float32_decode_exact_ties_go_to_lowest_index():
@@ -240,7 +217,7 @@ def test_float32_decode_exact_ties_go_to_lowest_index():
     scores = np.sum(rows**2, axis=1)[None, :] - 2.0 * (points @ rows.T)
     ties = np.sum(scores == scores.min(axis=1, keepdims=True), axis=1) > 1
     assert ties[:7].all() and ties.sum() > 10
-    got = sk._nearest(points, rows, rows_sq)
+    got = sk._nearest_float64(points, rows, rows_sq)
     assert np.array_equal(got, _full_score_argmin(points, rows))
     assert got[:7].tolist() == [10, 20, 10, 10, 1020, 1020, 10]
     # a point on a duplicated row is right when sent as the lowest copy and
@@ -272,8 +249,7 @@ def test_float32_decode_non_finite_and_extreme_points():
         1e-40 * rng.standard_normal((50, 8)),   # subnormal in float32
         rows[rng.integers(0, 300, 300)] + rng.standard_normal((300, 8)),
     ])
-    got = sk._nearest(points, rows, rows_sq)
-    assert np.array_equal(got, sk._nearest_float64(points, rows, rows_sq))
+    got = sk._nearest_float64(points, rows, rows_sq)
     assert np.array_equal(got[6:], _full_score_argmin(points[6:], rows))
     for sent in (got, rng.integers(0, 300, got.size)):
         _assert_errors_match(points, sent, rows)
@@ -294,10 +270,6 @@ def test_float32_decode_matches_float64_kernel(k, M, count, log_scale, noise, se
     rows = scale * rng.standard_normal((M, k))
     true_rows = rng.integers(0, M, count)
     points = rows[true_rows] + noise * scale * rng.standard_normal((count, k))
-    rows_sq = np.sum(rows**2, axis=1)
-    assert np.array_equal(
-        sk._nearest(points, rows, rows_sq), sk._nearest_float64(points, rows, rows_sq)
-    )
     for sent in (true_rows, rng.integers(0, M, count)):
         _assert_errors_match(points, sent, rows)
 
@@ -336,7 +308,7 @@ def test_float32_overflow_certifies_nothing(near, far):
     rows[near], rows[far] = 1e19, 2.5e19
     rows_sq = np.sum(rows**2, axis=1)
     points = np.full((4, 1), 1.5e19)
-    assert sk._nearest(points, rows, rows_sq).tolist() == [near] * 4
+    assert sk._nearest_float64(points, rows, rows_sq).tolist() == [near] * 4
     sent = np.array([near, far, near, far])
     assert sk._decode_errors(points, sent, rows, rows_sq).tolist() == [False, True] * 2
 
@@ -357,7 +329,7 @@ def test_decode_errors_at_the_first_stage_width(M, noise):
     near = [e + d for e in edges for d in (-1, 0)] + [0, M - 1]
     true_rows[: len(near)] = near
     points = rows[true_rows] + noise * rng.standard_normal((count, 8))
-    decided = sk._nearest(points, rows, rows_sq)
+    decided = sk._nearest_float64(points, rows, rows_sq)
     for sent in (true_rows, rng.integers(0, M, count), np.full(count, M - 1)):
         got = sk._decode_errors(points, sent, rows, rows_sq)
         assert np.array_equal(got, decided != sent)
@@ -421,7 +393,7 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
     wide_points = wide_rows[sent] + rng.standard_normal((4096, 64))
     for run, bound_mib in (
         (lambda: sk.simulate(spec, M=4, trials=4096, seed=1), 16),
-        (lambda: sk._nearest(points, rows, rows_sq), 16),
+        (lambda: sk._nearest_float64(points, rows, rows_sq), 16),
         (lambda: sk._decode_errors(points, sent, rows, rows_sq), 16),
         (lambda: sk._decode_errors(wide_points, sent, wide_rows, wide_sq), 6),
     ):
@@ -577,7 +549,58 @@ def test_simulate_detector_side_equals_its_sequential_composition():
     assert res.empirical_tvd == tvd
 
 
-def test_detector_side_error_leaves_simulate_unchanged(monkeypatch):
+def _without_wall_time(res):
+    d = res.to_dict()
+    d.pop("wall_time")
+    return d
+
+
+def _recording(kernel, threads):
+    def wrapped(*args):
+        threads.append(threading.get_ident())
+        return kernel(*args)
+    return wrapped
+
+
+def _recording_bob_draws(monkeypatch):
+    # the threads Bob's noise blocks are drawn on, in draw order
+    threads, rng = [], sk._rng
+
+    def recording(seed, tag, block):
+        if tag == sk.StreamTag.BOB_NOISE:
+            threads.append(threading.get_ident())
+        return rng(seed, tag, block)
+
+    monkeypatch.setattr(sk, "_rng", recording)
+    return threads
+
+
+@pytest.fixture
+def blas_get():
+    # OpenBLAS's thread-count getter with the count set to 2 for the test and
+    # put back after it, or None where no OpenBLAS is found
+    calls = sk._openblas_threads()
+    if calls is None:
+        yield None
+        return
+    get, put = calls
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+def _two_blas_threads(get):
+    if get is None:
+        pytest.skip("no OpenBLAS among the libraries this process loaded")
+    if get() != 2:
+        pytest.skip("this OpenBLAS does not run two threads")
+    return get
+
+
+def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, blas_get):
     failure = NumericError("synthetic detector-side failure")
 
     def fail(*args, **kwargs):
@@ -585,33 +608,132 @@ def test_detector_side_error_leaves_simulate_unchanged(monkeypatch):
 
     monkeypatch.setattr(sk, "empirical_divergences", fail)
     baseline = threading.active_count()
+    blas_before = blas_get and blas_get()
     with pytest.raises(NumericError) as raised:
         sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=5000, seed=1)
     assert raised.value is failure
     assert threading.active_count() == baseline  # the helper thread joined
+    assert (blas_get and blas_get()) == blas_before
 
 
 def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
     # Bob decodes block by block on the calling thread; every detector-side
-    # draw (Willie's H1 radii and the divergence samples) on one other thread
+    # draw (Willie's H1 radii and the divergence samples) on one other thread;
+    # each of Bob's noise blocks on one of those two
     decode_threads, draw_threads = [], []
-
-    def recording(kernel, threads):
-        def wrapped(*args):
-            threads.append(threading.get_ident())
-            return kernel(*args)
-        return wrapped
-
-    monkeypatch.setattr(sk, "_decode_errors", recording(sk._decode_errors, decode_threads))
-    monkeypatch.setattr(sk, "_output_radii", recording(sk._output_radii, draw_threads))
+    monkeypatch.setattr(sk, "_decode_errors", _recording(sk._decode_errors, decode_threads))
+    monkeypatch.setattr(sk, "_output_radii", _recording(sk._output_radii, draw_threads))
+    bob_threads = _recording_bob_draws(monkeypatch)
     baseline = threading.active_count()
     trials = 3 * sk._MC_BLOCK
     sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=trials, seed=3)
-    assert decode_threads == [threading.get_ident()] * 3
+    caller = threading.get_ident()
+    assert decode_threads == [caller] * 3
     assert len(draw_threads) == 6  # three H1 blocks, three divergence blocks
     assert len(set(draw_threads)) == 1
-    assert draw_threads[0] != threading.get_ident()
+    assert draw_threads[0] != caller
+    assert len(bob_threads) == 3
+    assert set(bob_threads) <= {caller, draw_threads[0]}
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("M", [4, 300])  # the float64 and the float32 error check
+@pytest.mark.parametrize("drawer", ["helper", "caller"])
+def test_simulate_is_byte_identical_under_any_draw_schedule(monkeypatch, drawer, M):
+    # every one of Bob's noise blocks drawn on the helper thread, or every one
+    # stolen by the caller: the results of a normal run, to the last bit
+    spec, trials = _spec(n=16, psi=0.8, mu=0.7), 3 * sk._MC_BLOCK + 5
+    expected = _without_wall_time(sk.simulate(spec, M, trials, seed=9))
+    if drawer == "helper":
+        class NeverStealing(sk.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                future.cancel = lambda: False  # so the caller waits for each draw
+                return future
+
+        monkeypatch.setattr(sk, "ThreadPoolExecutor", NeverStealing)
+    else:
+        # the detector side, and so each draw queued behind it, is held until
+        # Bob's last block is decoded
+        bob_done, decoded = threading.Event(), []
+        decode_errors, willie_detect = sk._decode_errors, sk.willie_detect
+
+        def counting(*args):
+            wrong = decode_errors(*args)
+            decoded.append(args[0].shape[0])
+            if sum(decoded) == trials:
+                bob_done.set()
+            return wrong
+
+        def held(*args):
+            assert bob_done.wait(timeout=60)
+            return willie_detect(*args)
+
+        monkeypatch.setattr(sk, "_decode_errors", counting)
+        monkeypatch.setattr(sk, "willie_detect", held)
+    bob_threads = _recording_bob_draws(monkeypatch)
+    assert _without_wall_time(sk.simulate(spec, M, trials, seed=9)) == expected
+    assert len(bob_threads) == 4
+    caller = threading.get_ident()
+    if drawer == "helper":
+        assert len(set(bob_threads)) == 1 and bob_threads[0] != caller
+    else:
+        assert bob_threads == [caller] * 4
+
+
+def test_simulate_holds_openblas_to_one_thread_and_restores_it(monkeypatch, blas_get):
+    get = _two_blas_threads(blas_get)
+    during = []
+    decode_errors = sk._decode_errors
+
+    def reading(*args):
+        during.append(get())
+        return decode_errors(*args)
+
+    monkeypatch.setattr(sk, "_decode_errors", reading)
+    sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=5000, seed=1)
+    assert during == [1, 1]
+    assert get() == 2
+
+
+def test_overlapping_simulate_calls_restore_the_blas_thread_count(monkeypatch, blas_get):
+    # two user threads: the first call leaves while the second is inside, so
+    # the count stays 1 until the second leaves, and is then what it was
+    # before either call
+    get = _two_blas_threads(blas_get)
+    first_in, second_in, first_left = threading.Event(), threading.Event(), threading.Event()
+    decode_errors, failures = sk._decode_errors, []
+
+    def pacing(*args):
+        if threading.current_thread().name == "first":
+            first_in.set()
+            assert second_in.wait(timeout=60)
+        else:
+            second_in.set()
+            assert first_left.wait(timeout=60)
+        return decode_errors(*args)
+
+    def run():
+        try:
+            sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=5000, seed=1)
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(sk, "_decode_errors", pacing)
+    first = threading.Thread(target=run, name="first")
+    second = threading.Thread(target=run, name="second")
+    first.start()
+    assert first_in.wait(timeout=60)
+    second.start()
+    first.join(timeout=60)
+    assert not first.is_alive()
+    inside = get()
+    first_left.set()
+    second.join(timeout=60)
+    assert not second.is_alive() and failures == []
+    assert inside == 1
+    assert get() == 2
 
 
 def test_simulate_builds_the_float32_table_once(monkeypatch):
