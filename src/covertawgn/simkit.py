@@ -75,8 +75,8 @@ __all__ = [
 ]
 
 _MC_BLOCK = 4096
-# rows the decision kernels score at once, capping their score matrix at
-# 256 x M; the error check scores at least this many per pass
+# points the float64 decision kernel scores at once, capping its score matrix
+# at 256 x M; the error check scores at least this many per pass
 _DECODE_CHUNK = 256
 # codebooks this wide are scored in float32; below it the certificate's
 # per-chunk passes cost more than the narrower product saves

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -716,9 +717,8 @@ def test_overlapping_simulate_calls_restore_the_blas_thread_count(monkeypatch, b
     def run():
         try:
             sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=5000, seed=1)
-        except BaseException as exc:  # reported by the main thread
+        except Exception as exc:  # reported by the main thread
             failures.append(exc)
-            raise
 
     monkeypatch.setattr(sk, "_decode_errors", pacing)
     first = threading.Thread(target=run, name="first")
@@ -733,6 +733,41 @@ def test_overlapping_simulate_calls_restore_the_blas_thread_count(monkeypatch, b
     second.join(timeout=60)
     assert not second.is_alive() and failures == []
     assert inside == 1
+    assert get() == 2
+
+
+def test_concurrent_simulate_calls_hold_and_restore_the_blas_thread_count(monkeypatch, blas_get):
+    # more user threads than cores, switching often: a lost update of the
+    # count of open calls would restore the count inside a call or leave it
+    # at 1 after all of them
+    get = _two_blas_threads(blas_get)
+    during, failures = [], []
+    decode_errors = sk._decode_errors
+
+    def reading(*args):
+        during.append(get())
+        return decode_errors(*args)
+
+    def run(seed):
+        try:
+            for _ in range(2):
+                sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=5000, seed=seed)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    monkeypatch.setattr(sk, "_decode_errors", reading)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and failures == []
+    assert during == [1] * 16  # 4 threads x 2 calls x 2 blocks
     assert get() == 2
 
 
