@@ -10,9 +10,10 @@ the spherically symmetric output laws, drawn in O(1) per trial as
 ||x + z||^2 = (||x|| + g)^2 + chi^2_{n-1}, g ~ N(0, 1), under the code and
 ||z||^2 ~ chi^2_n under noise. Bob's ML decoder reads y only through its
 projection onto the span of the codebook (the theorem of irrelevance), so
-`simulate` decodes in k = min(n, M) span coordinates: with C^T = Q R a reduced
-QR, c_j = Q c~_j and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k) is decided
-exactly as y = c_w + z would be, at O(k M) per trial instead of O(n M).
+`simulate` decodes in k = min(n, M) span coordinates: c_j = Q c~_j for an
+orthonormal basis Q of the span and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k)
+is decided exactly as y = c_w + z would be. Where n <= M, Q = I; where n > M,
+C^T = Q R is a reduced QR, and a trial costs O(M^2) instead of O(n M).
 `simulate` needs only whether each trial decodes wrong. From 256 codewords up
 it scores in float32 against one table per codebook, in column slabs [0, 256),
 [256, 1024), [1024, 4096), ..., every trial on the first slab and each later
@@ -33,9 +34,11 @@ thread, process-wide, and restored afterwards (a no-op where none is found).
 The stream tags below and the draws made from each stream are the
 reproducibility contract (v2: the Willie and divergence streams draw radii;
 v3: the Bob stream draws the message indices, then count x k span-coordinate
-normals; v4, still in force: every shell radius, in the codebook, Willie H1 and
-divergence streams, comes from the rejection sampler `truncgauss._sample_radii`);
-changing them changes every seeded result.
+normals; v4: every shell radius, in the codebook, Willie H1 and divergence
+streams, comes from the rejection sampler `truncgauss._sample_radii`; v5, in
+force: where n <= M Bob's normals are noise in the standard basis, not in a QR
+basis, which moves only the decode error rates); changing them changes every
+seeded result they feed.
 """
 
 from __future__ import annotations
@@ -157,9 +160,12 @@ class Codebook:
     @cached_property
     def _span(self) -> tuple[np.ndarray, np.ndarray]:
         """(C~, ||c~_j||^2): the rows' coordinates in an orthonormal basis Q of
-        their span, c_j = Q c~_j, as the M x k transpose of R in the reduced
-        QR C^T = Q R (k = min(n, M)), and their squared norms."""
-        coords = _read_only_copy(np.linalg.qr(self.codewords.T, mode="r").T)
+        their span, c_j = Q c~_j, and their squared norms. Where n <= M the
+        span is R^n, so Q = I and C~ is `codewords` itself; where n > M, C~ is
+        the M x M transpose of R in the reduced QR C^T = Q R."""
+        coords = self.codewords
+        if self.n > self.M:
+            coords = _read_only_copy(np.linalg.qr(coords.T, mode="r").T)
         return coords, _read_only_copy(np.sum(coords**2, axis=1))
 
     @cached_property
@@ -247,7 +253,7 @@ def _slab_edges(M: int) -> list[int]:
 def _decode_errors(
     points: np.ndarray, sent: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray, table=None
 ) -> np.ndarray:
-    """`_nearest(points, rows, rows_sq) != sent`, with each point scored only
+    """`_nearest_float64(points, rows, rows_sq) != sent`, with each point scored only
     until its error is certain, in float32 once there are at least
     _FLOAT32_MIN_ROWS rows. `table` is `_float32_table(rows, rows_sq)` when
     the caller keeps one (`Codebook._span_table`); otherwise it is built here.

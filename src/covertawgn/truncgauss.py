@@ -90,15 +90,17 @@ class TruncatedGaussianSpec:
 
     @cached_property
     def _output_model(self) -> RadialOutputDensity:
-        m = _RADIUS_LAW_NODES
+        m, misses = _RADIUS_LAW_NODES, []
         while True:
             r, w = _gauss_legendre_radius_law(self, m)
-            if abs(float(w.sum()) - 1.0) <= 1e-10:
+            miss = abs(float(w.sum()) - 1.0)
+            if miss <= 1e-10:
                 return RadialOutputDensity(spec=self, radii=r, weights=w)
+            misses.append(f"{miss:.3e} at {m} nodes")
             if m >= _RADIUS_LAW_MAX_NODES:
                 raise NumericError(
-                    f"radial_output_density: radius law not normalized with {m} nodes "
-                    f"(n={self.n}, psi={self.psi}, mu={self.mu})"
+                    "radial_output_density: radius law not normalized to 1e-10 for "
+                    f"{self}: |sum(w) - 1| = {', '.join(misses)}"
                 )
             m *= 2
 

@@ -90,6 +90,67 @@ def test_span_coordinates_reproduce_the_gram_matrix(n, M):
     assert cb._span is cb._span  # computed once per codebook
 
 
+@pytest.mark.parametrize("n,M", [(64, 64), (64, 256), (16, 300)])
+def test_span_is_the_codewords_where_they_span_r_n(n, M):
+    cb = sk.build_codebook(_spec(n=n, psi=0.2, mu=0.8), M, seed=M)
+    coords, coords_sq = cb._span
+    assert coords is cb.codewords
+    np.testing.assert_array_equal(coords_sq, np.sum(cb.codewords**2, axis=1))
+    assert not coords_sq.flags.writeable
+
+
+def _counting_qr(monkeypatch, fail):
+    calls, qr = [], np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        if fail:
+            raise AssertionError("np.linalg.qr called")
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,M", [(64, 64), (64, 256)])
+def test_simulate_runs_no_qr_where_n_is_at_most_m(monkeypatch, n, M):
+    _counting_qr(monkeypatch, fail=True)
+    res = sk.simulate(_spec(n=n, psi=0.2, mu=0.8), M, trials=2000, seed=1)
+    assert 0.0 < res.decode_error_rate < 1.0
+
+
+@pytest.mark.parametrize("n,M", [(64, 63), (512, 16)])
+def test_simulate_runs_one_qr_per_codebook_where_n_exceeds_m(monkeypatch, n, M):
+    calls = _counting_qr(monkeypatch, fail=False)
+    sk.simulate(_spec(n=n, psi=0.2, mu=0.8), M, trials=2 * sk._MC_BLOCK + 1, seed=1)
+    assert calls == [(n, M)]
+
+
+@pytest.mark.parametrize("n,M", [(16, 300), (64, 64)])  # float32 check, float64 kernel
+def test_decoder_is_rotation_invariant(n, M):
+    # the stream-contract-v5 step: deciding c_w + z against C (v5) and
+    # (c_w + z) Q against C Q (v4's span coordinates, C^T = Q R) is the same
+    # decoder, so the decisions agree wherever the float64 scores are clear
+    cb = sk.build_codebook(_spec(n=n, psi=0.3, mu=0.8), M, seed=n)
+    C = cb.codewords
+    Q = np.linalg.qr(C.T)[0]
+    rng = np.random.default_rng(M)
+    sent = rng.integers(0, M, 3000)
+    z = rng.standard_normal((3000, n))
+    y, CQ = C[sent] + z, C @ Q
+    got = sk._nearest_float64(y, C, np.sum(C**2, axis=1))
+    rotated = sk._nearest_float64(CQ[sent] + z @ Q, CQ, np.sum(CQ**2, axis=1))
+    scores = np.sort(y @ C.T - 0.5 * np.sum(C**2, axis=1), axis=1)
+    clear = scores[:, -1] - scores[:, -2] > 1e-9
+    assert clear.sum() >= 2990 and 0.05 < np.mean(got != sent) < 0.95
+    assert np.array_equal(got[clear], rotated[clear])
+    # simulate's error check on the v5 span says the same
+    table = cb._span_table if M >= sk._FLOAT32_MIN_ROWS else None
+    wrong = sk._decode_errors(y, sent, *cb._span, table)
+    assert np.array_equal(wrong, got != sent)
+    assert np.array_equal(wrong[clear], rotated[clear] != sent[clear])
+
+
 def test_codebook_avg_power_within_shell_band():
     spec = _spec(n=32, psi=0.25, mu=0.6)
     cb = sk.build_codebook(spec, 64, seed=5)
@@ -152,22 +213,25 @@ def test_decoder_reliable_at_generous_power():
 
 
 def test_bob_decode_pinned_seeded_values():
-    # stream contract v4: the codebook radii come from the rejection sampler
-    # (v3 gave 0.08483333333333333 and 0.4117647058823529; v1 and v2 gave
+    # stream contract v5: at n <= M Bob's noise coordinates are in the
+    # standard basis (v4 gave 0.07883333333333334 and 0.34615384615384615 in
+    # a QR basis, with the codebook radii from the rejection sampler; v3 gave
+    # 0.08483333333333333 and 0.4117647058823529; v1 and v2 gave
     # 0.08033333333333334 and 0.35714285714285715 from full n-vectors)
     spec = tg.TruncatedGaussianSpec(n=32, psi=1.0, mu=0.7)
     res = sk.simulate(spec, M=256, trials=6000, seed=11)
-    assert res.decode_error_rate == 0.07883333333333334
-    assert res.decode_error_worst_message == 0.34615384615384615
+    assert res.decode_error_rate == 0.07733333333333334
+    assert res.decode_error_worst_message == 0.3157894736842105
 
 
 def test_bob_decode_pinned_seeded_values_at_m_1024():
     # about a third of the trials decode wrong: the error check settles some
     # on the first columns alone and scores every other trial on all 1024
+    # (stream contract v5; v4 gave 0.3231201171875 and 0.9090909090909091)
     spec = tg.TruncatedGaussianSpec(n=64, psi=0.3, mu=0.8)
     res = sk.simulate(spec, M=1024, trials=16384, seed=5)
-    assert res.decode_error_rate == 0.3231201171875
-    assert res.decode_error_worst_message == 0.9090909090909091
+    assert res.decode_error_rate == 0.3223876953125
+    assert res.decode_error_worst_message == 0.7857142857142857
 
 
 def test_bob_decode_in_place_scores_match_reference():

@@ -225,6 +225,29 @@ def test_output_density_errors_name_the_spec_and_the_value():
         tg.output_divergences_quadrature(far_out)
 
 
+def test_radius_law_error_lists_the_miss_at_every_node_count(monkeypatch):
+    # weights summing to 1 + 1e-3 * (nodes / 256) never normalize; the error
+    # names the spec and the miss at each node count, so the failure can be
+    # rerun (uniform weights, since a real 4096-node law alone takes seconds)
+    def off(spec, nodes):
+        w = np.full(nodes, (1.0 + 1e-3 * nodes / 256) / nodes)
+        return np.linspace(spec.r_inner, spec.r_outer, nodes), w
+
+    monkeypatch.setattr(tg, "_gauss_legendre_radius_law", off)
+    spec = tg.TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8)
+    with pytest.raises(NumericError) as err:
+        tg.radial_output_density(spec)
+    assert str(err.value) == (
+        "radial_output_density: radius law not normalized to 1e-10 for "
+        "TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8): |sum(w) - 1| = "
+        "1.000e-03 at 256 nodes, 2.000e-03 at 512 nodes, 4.000e-03 at 1024 nodes, "
+        "8.000e-03 at 2048 nodes, 1.600e-02 at 4096 nodes"
+    )
+    monkeypatch.undo()
+    # a spec that normalizes builds its model as before
+    assert abs(tg.radial_output_density(spec).weights.sum() - 1.0) <= 1e-10
+
+
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
