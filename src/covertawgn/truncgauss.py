@@ -90,19 +90,7 @@ class TruncatedGaussianSpec:
 
     @cached_property
     def _output_model(self) -> RadialOutputDensity:
-        m, misses = _RADIUS_LAW_NODES, []
-        while True:
-            r, w = _gauss_legendre_radius_law(self, m)
-            miss = abs(float(w.sum()) - 1.0)
-            if miss <= 1e-10:
-                return RadialOutputDensity(spec=self, radii=r, weights=w)
-            misses.append(f"{miss:.3e} at {m} nodes")
-            if m >= _RADIUS_LAW_MAX_NODES:
-                raise NumericError(
-                    "radial_output_density: radius law not normalized to 1e-10 for "
-                    f"{self}: |sum(w) - 1| = {', '.join(misses)}"
-                )
-            m *= 2
+        return RadialOutputDensity(self, *_gauss_legendre_radius_law(self, _RADIUS_LAW_NODES))
 
 
 def _read_only_copy(a) -> np.ndarray:
@@ -125,7 +113,7 @@ def _radius_proposal(spec: TruncatedGaussianSpec) -> tuple[bool, float, float]:
     a = 0.5 * spec.n
     lo, hi = a * spec.mu, a / spec.mu
     t_star = min(max(a - 1.0, lo), hi)
-    log_box = math.log(hi - lo) + (a - 1.0) * math.log(t_star) - t_star - math.lgamma(a)
+    log_box = math.log(hi - lo) + float(specfn._log_gamma_pdf(a, t_star))
     if log_box < 0.0:
         return True, spec.delta_mass * math.exp(-log_box), t_star
     return False, spec.delta_mass, t_star
@@ -186,9 +174,8 @@ def sample_codewords(
 
 # --- radial output density -------------------------------------------------
 
-# Gauss-Legendre nodes of the radius law: first try, and cap of the doubling
+# Gauss-Legendre nodes of the radius law
 _RADIUS_LAW_NODES = 256
-_RADIUS_LAW_MAX_NODES = 4096
 # points of the ratio table's radial grid
 _RATIO_TABLE_POINTS = 4096
 # output radii per kernel call; bounds log_density_ratio's (nodes, block) temporaries
@@ -222,7 +209,8 @@ class RadialOutputDensity:
         err = abs(float(self.weights.sum()) - 1.0)
         if err > 1e-10:
             raise NumericError(
-                f"RadialOutputDensity: radius-law weights sum off by {err:.2e} for {self.spec}"
+                f"RadialOutputDensity: radius-law weights sum off by {err:.2e} for "
+                f"{self.spec} over {self.weights.size} nodes"
             )
 
     @cached_property
@@ -347,25 +335,15 @@ def _gauss_legendre_radius_law(
     r_lo, r_hi = spec.r_inner, spec.r_outer
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     jac = 0.5 * (r_hi - r_lo) * w
-    a = 0.5 * spec.n
     scale = 2.0 * spec.variance
-    t = r * r
-    # radius density: f_R(r) = 2 r t^{a-1} e^{-t/scale} / (scale^a Gamma(a) Delta)
-    log_pdf = (
-        math.log(2.0)
-        + np.log(r)
-        + (a - 1.0) * np.log(t)
-        - t / scale
-        - a * math.log(scale)
-        - math.lgamma(a)
-        - math.log(spec.delta_mass)
-    )
-    return r, jac * np.exp(log_pdf)
+    # radius density: f_R(r) = (2 r / scale) g(r^2 / scale) / Delta, g the Gamma(n/2) pdf
+    log_pdf = np.log(2.0 * r / scale) + specfn._log_gamma_pdf(0.5 * spec.n, r * r / scale)
+    return r, jac * np.exp(log_pdf - math.log(spec.delta_mass))
 
 
 def radial_output_density(spec: TruncatedGaussianSpec) -> RadialOutputDensity:
-    """The discretized radius law of spec, built once per spec object, doubling
-    nodes from 256 up to 4096 until weights sum to 1 within 1e-10."""
+    """The discretized radius law of spec on 256 Gauss-Legendre nodes, built once
+    per spec object; NumericError if its weights miss 1 by more than 1e-10."""
     return spec._output_model
 
 
@@ -377,14 +355,10 @@ def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceRepor
     Raises NumericError if either radial density fails to integrate to 1
     within 1e-6.
     """
-    n = model.spec.n
     s, log_ratio = model.ratio_table
     ratio = np.exp(log_ratio)
-    a = 0.5 * n
-    log_f0_rad = (
-        math.log(2.0) + (n - 1.0) * np.log(s) - 0.5 * s * s - a * math.log(2.0) - math.lgamma(a)
-    )
-    f0 = np.exp(log_f0_rad)
+    # chi density of ||y|| under pure noise: s g(s^2 / 2), g the Gamma(n/2) pdf
+    f0 = s * np.exp(specfn._log_gamma_pdf(0.5 * model.spec.n, 0.5 * s * s))
     fbar = f0 * ratio
     norm0 = float(np.trapezoid(f0, s))
     norm1 = float(np.trapezoid(fbar, s))

@@ -126,6 +126,37 @@ def test_reg_inc_gamma_lower_vs_reference_relative_offset(log_a, sigma):
     _check_against_reference(a, a * (1.0 + sigma))
 
 
+def _check_log_gamma_pdf(a, u):
+    with mp.workdps(40):
+        am, um = mp.mpf(a), mp.mpf(u)
+        ref = float((am - 1) * mp.log(um) - um - mp.loggamma(am))
+    got = specfn._log_gamma_pdf(a, u)
+    assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), (a, u, got, ref)
+
+
+@given(log_a=log_a, log_q=st.floats(min_value=math.log(1e-6), max_value=math.log(10.0)))
+def test_log_gamma_pdf_vs_mpmath_from_1e_6_to_10_means(log_a, log_q):
+    a = math.exp(log_a)
+    _check_log_gamma_pdf(a, a * math.exp(log_q))
+
+
+@given(log_a=log_a, z=st.floats(min_value=-12.0, max_value=12.0))
+def test_log_gamma_pdf_vs_mpmath_within_12_sd_of_the_mean(log_a, z):
+    a = math.exp(log_a)
+    _check_log_gamma_pdf(a, max(a + z * math.sqrt(a), 1e-6 * a))
+
+
+def test_log_gamma_pdf_on_both_sides_of_the_stirling_switch():
+    # lgamma below a = 60, Stirling's series from 60 up; arrays go elementwise
+    for a in (59.0, math.nextafter(60.0, 0.0), 60.0, 61.0):
+        u = np.maximum(a + math.sqrt(a) * np.array([-12.0, -1.0, 0.0, 1.0, 12.0]), 1e-6 * a)
+        got = specfn._log_gamma_pdf(a, u)
+        assert got.shape == u.shape
+        for ui, gi in zip(u, got):
+            _check_log_gamma_pdf(a, float(ui))
+            assert gi == specfn._log_gamma_pdf(a, float(ui))
+
+
 def _temme_coefficients(rows, cols):
     """d[k][n], n < cols - 2k, of Temme's c_k(eta) = sum_n d[k][n] eta^n
     (DLMF 8.12), in exact rational arithmetic."""

@@ -225,27 +225,70 @@ def test_output_density_errors_name_the_spec_and_the_value():
         tg.output_divergences_quadrature(far_out)
 
 
-def test_radius_law_error_lists_the_miss_at_every_node_count(monkeypatch):
-    # weights summing to 1 + 1e-3 * (nodes / 256) never normalize; the error
-    # names the spec and the miss at each node count, so the failure can be
-    # rerun (uniform weights, since a real 4096-node law alone takes seconds)
-    def off(spec, nodes):
-        w = np.full(nodes, (1.0 + 1e-3 * nodes / 256) / nodes)
-        return np.linspace(spec.r_inner, spec.r_outer, nodes), w
-
-    monkeypatch.setattr(tg, "_gauss_legendre_radius_law", off)
+def test_radius_law_miss_raises_after_one_build(monkeypatch):
+    # 4 nodes cannot integrate the radius law to 1e-10: the one build raises,
+    # and the error names the spec, the node count and the miss, so it can be rerun
     spec = tg.TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8)
+    miss = abs(tg._gauss_legendre_radius_law(spec, 4)[1].sum() - 1.0)
+    assert miss > 1e-10
+    builds = []
+    original = tg._gauss_legendre_radius_law
+
+    def counting(spec, nodes):
+        builds.append(nodes)
+        return original(spec, nodes)
+
+    monkeypatch.setattr(tg, "_gauss_legendre_radius_law", counting)
+    monkeypatch.setattr(tg, "_RADIUS_LAW_NODES", 4)
     with pytest.raises(NumericError) as err:
         tg.radial_output_density(spec)
+    assert builds == [4]
     assert str(err.value) == (
-        "radial_output_density: radius law not normalized to 1e-10 for "
-        "TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8): |sum(w) - 1| = "
-        "1.000e-03 at 256 nodes, 2.000e-03 at 512 nodes, 4.000e-03 at 1024 nodes, "
-        "8.000e-03 at 2048 nodes, 1.600e-02 at 4096 nodes"
+        f"RadialOutputDensity: radius-law weights sum off by {miss:.2e} for "
+        "TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8) over 4 nodes"
     )
-    monkeypatch.undo()
-    # a spec that normalizes builds its model as before
-    assert abs(tg.radial_output_density(spec).weights.sum() - 1.0) <= 1e-10
+
+
+def _planner_default_spec(n, delta):
+    params = pl.CovertParams.defaults(n=n, delta=delta)
+    return tg.TruncatedGaussianSpec(n, pl.plan(params).psi_suf, params.mu)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tg.TruncatedGaussianSpec(148972, 0.05, 0.99),
+    lambda: tg.TruncatedGaussianSpec(1035712, 0.05, 0.99),
+    lambda: _planner_default_spec(1_000_000, 0.05),
+], ids=["n148972", "n1035712", "planner_n1e6"])
+def test_output_model_is_one_256_node_build_at_large_n(make, monkeypatch):
+    # the direct log-density (a - 1) ln t - t - lgamma(a) rounds at ulp(a ln t),
+    # which puts these weight sums 1e-10 off at any node count
+    spec = make()
+    rules = []
+    original = np.polynomial.legendre.leggauss
+
+    def counting(deg):
+        rules.append(deg)
+        return original(deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    model = tg.radial_output_density(spec)
+    assert rules == [256]
+    assert abs(model.weights.sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n,psi,mu", [(1024, 0.03, 0.8), (4096, 0.02, 0.9), (1200, 0.05, 0.7)])
+def test_quadrature_kl_of_thick_shell_equals_isotropic_kl_at_mean_power(n, psi, mu):
+    # D(P_Y || N0) = kl_isotropic(1 + Pbar) + D(P_Y || N(0, (1 + Pbar) I)), and
+    # the last term is ~0 on a thick shell; Pbar = E||X||^2 / n in closed form
+    from covertawgn import divergences as dv
+
+    spec = tg.TruncatedGaussianSpec(n, psi, mu)
+    a = 0.5 * n
+    p = tg.specfn.reg_inc_gamma_lower
+    pbar = mu * psi * (p(a + 1.0, a / mu) - p(a + 1.0, a * mu)) / spec.delta_mass
+    want = dv.kl_isotropic(dv.IsotropicGaussianPair(n, 1.0 + pbar))
+    got = tg.output_divergences_quadrature(tg.radial_output_density(spec)).kl_bits
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -444,11 +487,10 @@ def test_quadrature_reaches_sqrt_law_plateau_at_n_16384():
 
 
 def test_planner_default_spec_builds_output_model_at_n_16384():
-    # mu = 1 - 1/(n+1) makes Delta a difference of two P values near 1/2, so a
-    # 1e-12 error in P puts Delta ~5e-10 off and the radius-law weights miss
-    # their 1e-10 normalization (NumericError after 4096 nodes)
+    # mu = 1 - 1/(n+1) makes Delta a difference of two P values near 1/2, so
+    # P's rounding over Delta is what moves the 256 radius-law weights off 1
     params = pl.CovertParams.defaults(n=16384, delta=0.05)
-    spec = tg.TruncatedGaussianSpec(16384, pl.plan(params).psi_suf, params.mu)
+    spec = _planner_default_spec(16384, 0.05)
     rep = tg.output_divergences_quadrature(tg.radial_output_density(spec))
     assert 0.9 * params.delta <= rep.kl_bits <= params.delta
 
