@@ -15,12 +15,12 @@ orthonormal basis Q of the span and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k)
 is decided exactly as y = c_w + z would be. Where n <= M, Q = I; where n > M,
 C^T = Q R is a reduced QR, and a trial costs O(M^2) instead of O(n M).
 `simulate` needs only whether each trial decodes wrong. From 256 codewords up
-it scores in float32 against one table per codebook, in column slabs [0, 256),
-[256, 1024), [1024, 4096), ..., every trial on the first slab and each later
-slab only with the trials for which no earlier codeword certainly outscores the
-sent one, by an a-priori error bound; a trial the bound cannot settle is
-rescored in float64. So the error flags are exactly those of the float64
-decisions (see `_decode_errors`).
+it scores in float32 against one table per codebook: first each trial's score
+on its sent codeword, then column slabs [0, 256), [256, 1024), [1024, 4096),
+..., every trial on the first slab and each later slab only with the trials
+for which no earlier codeword certainly outscores the sent one, by an a-priori
+error bound; a trial the bound cannot settle is rescored in float64. So the
+error flags are exactly those of the float64 decisions (see `_decode_errors`).
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
@@ -104,6 +104,8 @@ class StreamTag(IntEnum):
 
 
 def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, int(tag), block]))
 
 
@@ -129,7 +131,7 @@ class Codebook:
     """M codewords of blocklength n, all inside the power shell of `spec`.
 
     `codewords` is a read-only copy of the rows passed in, so the cached span
-    coordinates and their float32 table cannot go stale.
+    coordinates cannot go stale.
     """
 
     spec: TruncatedGaussianSpec
@@ -168,12 +170,6 @@ class Codebook:
             coords = _read_only_copy(np.linalg.qr(coords.T, mode="r").T)
         return coords, _read_only_copy(np.sum(coords**2, axis=1))
 
-    @cached_property
-    def _span_table(self):
-        """`_float32_table` of the span coordinates, built once for every
-        block `simulate` decodes."""
-        return _float32_table(*self._span)
-
 
 def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
     """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
@@ -203,11 +199,11 @@ def _nearest_float64(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) 
 
 
 def _float32_table(rows: np.ndarray, rows_sq: np.ndarray):
-    """(table, bound): the float32 columns [c_j; -||c_j||^2/2], shape
-    (k + 1, M), so that with a point as [y, 1] each score
-    <y, c_j> - ||c_j||^2/2 is one float32 product of length k + 1; and
-    bound(points), per point the float64 bound on how far any such score,
-    summed in any order, lies from the float64 kernel's score.
+    """(table, bound): the float32 rows [c_j, -||c_j||^2/2], shape (M, k + 1),
+    so that with a point as [y, 1] each score <y, c_j> - ||c_j||^2/2 is one
+    float32 product of length k + 1; and bound(points), per point the float64
+    bound on how far any such score, summed in any order, lies from the
+    float64 kernel's score.
 
     By Higham's dot-product bound (Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 3), for any summation order, with u = 2^-24 and
@@ -226,9 +222,9 @@ def _float32_table(rows: np.ndarray, rows_sq: np.ndarray):
     rel = 3.0 * u + (m / (1.0 - m) if m < 0.5 else math.inf) * (1.0 + u) ** 2
     absolute = 4.0 * (k + 2) * 2.0**-126
     c_max = math.sqrt(float(rows_sq.max()))
-    table = np.empty((k + 1, M), dtype=np.float32)
-    table[:k] = rows.T
-    table[k] = -0.5 * rows_sq
+    table = np.empty((M, k + 1), dtype=np.float32)
+    table[:, :k] = rows
+    table[:, k] = -0.5 * rows_sq
     table.flags.writeable = False
 
     def bound(points: np.ndarray) -> np.ndarray:
@@ -256,7 +252,7 @@ def _decode_errors(
     """`_nearest_float64(points, rows, rows_sq) != sent`, with each point scored only
     until its error is certain, in float32 once there are at least
     _FLOAT32_MIN_ROWS rows. `table` is `_float32_table(rows, rows_sq)` when
-    the caller keeps one (`Codebook._span_table`); otherwise it is built here.
+    the caller keeps one (`simulate` does); otherwise it is built here.
 
     The float64 kernel errs on a point sent as w exactly when some j != w
     outscores w, or ties with it from a lower index. Let B be the point's
@@ -267,23 +263,16 @@ def _decode_errors(
         point is certainly wrong;
       - s_w - max_{j != w} s_j > 2B makes w the strict float64 maximum: the
         point is certainly right.
-    B holds for a float32 product of length k + 1 summed in any order, so s_w
-    may be read off the scores once w's slab is scored, or computed by a
-    product of its own before that.
+    B holds for a float32 product of length k + 1 summed in any order, so
+    each point's s_w is computed up front by a product of its own.
 
     The points are taken about _CHUNK_ELEMENTS / (k + 1) at a time (at least
     _DECODE_CHUNK) and scored on the column slabs of `_slab_edges` in turn.
-    After each slab but the last, the points with a known s_w that is
-    certainly beaten are done. After the first slab only the points sent on
-    it have s_w, read off their scores. If the share of them certainly
-    wrong, times the columns left, reaches the first slab's width, the other
-    points get an s_w of their own and are checked too. If not, that product
-    would cost more than it saves, and the later chunks score the first two
-    slabs at once. One flat buffer holds each pass: a chunk on the first
-    slab, or _DECODE_CHUNK points on the widest slab or on the first two. A
-    gap counts only when finite, since B assumes no overflow. Every point
-    left undecided after the last slab (a tie, a near-tie, a NaN or an
-    overflow) is rescored in float64.
+    After each slab but the last, the points certainly wrong are done. One
+    flat buffer holds each pass: a chunk on the first slab, or _DECODE_CHUNK
+    points on the widest slab. A gap counts only when finite, since B
+    assumes no overflow. Every point left undecided after the last slab (a
+    tie, a near-tie, a NaN or an overflow) is rescored in float64.
     """
     M, k = rows.shape
     if M < _FLOAT32_MIN_ROWS:
@@ -291,14 +280,11 @@ def _decode_errors(
     count = points.shape[0]
     edges = _slab_edges(M)
     step = min(count, max(_DECODE_CHUNK, _CHUNK_ELEMENTS // (k + 1)))
-    # a pass: a chunk on the first slab, or _DECODE_CHUNK points on a later
-    # slab or on the first two at once
-    widest = max([edges[min(2, len(edges) - 1)], *np.diff(edges)])
+    widest = max(np.diff(edges))
     buffer = np.empty(max(step * edges[1], min(count, _DECODE_CHUNK) * widest), dtype=np.float32)
     augmented = np.ones((step, k + 1), dtype=np.float32)
     wrong = np.zeros(count, dtype=bool)
     settled = np.zeros(count, dtype=bool)
-    stages = edges[1:]
     # an overflow or NaN below leaves a non-finite gap, which settles nothing;
     # an underflow is in the bound's absolute term
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -309,12 +295,11 @@ def _decode_errors(
             augmented[:c, :k] = chunk
             w = sent[i : i + c]
             margin = 2.0 * bound(chunk)
-            own = np.zeros(c)  # s_w, where known
-            known = np.zeros(c, dtype=bool)
+            # s_w, widened so that each gap below is taken in float64
+            own = np.einsum("ij,ij->i", augmented[:c], table[w]).astype(float)
             best = np.full(c, -np.inf, dtype=np.float32)  # max over j != w so far
             live = np.arange(c)  # the points augmented[: live.size] holds
-            lo = 0
-            for hi in stages:
+            for lo, hi in zip(edges, edges[1:]):
                 width = hi - lo
                 per = min(step, buffer.size // width)
                 for a in range(0, live.size, per):
@@ -325,34 +310,15 @@ def _decode_errors(
                         scores = scores.reshape(at.size, width)
                     else:
                         scores = scores.reshape(width, at.size).T
-                    np.matmul(augmented[a : a + at.size], table[:, lo:hi], out=scores)
+                    np.matmul(augmented[a : a + at.size], table[lo:hi].T, out=scores)
                     j = w[at] - lo
                     hit = np.flatnonzero((j >= 0) & (j < width))
-                    own[at[hit]] = scores[hit, j[hit]]
-                    known[at[hit]] = True
                     scores[hit, j[hit]] = -np.inf
                     best[at] = np.maximum(best[at], scores.max(axis=1))
-                lo = hi
-                if lo == M:
+                if hi == M:
                     break
-                if lo == edges[1]:
-                    # the points sent on the first slab: are enough of them
-                    # settled to pay for an s_w of their own for the rest?
-                    gap = best - own
-                    lost = known & (gap > margin) & (gap < math.inf)
-                    if lost.sum() * (M - lo) >= lo * known.sum():
-                        for a in range(0, c, _DECODE_CHUNK):
-                            # rows[w] rounds to float32 exactly as the table's columns do
-                            at = slice(a, min(a + _DECODE_CHUNK, c))
-                            s_w = np.einsum(
-                                "ij,ij->i", augmented[at, :k], rows[w[at]].astype(np.float32)
-                            )
-                            own[at] = s_w + table[k, w[at]]
-                        known[:] = True
-                    else:
-                        stages = edges[2:]  # for the later chunks
                 gap = best[live] - own[live]
-                lost = known[live] & (gap > margin[live]) & (gap < math.inf)
+                lost = (gap > margin[live]) & (gap < math.inf)
                 if lost.any():
                     keep = ~lost
                     augmented[: keep.sum()] = augmented[: live.size][keep]
@@ -646,7 +612,7 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
             detector = helper.submit(detector_side)
             draw = helper.submit(bob_draw, 0, counts[0])
             coords, coords_sq = cb._span
-            table = cb._span_table if M >= _FLOAT32_MIN_ROWS else None
+            table = _float32_table(coords, coords_sq) if M >= _FLOAT32_MIN_ROWS else None
             sent, wrong = np.zeros((2, M), dtype=np.int64)
             for b, count in enumerate(counts):
                 # a draw the helper has not started yet is made here instead

@@ -216,6 +216,12 @@ def test_exit_code_2_on_bad_inputs():
     assert run_cli("sweep", "--tau", "0.5", "--format", "xml").returncode == 2
 
 
+def test_negative_seed_exits_2_naming_it(capsys):
+    assert cli.main(["simulate", "--n", "16", "--delta", "0.05", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+
+
 def test_exit_code_2_on_malformed_grid():
     assert run_cli("bounds", "--n", "abc", "--delta", "0.01").returncode == 2
     assert run_cli("bounds", "--n", "1e5..1e3", "--delta", "0.01").returncode == 2

@@ -49,6 +49,17 @@ def test_build_codebook_validation():
         sk.build_codebook(_spec(), 1, seed=0)
 
 
+def test_negative_seed_is_a_domain_error_naming_it():
+    # numpy's SeedSequence would refuse it with a bare ValueError
+    for call in (
+        lambda: sk.build_codebook(_spec(), 4, -1),
+        lambda: sk.empirical_divergences(_spec(), 100, -1),
+        lambda: sk.simulate(_spec(), M=4, trials=100, seed=-1),
+    ):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            call()
+
+
 def test_codebook_rejects_rows_off_shell():
     spec = _spec()
     rows = sk.build_codebook(spec, 4, seed=0).codewords
@@ -145,8 +156,7 @@ def test_decoder_is_rotation_invariant(n, M):
     assert clear.sum() >= 2990 and 0.05 < np.mean(got != sent) < 0.95
     assert np.array_equal(got[clear], rotated[clear])
     # simulate's error check on the v5 span says the same
-    table = cb._span_table if M >= sk._FLOAT32_MIN_ROWS else None
-    wrong = sk._decode_errors(y, sent, *cb._span, table)
+    wrong = sk._decode_errors(y, sent, *cb._span)
     assert np.array_equal(wrong, got != sent)
     assert np.array_equal(wrong[clear], rotated[clear] != sent[clear])
 
@@ -361,6 +371,34 @@ def test_decode_errors_rescore_near_ties_only(monkeypatch):
     assert got[:6].tolist() == [False] * 4 + [True, False]
     assert got[6:].tolist() == [False, True] * 75 + [True, False] * 75
     assert rescored == [300]  # every clear point is settled in float32, right or wrong
+
+
+def test_decode_errors_settle_later_slab_senders_on_the_first_slab(monkeypatch):
+    # every point's s_w is known before any slab, so 20 points sent on rows
+    # >= 1024 but lying on first-slab rows are settled wrong on the first
+    # slab and never meet the table's NaN rows from 256 on; the 300 points
+    # that decode right do meet them, and only they are rescored in float64
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((1300, 8))
+    rows_sq = np.sum(rows**2, axis=1)
+    right, far = rng.integers(0, 256, 300), rng.choice(np.arange(1024, 1300), 20, replace=False)
+    points = rows[np.concatenate([right, rng.integers(0, 256, 20)])]
+    sent = np.concatenate([right, far])
+    table, bound = sk._float32_table(rows, rows_sq)
+    poisoned = np.full_like(table, np.nan)
+    poisoned[:256], poisoned[far] = table[:256], table[far]
+    rescored, float64_kernel = [], sk._nearest_float64
+
+    def counting(p, r, r_sq):
+        rescored.append(p.shape[0])
+        return float64_kernel(p, r, r_sq)
+
+    monkeypatch.setattr(sk, "_nearest_float64", counting)
+    got = sk._decode_errors(points, sent, rows, rows_sq, (poisoned, bound))
+    monkeypatch.undo()
+    assert np.array_equal(got, sk._nearest_float64(points, rows, rows_sq) != sent)
+    assert got.tolist() == [False] * 300 + [True] * 20
+    assert rescored == [300]
 
 
 # the near and the far row in the first, second and third slab
@@ -836,8 +874,8 @@ def test_concurrent_simulate_calls_hold_and_restore_the_blas_thread_count(monkey
 
 
 def test_simulate_builds_the_float32_table_once(monkeypatch):
-    # one table per codebook, read-only like its span coordinates, for all
-    # of simulate's blocks
+    # one table per simulate call, read-only like the span coordinates, for
+    # all of its blocks
     built, original = [], sk._float32_table
 
     def counting(rows, rows_sq):
@@ -848,9 +886,8 @@ def test_simulate_builds_the_float32_table_once(monkeypatch):
     sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=3 * sk._MC_BLOCK, seed=3)
     assert built == [(300, 16)]
     cb = sk.build_codebook(_spec(n=16, psi=0.8, mu=0.7), 300, seed=3)
-    table, _ = cb._span_table
-    assert cb._span_table is cb._span_table and len(built) == 2
-    assert table.shape == (17, 300) and table.dtype == np.float32
+    table, _ = sk._float32_table(*cb._span)
+    assert table.shape == (300, 17) and table.dtype == np.float32
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
 
