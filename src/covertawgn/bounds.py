@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,19 +51,6 @@ __all__ = [
     "default_n_grid",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = (
-    "n",
-    "delta",
-    "epsilon",
-    "achievability_bits",
-    "converse_bits",
-    "first_order",
-    "second_order_conv",
-    "second_order_achiev",
-    "v1",
-    "v2",
-)
 
 _CAVEAT = (
     "second-order normal approximation: O(1) remainders beyond the stated "
@@ -135,7 +122,8 @@ def simplified_asymptotics(params: CovertParams) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ThroughputBounds:
-    """One row of the bounds table; column order matches CSV_COLUMNS."""
+    """One row of the bounds table: its fields, in order, are the CSV columns
+    (CSV_COLUMNS)."""
 
     n: int
     delta: float
@@ -152,9 +140,10 @@ class ThroughputBounds:
         return [getattr(self, c) for c in CSV_COLUMNS]
 
     def to_dict(self) -> dict:
-        out = {c: getattr(self, c) for c in CSV_COLUMNS}
-        out["caveat"] = _CAVEAT
-        return out
+        return {**asdict(self), "caveat": _CAVEAT}
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ThroughputBounds))
 
 
 def throughput_bounds(params: CovertParams) -> ThroughputBounds:

@@ -12,7 +12,7 @@ All divergences are reported in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import specfn
 from .errors import DomainError
@@ -112,13 +112,7 @@ class DivergenceReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "kl_bits": self.kl_bits,
-            "tvd": self.tvd,
-            "hellinger_sq": self.hellinger_sq,
-            "chi_sq": self.chi_sq,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def _kl_excess_bits(n: int, x: float) -> float:

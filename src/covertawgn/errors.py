@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 2, DomainError -> 2,
 NumericError -> 3, verification gate failures -> 4.
 """
 
+__all__ = ["CovertError", "DomainError", "NumericError", "InputError", "ConfigError"]
+
 
 class CovertError(Exception):
     """Base class for all errors raised by this package."""

@@ -16,7 +16,7 @@ All deltas are in bits throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import specfn
 from .divergences import _kl_excess_bits
@@ -160,19 +160,9 @@ class PowerPlan:
     flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "delta": self.params.delta,
-            "epsilon": self.params.epsilon,
-            "mu": self.params.mu,
-            "nu_sq": self.params.nu_sq,
-            "eta": self.params.eta,
-            "psi_suf": self.psi_suf,
-            "psi_nec": self.psi_nec,
-            "psi_exact": self.psi_exact,
-            "bracket_valid_below": self.bracket_valid_below,
-            "flags": list(self.flags),
-        }
+        own = asdict(self)
+        del own["params"]
+        return {**asdict(self.params), **own, "flags": list(self.flags)}
 
 
 def plan(params: CovertParams) -> PowerPlan:

@@ -47,7 +47,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 from functools import cache, cached_property
 
@@ -425,7 +425,7 @@ class Estimate:
     std_err: float
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "std_err": self.std_err}
+        return asdict(self)
 
 
 def empirical_divergences(
@@ -552,16 +552,7 @@ class SimulationResult:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "decode_error_rate": self.decode_error_rate,
-            "decode_error_worst_message": self.decode_error_worst_message,
-            "decode_trials": self.decode_trials,
-            "detection": self.detection.to_dict(),
-            "empirical_kl_bits": self.empirical_kl_bits.to_dict(),
-            "empirical_tvd": self.empirical_tvd.to_dict(),
-            "config": self.config,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "detection": self.detection.to_dict()}
 
 
 def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> SimulationResult:
@@ -581,9 +572,6 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
     t0 = time.perf_counter()
     counts = _map_blocks(lambda b, count: count, trials)
-    # two noise buffers: block b + 1's draw, queued as block b's decode
-    # starts, writes the one block b - 1 was decoded in
-    noise = np.empty((2, counts[0], min(spec.n, M)))
 
     def bob_draw(b: int, count: int):
         rng = _rng(seed, StreamTag.BOB_NOISE, b)
@@ -603,6 +591,10 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
 
     with _one_blas_thread:
         cb = build_codebook(spec, M, seed)
+        # two noise buffers: block b + 1's draw, queued as block b's decode
+        # starts, writes the one block b - 1 was decoded in; sized after
+        # build_codebook has checked M
+        noise = np.empty((2, counts[0], min(spec.n, M)))
         # The helper thread runs the detector side, then Bob's noise draws one
         # block ahead of his decode. Once it starts, Bob's side calls only
         # private kernels, on either thread, so calls into the public

@@ -332,9 +332,12 @@ def _gauss_legendre_radius_law(
     spec: TruncatedGaussianSpec, nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(nodes)
-    r_lo, r_hi = spec.r_inner, spec.r_outer
-    r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
-    jac = 0.5 * (r_hi - r_lo) * w
+    # the band [mu r_outer, r_outer] has half-width r_outer (1 - mu) / 2, with
+    # 1 - mu exact for mu >= 1/2; r_outer - r_inner cancels as mu nears 1
+    r_outer = spec.r_outer
+    half = 0.5 * r_outer * (1.0 - spec.mu)
+    r = half * x + (r_outer - half)
+    jac = half * w
     scale = 2.0 * spec.variance
     # radius density: f_R(r) = (2 r / scale) g(r^2 / scale) / Delta, g the Gamma(n/2) pdf
     log_pdf = np.log(2.0 * r / scale) + specfn._log_gamma_pdf(0.5 * spec.n, r * r / scale)

@@ -4,11 +4,12 @@ Two sub-gates fail for real mathematical reasons at the stated parameters and
 are left red on purpose rather than loosened:
 
 * criterion 1 at mu = 0.85 - the shell complement at n=400 is 2.19e-2, above
-  the 0.005 target (it drops below the target only for mu <= 0.80 at n=400,
-  or from n ~ 640 upward at mu = 0.85);
+  the 0.005 target (it is below the target only for mu <= 0.81 at n=400:
+  3.08e-3 at 0.81, 5.26e-3 at 0.82; at mu = 0.85 it is from n = 602 upward:
+  4.97e-3, against 5.01e-3 at n = 601);
 * criterion 9's 2%-of-first-order target at n = 1e8 - the dispersion and
-  log n terms still eat 5.2% / 3.0% there; the ratios reach the 2% band only
-  near n ~ 3e10.
+  log n terms still eat 5.2% / 3.0% there; ach/first enters the 2% band
+  near n ~ 7e9 (0.97991) and conv/first near n ~ 3e9 (0.98034).
 """
 
 import math

@@ -2,6 +2,10 @@ import re
 from pathlib import Path
 
 import covertawgn
+from covertawgn import bounds, divergences, errors, planner, simkit, truncgauss
+
+# the modules whose __all__ the package re-exports, in order
+MODULES = (bounds, divergences, errors, planner, simkit, truncgauss)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +32,12 @@ def test_readme_api_index_matches_all():
     assert not undocumented, f"exported but not in the README API index: {undocumented}"
     stale = sorted(set(listed) - set(covertawgn.__all__))
     assert not stale, f"in the README API index but not exported: {stale}"
+
+
+def test_each_exported_name_has_one_source():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(covertawgn, name) is getattr(module, name), (module.__name__, name)
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names)), "a name is in two modules' __all__"
+    assert covertawgn.__all__ == names

@@ -216,6 +216,12 @@ def test_exit_code_2_on_bad_inputs():
     assert run_cli("sweep", "--tau", "0.5", "--format", "xml").returncode == 2
 
 
+def test_negative_M_exits_2_naming_it():
+    proc = run_cli("simulate", "--n", "16", "--delta", "0.05", "--M", "-5")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: build_codebook: need M >= 2, got -5\n"
+
+
 def test_negative_seed_exits_2_naming_it(capsys):
     assert cli.main(["simulate", "--n", "16", "--delta", "0.05", "--seed", "-1"]) == 2
     err = capsys.readouterr().err

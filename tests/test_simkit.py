@@ -49,6 +49,13 @@ def test_build_codebook_validation():
         sk.build_codebook(_spec(), 1, seed=0)
 
 
+def test_simulate_checks_M_before_sizing_bob_noise():
+    # the noise ring is min(n, M) wide; a negative M used to reach np.empty
+    for M in (-5, 1):
+        with pytest.raises(DomainError, match=f"build_codebook: need M >= 2, got {M}"):
+            sk.simulate(_spec(), M=M, trials=100, seed=0)
+
+
 def test_negative_seed_is_a_domain_error_naming_it():
     # numpy's SeedSequence would refuse it with a bare ValueError
     for call in (
@@ -896,9 +903,11 @@ def test_simulate_pinned_seeded_values():
     # stream contract v5 (n > M here, so as in v4): these exact values change
     # only with a documented bump. The KL alone moved from 1.3441503309140383,
     # with every draw unchanged, when the radius law's Gamma density was
-    # rewritten about its mean. v4 moved every field drawn from shell radii
-    # (v3: decode 0.03275, alpha 0.28025, KL 1.34517, TVD 0.48366); v3 moved
-    # only the two decode fields (v2: 0.03375, 0.04263959390862944)
+    # rewritten about its mean, and from 1.3441503309140364 when its band
+    # half-width became r_outer (1 - mu) / 2. v4 moved every field drawn from
+    # shell radii (v3: decode 0.03275, alpha 0.28025, KL 1.34517, TVD
+    # 0.48366); v3 moved only the two decode fields (v2: 0.03375,
+    # 0.04263959390862944)
     spec = _spec(n=16, psi=0.8, mu=0.7)
     d = sk.simulate(spec, M=4, trials=4000, seed=42).to_dict()
     d.pop("wall_time")
@@ -915,7 +924,7 @@ def test_simulate_pinned_seeded_values():
             "trials_h1": 4000,
             "std_err": 0.009607756469384516,
         },
-        "empirical_kl_bits": {"value": 1.3441503309140364, "std_err": 0.03439039329506543},
+        "empirical_kl_bits": {"value": 1.3441503309140368, "std_err": 0.03439039329506543},
         "empirical_tvd": {"value": 0.48519240828326776, "std_err": 0.004018361306975193},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,

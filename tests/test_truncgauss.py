@@ -486,6 +486,15 @@ def test_quadrature_reaches_sqrt_law_plateau_at_n_16384():
     assert rep.kl_bits == pytest.approx(0.25 * mu * mu / LN2, rel=0.02)
 
 
+def test_planner_default_spec_builds_output_model_at_n_595154():
+    # 1 - mu = 1.7e-6: r_outer - r_inner put the band width 1.3e-10 off, and
+    # the weights missed 1 by 1.59e-10; r_outer (1 - mu) is within 2e-16
+    spec = _planner_default_spec(595154, 0.01)
+    model = tg.radial_output_density(spec)
+    assert abs(model.weights.sum() - 1.0) <= 1e-10
+    assert model.radii.min() > spec.r_inner and model.radii.max() < spec.r_outer
+
+
 def test_planner_default_spec_builds_output_model_at_n_16384():
     # mu = 1 - 1/(n+1) makes Delta a difference of two P values near 1/2, so
     # P's rounding over Delta is what moves the 256 radius-law weights off 1
