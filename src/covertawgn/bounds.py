@@ -25,13 +25,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import divergences as dv
 from . import specfn
-from .divergences import (
-    IsotropicGaussianPair,
-    hellinger_sq_isotropic,
-    kl_isotropic,
-    tvd_isotropic_exact,
-)
 from .errors import DomainError
 from .planner import CovertParams, psi_nec, psi_suf
 
@@ -259,26 +254,49 @@ class AsymptoticSweep:
         }
 
 
+def _checked_n_grid(n_grid) -> np.ndarray:
+    """n_grid as int64 blocklengths, or DomainError at its first entry that
+    is not an integer >= 1 above the entry before it."""
+    grid = np.asarray(n_grid)
+    if grid.ndim != 1:
+        raise DomainError(f"asymptotic_sweep: need a 1-D blocklength grid, got shape {grid.shape}")
+    prev = 0
+    for i, n in enumerate(grid.tolist()):
+        if not (prev < n < 2**63 and float(n).is_integer()):
+            raise DomainError(
+                f"asymptotic_sweep: need integer blocklengths >= 1 in strictly increasing "
+                f"order, got n_grid[{i}] = {n!r}" + (f" after {prev!r}" if i else "")
+            )
+        prev = n
+    return grid.astype(np.int64)
+
+
+def _schedule_power(c: float, tau: float, n: np.ndarray) -> np.ndarray:
+    """theta = c n^(-tau) over float blocklengths, each with the float's own pow."""
+    return c * np.array([v ** -tau for v in n.tolist()])
+
+
 def asymptotic_sweep(c: float, tau: float, n_grid: np.ndarray | None = None) -> AsymptoticSweep:
     """Exact KL (bits), V_T, and H^2 of N(0, (1 + c n^-tau) I_n) against noise
-    along the grid, with the trend classified from the computed trace."""
-    if not (c > 0.0):
-        raise DomainError(f"asymptotic_sweep: need c > 0, got {c!r}")
+    along the grid (integers >= 1, strictly increasing, spanning a decade),
+    with the trend classified from the computed trace.
+
+    The whole grid is one array pass through the closed forms that
+    kl_isotropic, tvd_isotropic_exact and hellinger_sq_isotropic evaluate at
+    one point, and each value equals theirs."""
+    if not (c > 0.0 and math.isfinite(c)):
+        raise DomainError(f"asymptotic_sweep: need finite c > 0, got {c!r}")
     if not (tau > 0.0):
         raise DomainError(f"asymptotic_sweep: need tau > 0, got {tau!r}")
-    grid = default_n_grid() if n_grid is None else np.asarray(n_grid, dtype=np.int64)
-    kl = np.empty(grid.size)
-    tv = np.empty(grid.size)
-    h2 = np.empty(grid.size)
-    for i, n in enumerate(grid):
-        x = c * float(n) ** (-tau)
-        pair = IsotropicGaussianPair(n=int(n), sigma1_sq=1.0 + x)
-        kl[i] = kl_isotropic(pair)
-        tv[i] = tvd_isotropic_exact(pair)
-        h2[i] = hellinger_sq_isotropic(pair)
+    grid = default_n_grid() if n_grid is None else _checked_n_grid(n_grid)
+    n = grid.astype(float)
+    # sigma1^2 and its excess power as IsotropicGaussianPair holds them
+    s2 = 1.0 + _schedule_power(c, tau, n)
+    x = s2 - 1.0
+    kl = dv._kl_excess_bits(n, x)
     cls = classify_kl_trend(grid, kl)
     plateau = 0.25 * c * c * specfn.LOG2E if cls == "plateau" else None
     return AsymptoticSweep(
-        c=c, tau=tau, n_grid=grid, kl_bits=kl, tvd=tv, hellinger_sq=h2,
-        classification=cls, plateau_kl_bits=plateau,
+        c=c, tau=tau, n_grid=grid, kl_bits=kl, tvd=dv._tvd(n, s2),
+        hellinger_sq=dv._hellinger_sq(n, x), classification=cls, plateau_kl_bits=plateau,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -92,22 +93,26 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _blocklengths(text: str, tokens: list[str]) -> list[int]:
+    """The tokens of --n as ints, or ConfigError at the first that is not an
+    integer below 2**63 (int64), rather than truncating it."""
+    try:
+        floats = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"--n: cannot parse {text!r}") from exc
+    bad = [v for v in floats if not (v.is_integer() and abs(v) < 2**63)]
+    if bad:
+        raise ConfigError(f"--n: need integer blocklengths below 2**63, got {bad[0]!r}")
+    return [int(v) for v in floats]
+
+
 def _parse_n_grid(text: str) -> np.ndarray:
     """'a..b' -> log grid at 40 points/decade; 'x,y,z' -> list; 'x' -> single."""
-    # int(float("inf")) and int64 conversion of a huge value raise OverflowError
     if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = np.asarray([int(float(lo_s)), int(float(hi_s))], dtype=np.int64).tolist()
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"--n: cannot parse grid {text!r}") from exc
+        lo, hi = _blocklengths(text, text.split("..", 1))
         return bd.default_n_grid(lo, hi)
-    try:
-        vals = np.asarray(
-            [int(float(tok)) for tok in text.split(",") if tok.strip()], dtype=np.int64
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"--n: cannot parse {text!r}") from exc
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    vals = np.asarray(_blocklengths(text, tokens), dtype=np.int64)
     if not vals.size:
         raise ConfigError("--n: empty grid")
     return vals
@@ -224,10 +229,8 @@ def _cmd_sweep(cfg: dict) -> int:
     comments = {**_config_echo(cfg), "classification": sweep.classification}
     if sweep.plateau_kl_bits is not None:
         comments["plateau_kl_bits"] = sweep.plateau_kl_bits
-    rows = []
-    for n, kl, tvd, h2 in zip(sweep.n_grid, sweep.kl_bits, sweep.tvd, sweep.hellinger_sq):
-        theta = c * float(n) ** (-tau)
-        rows.append((n, theta, 1.0 + theta, kl, tvd, h2))
+    theta = bd._schedule_power(c, tau, sweep.n_grid.astype(float))
+    rows = zip(sweep.n_grid, theta, 1.0 + theta, sweep.kl_bits, sweep.tvd, sweep.hellinger_sq)
     header = ("n", "theta", "sigma1_sq", "kl_bits", "tvd", "hellinger_sq")
     _emit(bd._csv_text(header, rows, comments), cfg)
     return 0
@@ -259,8 +262,7 @@ def _cmd_verify(cfg: dict) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed"
           + (f"; failed: {failed}" if failed else ""))
     if cfg["out"]:
-        keys = ("criterion", "name", "passed", "runtime", "detail")
-        _emit_json([{k: getattr(r, k) for k in keys} for r in results], cfg)
+        _emit_json([asdict(r) for r in results], cfg)
     return 4 if failed else 0
 
 

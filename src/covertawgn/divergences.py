@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import specfn
 from .errors import DomainError
 
@@ -115,7 +117,11 @@ class DivergenceReport:
         return asdict(self)
 
 
-def _kl_excess_bits(n: int, x: float) -> float:
+# The private closed forms below take n and the power as floats or as float64
+# arrays, elementwise; an array element equals what its floats give.
+
+
+def _kl_excess_bits(n, x):
     """(n/2) [x - ln(1+x)] log2 e: KL of N(0, (1+x) I_n) from N(0, I_n) in bits,
     for x > -1; the series form of x - ln(1+x) keeps x ~ 0 exact."""
     return 0.5 * n * specfn.x_minus_log1p(x) * specfn.LOG2E
@@ -133,23 +139,39 @@ def kl_general_covariance(spec: CovarianceSpec) -> float:
     return 0.5 * total * specfn.LOG2E
 
 
+def _hellinger_sq(n, x):
+    """1 - (2 s / (1 + s^2))^(n/2) at s^2 = 1 + x, in the log domain."""
+    f = specfn._lib(x)
+    # ln(2 s / (1 + s^2)) = (1/2) ln(1+x) - ln(1 + x/2), stable near x = 0
+    log_base = 0.5 * f.log1p(x) - f.log1p(0.5 * x)
+    return -f.expm1(0.5 * n * log_base)
+
+
 def hellinger_sq_isotropic(pair: IsotropicGaussianPair) -> float:
     """H^2 = 1 - (2 sigma1 / (1 + sigma1^2))^(n/2), evaluated in the log domain."""
-    x = pair.excess_power
-    # ln(2 s / (1 + s^2)) = (1/2) ln(1+x) - ln(1 + x/2), stable near x = 0
-    log_base = 0.5 * math.log1p(x) - math.log1p(0.5 * x)
-    return -math.expm1(0.5 * pair.n * log_base)
+    return _hellinger_sq(pair.n, pair.excess_power)
 
 
-def _crossing_radius_sq(n: float, sigma1_sq: float) -> float:
+def _crossing_radius_sq(n, sigma1_sq):
     """||y||^2 where the densities of the pair cross: n s^2 ln(s^2) / (s^2 - 1)."""
     x = sigma1_sq - 1.0
-    if abs(x) < 1e-8:
-        # ln(1+x)/x -> 1 - x/2 + x^2/3
-        ratio = 1.0 - 0.5 * x + x * x / 3.0
-    else:
-        ratio = math.log1p(x) / x
+    # ln(1+x)/x, by its series 1 - x/2 + x^2/3 near 0
+    ratio = specfn._piecewise(abs(x) < 1e-8, x, lambda v: 1.0 - 0.5 * v + v * v / 3.0,
+                              lambda v: specfn._lib(v).log1p(v) / v)
     return n * sigma1_sq * ratio
+
+
+def _tvd(n, sigma1_sq):
+    """|P(n/2, r*^2/2) - P(n/2, r*^2/(2 s^2))| at the crossing radius r*; an
+    array takes both radii of every element in one incomplete-gamma call."""
+    r2 = _crossing_radius_sq(n, sigma1_sq)
+    a = 0.5 * n
+    if isinstance(r2, np.ndarray):
+        radii = np.concatenate((0.5 * r2, 0.5 * r2 / sigma1_sq))
+        p, _ = specfn._gamma_pq(np.concatenate((a, a)), radii)
+        return abs(p[: r2.size] - p[r2.size :])
+    p = specfn.reg_inc_gamma_lower
+    return abs(p(a, 0.5 * r2) - p(a, 0.5 * r2 / sigma1_sq))
 
 
 def tvd_isotropic_exact(pair: IsotropicGaussianPair) -> float:
@@ -159,15 +181,7 @@ def tvd_isotropic_exact(pair: IsotropicGaussianPair) -> float:
     is a ball/shell boundary at the density-crossing radius r*, and
     V_T = |P(n/2, r*^2/2) - P(n/2, r*^2/(2 s^2))|.
     """
-    s2 = pair.sigma1_sq
-    if s2 == 1.0:
-        return 0.0
-    r2 = _crossing_radius_sq(pair.n, s2)
-    a = 0.5 * pair.n
-    v = specfn.reg_inc_gamma_lower(a, 0.5 * r2) - specfn.reg_inc_gamma_lower(
-        a, 0.5 * r2 / s2
-    )
-    return abs(v)
+    return _tvd(pair.n, pair.sigma1_sq)
 
 
 def isotropic_report(pair: IsotropicGaussianPair) -> DivergenceReport:

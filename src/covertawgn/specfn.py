@@ -9,13 +9,20 @@ private Gamma log-density ``_log_gamma_pdf``, the one writing of that density
 behind the shell's radius law, the radius sampler's proposal and the chi law
 of the noise's norm.
 
-P(a, x) takes one of three regimes, each a bounded amount of work at any a:
-Temme's uniform expansion (DLMF 8.12) for a >= 100 and |x - a| <= a/2, the
-lower series for other x < a + 1, and the Legendre continued fraction for
-Q = 1 - P above that. Against a 40-digit reference its relative error is
-below 1e-12 in Temme's region and below 1e-11 elsewhere, wherever
-P >= 1e-300. scipy's gammainc is not used: at a = 5e7, x = a - 5 sqrt(a) it
-is 22% off (6e-8 absolute at P = 2.85e-7).
+One private kernel, ``_gamma_pq``, evaluates the incomplete gamma pair
+(P(a, x), Q(a, x)) on floats or on float64 arrays; nothing else in the
+package does. It takes one of three regimes, each a bounded amount of work at
+any a: Temme's uniform expansion (DLMF 8.12) for a >= 100 and
+|x - a| <= a/2, which gives P and Q each directly, the lower series for other
+x < a + 1, which gives P, and the Legendre continued fraction above that,
+which gives Q; there the other of the pair is 1 minus it. So each regime
+returns the smaller tail directly (for a >= 1/2), in relative precision:
+against a 40-digit reference the error is below 1e-12 in Temme's region and
+below 1e-11 elsewhere, wherever the tail is >= 1e-300. Temme's arithmetic is
+written once, with + - * / and the ``math`` functions, which an array maps
+over its elements, so an array element gets the bits its float gets. scipy's
+gammainc is not used: at a = 5e7, x = a - 5 sqrt(a) it is 22% off (6e-8
+absolute at P = 2.85e-7).
 
 All functions are pure, deterministic, and thread-safe.
 """
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,28 +50,83 @@ LOG2E = math.log2(math.e)
 LN2 = math.log(2.0)
 
 
-def x_minus_log1p(x: float) -> float:
-    """x - ln(1 + x) for x > -1 without cancellation near zero.
+def _mapped(fn):
+    """fn mapped over the elements of a float64 array."""
+    return lambda v: np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+_MAPPED = ("erfc", "exp", "expm1", "log1p")
+# What arithmetic shared by floats and arrays reads besides + - * /: on floats
+# the ``math`` functions themselves, on float64 arrays the same functions
+# mapped over the elements, so an element gets the bits its float gets (sqrt
+# and copysign are exact either way, so arrays take numpy's); and the
+# reduction of a loop's per-element flags to one bool. The float side makes
+# no numpy call.
+_ON_FLOAT = SimpleNamespace(
+    **{k: getattr(math, k) for k in _MAPPED}, sqrt=math.sqrt, copysign=math.copysign,
+    all=bool, any=bool,
+)
+_ON_ARRAY = SimpleNamespace(
+    **{k: _mapped(getattr(math, k)) for k in _MAPPED}, sqrt=np.sqrt, copysign=np.copysign,
+    all=np.ndarray.all, any=np.ndarray.any,
+)
+
+
+def _lib(x):
+    """_ON_ARRAY for a numpy array x, else _ON_FLOAT."""
+    return _ON_ARRAY if isinstance(x, np.ndarray) else _ON_FLOAT
+
+
+def _piecewise(cond, x, if_true, if_false):
+    """if_true(x) where cond holds, else if_false(x): on a float, the one
+    branch; on an array, each branch on its own elements."""
+    if isinstance(x, np.ndarray):
+        out = np.empty(x.shape)
+        out[cond] = if_true(x[cond])
+        out[~cond] = if_false(x[~cond])
+        return out
+    return if_true(x) if cond else if_false(x)
+
+
+def _x_minus_log1p_series(x, f=_ON_FLOAT):
+    """x - ln(1 + x) for |x| <= 1/2 from ln(1 + x) = 2 atanh(y), y = x / (2 + x):
+    x y - 2 (y^3/3 + y^5/5 + ...). On an array the loop runs until every
+    element has converged; each term is below the one before it, so once one
+    is under 1e-18 of its total, every later one is under half an ulp of it
+    and leaves that element as its float gets it."""
+    y = x / (2.0 + x)
+    y2 = y * y
+    converged = f.all
+    total, term, k = x * y, 2.0 * y * y2, 3.0
+    while True:
+        contrib = term / k
+        total = total - contrib
+        if converged(abs(contrib) <= 1e-18 * abs(total)):
+            return total
+        term = term * y2
+        k += 2.0
+
+
+def x_minus_log1p(x: float | np.ndarray) -> float | np.ndarray:
+    """x - ln(1 + x) for x > -1 without cancellation near zero, on a float or
+    elementwise on a float64 array.
 
     The direct difference loses ~|log10 x| digits for small x, and still
     about one at |x| = 0.1. For |x| <= 1/2 it is summed instead from
     ln(1 + x) = 2 atanh(y), y = x / (2 + x), |y| <= 1/3:
     x - ln(1 + x) = x y - 2 (y^3/3 + y^5/5 + ...).
     """
+    if isinstance(x, np.ndarray):
+        bad = ~(x > -1.0)
+        if bad.any():
+            raise DomainError(f"x_minus_log1p: need x > -1, got {float(x[bad].flat[0])!r}")
+        return _piecewise(abs(x) > 0.5, x, lambda v: v - _ON_ARRAY.log1p(v),
+                          lambda v: _x_minus_log1p_series(v, _ON_ARRAY))
     if not (x > -1.0):
         raise DomainError(f"x_minus_log1p: need x > -1, got {x!r}")
     if abs(x) > 0.5:
         return x - math.log1p(x)
-    y = x / (2.0 + x)
-    y2 = y * y
-    total, term, k = x * y, 2.0 * y * y2, 3
-    while True:
-        contrib = term / k
-        total -= contrib
-        if abs(contrib) <= 1e-18 * abs(total):
-            return total
-        term *= y2
-        k += 2
+    return _x_minus_log1p_series(x)
 
 
 # exp underflows to 0 below this; branch decisions only, not accuracy-critical
@@ -221,26 +284,81 @@ _TEMME_D = (
 )
 
 
-def _p_temme(a: float, x: float) -> float:
-    """P(a, x) by Temme's uniform expansion (DLMF 8.12), with
-    eta = sign(sigma) sqrt(2 (sigma - ln(1 + sigma))), sigma = (x - a)/a:
-    P = erfc(-eta sqrt(a/2))/2 - e^(-a eta^2/2) / sqrt(2 pi a) sum_k c_k(eta) / a^k.
-    O(1) work at any a; for a >= 100 and |sigma| <= 1/2 only."""
+def _horner(row):
+    """eta -> sum_n row[n] eta^n by Horner's rule, c = c eta + d from the top
+    coefficient down, spelled out as one expression: the same multiply-adds
+    as the loop, without its per-coefficient interpreter overhead."""
+    expr = repr(row[-1])
+    for d in reversed(row[:-1]):
+        expr = f"({expr}) * eta + {d!r}"
+    return eval(f"lambda eta: {expr}")
+
+
+_TEMME_C = tuple(_horner(row) for row in _TEMME_D)
+_TWO_PI = 2.0 * math.pi
+
+
+def _pq_temme(a, x):
+    """(P, Q) by Temme's uniform expansion (DLMF 8.12), each directly:
+    P = erfc(-z)/2 - R and Q = erfc(z)/2 + R, with z = eta sqrt(a/2),
+    R = e^(-a eta^2/2) / sqrt(2 pi a) sum_k c_k(eta) / a^k and
+    eta = sign(sigma) sqrt(2 (sigma - ln(1 + sigma))), sigma = (x - a)/a.
+    O(1) work at any a; for a >= 100 and |sigma| <= 1/2 only. An array
+    element stops taking rows where its float stops."""
+    f = _lib(x)
     sigma = (x - a) / a
-    half_eta2 = x_minus_log1p(sigma)
-    eta = math.copysign(math.sqrt(2.0 * half_eta2), sigma)
-    total, inv_a_k = 0.0, 1.0
-    for row in _TEMME_D:
-        c = 0.0
-        for d in reversed(row):
-            c = c * eta + d
-        term = c * inv_a_k
-        total += term
-        if abs(term) < 1e-17 * abs(total):
+    half_eta2 = _x_minus_log1p_series(sigma, f)
+    eta = f.copysign(f.sqrt(2.0 * half_eta2), sigma)
+    # c_0 is the whole sum so far, so it never ends the sum; from c_1 on an
+    # element whose term fell below 1e-17 of its sum is done, and its later
+    # terms are multiplied by live = False
+    total, inv_a_k, live = _TEMME_C[0](eta), 1.0, True
+    for c_k in _TEMME_C[1:]:
+        inv_a_k = inv_a_k / a
+        term = c_k(eta) * inv_a_k * live
+        total = total + term
+        live = abs(term) >= 1e-17 * abs(total)
+        if not f.any(live):
             break
-        inv_a_k /= a
-    tail = math.exp(-a * half_eta2) * total / math.sqrt(2.0 * math.pi * a)
-    return 0.5 * math.erfc(-eta * math.sqrt(0.5 * a)) - tail
+    tail = f.exp(-a * half_eta2) * total / f.sqrt(_TWO_PI * a)
+    z = eta * f.sqrt(0.5 * a)
+    return 0.5 * f.erfc(-z) - tail, 0.5 * f.erfc(z) + tail
+
+
+def _gamma_pq(a, x):
+    """(P(a, x), Q(a, x)), the regularized incomplete gamma pair, on floats or
+    elementwise on a float64 array x (a a float or an array of x's shape).
+
+    Temme's expansion for a >= 100 and |x - a| <= a/2 gives both directly;
+    elsewhere the lower series gives P for x < a + 1 and the Legendre
+    continued fraction gives Q above it, the other being 1 minus it. An array
+    takes Temme's region in one pass and its other elements one at a time,
+    each element equal to what its floats give.
+    """
+    if isinstance(x, np.ndarray):
+        a, x = np.broadcast_arrays(np.asarray(a, dtype=float), x.astype(float))
+        p, q = np.empty(x.shape), np.empty(x.shape)
+        temme = (a >= _TEMME_MIN_A) & (abs(x - a) <= _TEMME_MAX_SIGMA * a)
+        if temme.any():
+            p[temme], q[temme] = _pq_temme(a[temme], x[temme])
+        for i in np.flatnonzero(~temme):
+            p.flat[i], q.flat[i] = _gamma_pq(float(a.flat[i]), float(x.flat[i]))
+        return p, q
+    if not (a > 0.0) or math.isnan(x):
+        raise DomainError(f"reg_inc_gamma_lower: need a > 0, x >= 0, got a={a!r}, x={x!r}")
+    if x < 0.0:
+        raise DomainError(f"reg_inc_gamma_lower: need x >= 0, got x={x!r}")
+    if x == 0.0:
+        return 0.0, 1.0
+    if math.isinf(x):
+        return 1.0, 0.0
+    if a >= _TEMME_MIN_A and abs(x - a) <= _TEMME_MAX_SIGMA * a:
+        return _pq_temme(a, x)
+    if x < a + 1.0:
+        p = _p_lower_series(a, x)
+        return p, 1.0 - p
+    q = _q_upper_contfrac(a, x)
+    return 1.0 - q, q
 
 
 def reg_inc_gamma_lower(a: float, x: float) -> float:
@@ -254,19 +372,7 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
     latter from the a ln x - x - lgamma(a) prefactor near a = 2000. See the
     module docstring for why scipy's gammainc is not used.
     """
-    if not (a > 0.0) or math.isnan(x):
-        raise DomainError(f"reg_inc_gamma_lower: need a > 0, x >= 0, got a={a!r}, x={x!r}")
-    if x < 0.0:
-        raise DomainError(f"reg_inc_gamma_lower: need x >= 0, got x={x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if a >= _TEMME_MIN_A and abs(x - a) <= _TEMME_MAX_SIGMA * a:
-        return _p_temme(a, x)
-    if x < a + 1.0:
-        return _p_lower_series(a, x)
-    return 1.0 - _q_upper_contfrac(a, x)
+    return _gamma_pq(a, x)[0]
 
 
 def gaussian_q_inv(p: float) -> float:

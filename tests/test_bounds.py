@@ -185,13 +185,15 @@ def test_sweep_hellinger_sandwich_every_point():
 
 
 def test_sweep_matches_closed_forms_pointwise():
-    grid = np.array([100, 10**4, 10**6], dtype=np.int64)
-    sweep = bd.asymptotic_sweep(2.0, 0.5, grid)
-    for i, n in enumerate(grid):
-        pair = dv.IsotropicGaussianPair(int(n), 1.0 + 2.0 * n ** -0.5)
-        assert sweep.kl_bits[i] == pytest.approx(dv.kl_isotropic(pair), rel=1e-12)
-        assert sweep.tvd[i] == pytest.approx(dv.tvd_isotropic_exact(pair), rel=1e-10)
-        assert sweep.hellinger_sq[i] == pytest.approx(dv.hellinger_sq_isotropic(pair), rel=1e-12)
+    # the array pass gives every grid point exactly the one-point value
+    grid = bd.default_n_grid()
+    for tau in (0.25, 0.5, 0.75):
+        sweep = bd.asymptotic_sweep(2.0, tau, grid)
+        for i, n in enumerate(grid.tolist()):
+            pair = dv.IsotropicGaussianPair(n, 1.0 + 2.0 * float(n) ** -tau)
+            assert sweep.kl_bits[i] == dv.kl_isotropic(pair), (tau, n)
+            assert sweep.tvd[i] == dv.tvd_isotropic_exact(pair), (tau, n)
+            assert sweep.hellinger_sq[i] == dv.hellinger_sq_isotropic(pair), (tau, n)
 
 
 def test_sweep_dict_round_trips_through_json():
@@ -209,3 +211,28 @@ def test_sweep_validation():
         bd.asymptotic_sweep(0.0, 0.5)
     with pytest.raises(DomainError):
         bd.asymptotic_sweep(1.0, -0.25)
+    with pytest.raises(DomainError, match="finite c > 0, got inf"):
+        bd.asymptotic_sweep(math.inf, 0.5)
+
+
+@pytest.mark.parametrize("grid,bad", [
+    ([0, 100, 1000, 10000], r"n_grid\[0\] = 0$"),
+    ([100, 1000.9, 10**4, 10**5], r"n_grid\[1\] = 1000.9 after 100.0$"),
+    ([10**5, 10**4, 1000, 100], r"n_grid\[1\] = 10000 after 100000$"),
+    ([100, 1000, 1000, 10**4], r"n_grid\[2\] = 1000 after 1000$"),
+    ([100.0, math.nan, 10**4], r"n_grid\[1\] = nan after 100.0$"),
+    ([100, 1000, 10**4, 2.0**63], r"n_grid\[3\] = 9.223372036854776e\+18 after 10000.0$"),
+], ids=["zero", "fraction", "reversed", "repeated", "nan", "beyond_int64"])
+def test_sweep_refuses_a_grid_it_cannot_evaluate(grid, bad):
+    want = "integer blocklengths >= 1 in strictly increasing order, got " + bad
+    with pytest.raises(DomainError, match=want):
+        bd.asymptotic_sweep(1.0, 0.5, grid)
+
+
+def test_sweep_accepts_integer_valued_float_grids():
+    ints = bd.asymptotic_sweep(1.0, 0.5, [1, 10, 100, 1000])
+    floats = bd.asymptotic_sweep(1.0, 0.5, np.array([1.0, 10.0, 100.0, 1000.0]))
+    assert floats.n_grid.dtype == np.int64 and floats.n_grid.tolist() == [1, 10, 100, 1000]
+    assert floats.tvd.tolist() == ints.tvd.tolist()
+    with pytest.raises(DomainError, match="1-D"):
+        bd.asymptotic_sweep(1.0, 0.5, np.array([[10, 100], [1000, 10**4]]))

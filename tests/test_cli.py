@@ -1,9 +1,11 @@
 import argparse
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -95,16 +97,31 @@ def test_sweep_csv_columns_and_classification():
     assert "# classification=plateau" in lines
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_idx] == "n,theta,sigma1_sq,kl_bits,tvd,hellinger_sq"
-    first = lines[header_idx + 1].split(",")
-    n0 = int(first[0])
-    assert float(first[1]) == pytest.approx(2.0 * n0**-0.5, rel=1e-10)
-    assert float(first[2]) == pytest.approx(1.0 + 2.0 * n0**-0.5, rel=1e-10)
+    rows = list(csv.DictReader(lines[header_idx:]))
+    assert len(rows) == cli.bd.default_n_grid(10**4, 10**5).size
+    for row in rows:
+        theta = 2.0 * float(int(row["n"])) ** -0.5
+        assert row["theta"] == f"{theta:.12g}" and row["sigma1_sq"] == f"{1.0 + theta:.12g}"
 
 
 def test_sweep_json_divergent():
     proc = run_cli("sweep", "--tau", "0.25", "--n", "1e3..1e6", "--format", "json")
     payload = json.loads(proc.stdout)
     assert payload["result"]["classification"] == "divergent"
+
+
+@pytest.mark.parametrize("grid,err", [
+    ("0,100,1000,10000", "got n_grid[0] = 0\n"),
+    ("10000,1000,100,10", "got n_grid[1] = 1000 after 10000\n"),
+    ("100,1000.9,10000,100000", "--n: need integer blocklengths below 2**63, got 1000.9\n"),
+    ("100.9..1e4", "--n: need integer blocklengths below 2**63, got 100.9\n"),
+    ("1e2..1e30", "--n: need integer blocklengths below 2**63, got 1e+30\n"),
+], ids=["zero", "reversed", "fraction", "fraction_range_end", "range_end_beyond_int64"])
+def test_sweep_grid_it_cannot_evaluate_exits_2_naming_the_entry(capsys, grid, err):
+    assert cli.main(["sweep", "--tau", "0.5", "--n", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(err)
 
 
 def test_simulate_small_run():
@@ -274,3 +291,6 @@ def test_verify_gate_exit_code_and_table(tmp_path, monkeypatch, capsys, verify_r
     assert by_crit[1]["passed"] is False
     assert by_crit[9]["passed"] is False
     assert all(by_crit[k]["passed"] for k in (2, 3, 4, 5, 6, 7, 8, 10))
+    # every CheckResult field, the time budget the table prints included
+    assert [list(r) for r in payload["result"]] == [list(asdict(r)) for r in verify_results]
+    assert [r["limit"] for r in payload["result"]] == [r.limit for r in verify_results]

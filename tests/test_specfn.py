@@ -1,5 +1,6 @@
 import math
 import time
+import types
 import warnings
 from fractions import Fraction
 
@@ -60,11 +61,12 @@ def test_reg_inc_gamma_lower_limits_and_domain():
 # --- P(a, x) against a 40-digit reference, and Temme's expansion ------------
 
 
-def _reference_p(a, x):
-    """P(a, x) to ~40 digits, independent of specfn: the lower series
-    sum_k x^k / ((a+1)...(a+k)) in 200-bit fixed point for x < a + 3 sqrt(a),
-    else 1 - Q with Q by the modified-Lentz continued fraction in mpmath
-    (mpmath.gammainc does not converge at large a)."""
+def _reference_pq(a, x):
+    """(P(a, x), Q(a, x)) to ~40 digits, independent of specfn: the lower
+    series sum_k x^k / ((a+1)...(a+k)) in 200-bit fixed point for
+    x < a + 3 sqrt(a), Q = 1 - P there, else Q by the modified-Lentz continued
+    fraction in mpmath and P = 1 - Q (mpmath.gammainc does not converge at
+    large a). Each branch gives the pair's smaller member directly."""
     with mp.workdps(45):
         am, xm = mp.mpf(a), mp.mpf(x)
         if x < a + 3.0 * math.sqrt(a):
@@ -79,7 +81,8 @@ def _reference_p(a, x):
                 term = term * num // (den0 + k * step)
                 total += term
                 k += 1
-            return mp.exp(am * mp.log(xm) - xm - mp.loggamma(am + 1)) * total / one
+            p = mp.exp(am * mp.log(xm) - xm - mp.loggamma(am + 1)) * total / one
+            return p, 1 - p
         tiny = mp.mpf(10) ** -300
         b = xm + 1 - am
         c, d = 1 / tiny, 1 / b
@@ -91,7 +94,8 @@ def _reference_p(a, x):
             c = b + an / c
             h *= d * c
             if abs(d * c - 1) < mp.mpf(10) ** -42:
-                return 1 - mp.exp(am * mp.log(xm) - xm - mp.loggamma(am)) * h
+                q = mp.exp(am * mp.log(xm) - xm - mp.loggamma(am)) * h
+                return 1 - q, q
     raise AssertionError(f"reference continued fraction stalled at a={a}, x={x}")
 
 
@@ -100,13 +104,17 @@ def _in_temme_region(a, x):
 
 
 def _check_against_reference(a, x):
-    ref = _reference_p(a, x)
-    got = specfn.reg_inc_gamma_lower(a, x)
-    if ref < 1e-300:
-        assert got <= 1e-299, (a, x, got)
-        return
+    """P and Q each in relative precision wherever they are >= 1e-300: 1e-12
+    in Temme's region, 1e-11 elsewhere, where the a ln x - x - lgamma(a)
+    prefactor of the series and the continued fraction carries ulp(a ln x)."""
     tol = 1e-12 if _in_temme_region(a, x) else 1e-11
-    assert abs(got - ref) <= tol * ref, (a, x, got, float(ref))
+    p, q = specfn._gamma_pq(a, x)
+    assert p == specfn.reg_inc_gamma_lower(a, x)
+    for name, got, ref in zip("PQ", (p, q), _reference_pq(a, x)):
+        if ref < 1e-300:
+            assert got <= 1e-299, (name, a, x, got)
+        else:
+            assert abs(got - ref) <= tol * ref, (name, a, x, got, float(ref))
 
 
 log_a = st.floats(min_value=math.log(0.5), max_value=math.log(1e8))
@@ -124,6 +132,69 @@ def test_reg_inc_gamma_lower_vs_reference_near_mode(log_a, z):
 def test_reg_inc_gamma_lower_vs_reference_relative_offset(log_a, sigma):
     a = math.exp(log_a)
     _check_against_reference(a, a * (1.0 + sigma))
+
+
+@pytest.mark.parametrize("a,x", [
+    (1e4, 1.25e4),  # Temme: Q = 3.68e-119, where 1 - P rounds to 0
+    (2e6, 2e6 - 8e3),  # Temme: P = 7.39e-9
+    (50.0, 120.0),  # continued fraction: Q = 1.6e-13
+    (3e3, 4.6e3),  # continued fraction: Q = 1.49e-140
+    (40.0, 12.0),  # series: P = 1.56e-10
+    (0.5, 1.4),  # series: Q = 0.0943, the smaller member, as 1 - P
+])
+def test_gamma_pq_smaller_tail_in_relative_precision_in_each_regime(a, x):
+    _check_against_reference(a, x)
+
+
+def test_gamma_pq_arrays_match_floats_bit_for_bit():
+    rng = np.random.default_rng(26)
+    a = np.exp(rng.uniform(math.log(0.5), math.log(1e8), 600))
+    # x/a in [e^-1, e]: inside Temme's region and outside it (|x - a| > a/2)
+    x = a * np.exp(rng.uniform(-1.0, 1.0, a.size))
+    a = np.concatenate((a, [50.0, 150.0, 3.0, 1e6, 99.5, 100.0]))
+    x = np.concatenate((x, [0.0, 0.0, np.inf, np.inf, 99.5, 100.0]))
+    temme = np.array([_in_temme_region(ai, xi) for ai, xi in zip(a.tolist(), x.tolist())])
+    assert temme.sum() > 100 and (~temme & (a < 100)).sum() > 100
+    assert (~temme & (a >= 100) & np.isfinite(x) & (x > 0)).sum() > 100
+    p, q = specfn._gamma_pq(a, x)
+    scalar = [specfn._gamma_pq(ai, xi) for ai, xi in zip(a.tolist(), x.tolist())]
+    assert p.tobytes() == np.array([s[0] for s in scalar]).tobytes()
+    assert q.tobytes() == np.array([s[1] for s in scalar]).tobytes()
+    # a float a broadcasts over any shape of x
+    grid = 150.0 * np.array([[0.4, 0.8], [1.0, 1.7]])
+    p2, q2 = specfn._gamma_pq(150.0, grid)
+    assert p2.shape == q2.shape == grid.shape
+    assert p2.tolist() == [[specfn._gamma_pq(150.0, v)[0] for v in row] for row in grid.tolist()]
+
+
+def test_gamma_pq_array_rejects_what_its_floats_reject():
+    with pytest.raises(DomainError, match="x=-1.0"):
+        specfn._gamma_pq(np.array([200.0, 200.0]), np.array([190.0, -1.0]))
+    with pytest.raises(DomainError):
+        specfn._gamma_pq(np.array([0.0]), np.array([1.0]))
+
+
+def test_float_paths_make_no_numpy_call(monkeypatch):
+    # the float path of the kernel, of x_minus_log1p and of the isotropic
+    # closed forms may look up np.ndarray (isinstance) and nothing else
+    from covertawgn import divergences as dv
+
+    for module in (specfn, dv):
+        monkeypatch.setattr(module, "np", types.SimpleNamespace(ndarray=np.ndarray))
+    for a, x in ((150.0, 120.0), (1e6, 1.001e6), (3.0, 2.0), (3.0, 30.0)):
+        p, q = specfn._gamma_pq(a, x)
+        assert type(p) is float and type(q) is float
+    assert type(specfn.x_minus_log1p(0.2)) is float
+    report = dv.isotropic_report(dv.IsotropicGaussianPair(n=1000, sigma1_sq=1.03))
+    assert all(type(v) is float for v in (report.kl_bits, report.tvd, report.hellinger_sq))
+
+
+def test_x_minus_log1p_arrays_match_floats():
+    x = np.array([-0.9, -0.5, -1e-9, 0.0, 1e-12, 0.3, 0.5, 0.50001, 4.0, 1e300])
+    got = specfn.x_minus_log1p(x)
+    assert got.tobytes() == np.array([specfn.x_minus_log1p(v) for v in x.tolist()]).tobytes()
+    with pytest.raises(DomainError, match="got -1.0"):
+        specfn.x_minus_log1p(np.array([0.5, -1.0, -2.0]))
 
 
 def _check_log_gamma_pdf(a, u):
@@ -225,7 +296,8 @@ def test_temme_region_never_iterates(monkeypatch):
     monkeypatch.setattr(specfn, "_q_upper_contfrac", refuse)
     big, h = 5e7, 5.0 * math.sqrt(5e7)
     for a, x in ((big, big - h), (big, big + h), (150.0, 120.0)):
-        assert specfn.reg_inc_gamma_lower(a, x) == pytest.approx(float(_reference_p(a, x)), rel=1e-12)
+        ref = float(_reference_pq(a, x)[0])
+        assert specfn.reg_inc_gamma_lower(a, x) == pytest.approx(ref, rel=1e-12)
 
 
 def test_gaussian_q_inv_anchor():
