@@ -160,12 +160,13 @@ def throughput_bounds(params: CovertParams) -> ThroughputBounds:
     )
 
 
-def bounds_grid(
-    n_values, delta: float, epsilon: float = 0.1
-) -> list[ThroughputBounds]:
-    """Bounds rows over a blocklength grid with the default slack presets."""
+def bounds_grid(n_values, delta: float, epsilon: float = 0.1) -> list[ThroughputBounds]:
+    """Bounds rows over a blocklength grid (integers >= 1, in any order) with the
+    default slack presets; DomainError at the first entry that is not one."""
     rows = []
-    for n in n_values:
+    for i, n in enumerate(n_values):
+        if not _is_blocklength(n):
+            raise DomainError(f"bounds_grid: need integers >= 1, got n_values[{i}] = {n!r}")
         rows.append(throughput_bounds(CovertParams.defaults(int(n), delta, epsilon)))
     return rows
 
@@ -254,6 +255,11 @@ class AsymptoticSweep:
         }
 
 
+def _is_blocklength(n) -> bool:
+    """Whether n is an integer value >= 1 that fits in int64."""
+    return 0 < n < 2**63 and float(n).is_integer()
+
+
 def _checked_n_grid(n_grid) -> np.ndarray:
     """n_grid as int64 blocklengths, or DomainError at its first entry that
     is not an integer >= 1 above the entry before it."""
@@ -262,7 +268,7 @@ def _checked_n_grid(n_grid) -> np.ndarray:
         raise DomainError(f"asymptotic_sweep: need a 1-D blocklength grid, got shape {grid.shape}")
     prev = 0
     for i, n in enumerate(grid.tolist()):
-        if not (prev < n < 2**63 and float(n).is_integer()):
+        if not (prev < n and _is_blocklength(n)):
             raise DomainError(
                 f"asymptotic_sweep: need integer blocklengths >= 1 in strictly increasing "
                 f"order, got n_grid[{i}] = {n!r}" + (f" after {prev!r}" if i else "")

@@ -110,29 +110,24 @@ _EXACT_POWER_REL_TOL = 1e-12
 
 
 def solve_exact_power(n: int, delta: float) -> float:
-    """The x* > 0 with (n/2)[x - ln(1+x)] log2 e = delta, by safeguarded Newton.
+    """The x* > 0 with (n/2)[x - ln(1+x)] log2 e = delta, by Newton's method.
 
-    Seeded at the small-x root sqrt(4 delta ln2 / n); the residual at the
-    returned point is below 1e-12 * delta.
+    The residual is increasing and convex in x > 0, and the seed, the small-x
+    root sqrt(4 delta ln2 / n), lies left of x* since x - ln(1+x) < x^2/2; so
+    the first step lands right of x* and every later one descends to it. The
+    residual at the returned point is below 1e-12 * delta.
     """
     if n < 1 or not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"solve_exact_power: invalid (n={n}, delta={delta!r})")
     x = math.sqrt(4.0 * delta * specfn.LN2 / n)
-    lo, hi = 0.0, None
+    if not 0.0 < x < math.inf:  # 4 delta ln2 / n underflows or overflows
+        raise NumericError(f"solve_exact_power: seed {x} out of range (n={n}, delta={delta})")
     for _ in range(200):
         f = _kl_excess_bits(n, x) - delta
         if abs(f) <= _EXACT_POWER_REL_TOL * delta:
             return x
-        if f > 0.0:
-            hi = x if hi is None else min(hi, x)
-        else:
-            lo = max(lo, x)
         # d/dx (n/2)(x - ln(1+x)) log2 e = (n/2) x/(1+x) log2 e
-        deriv = 0.5 * n * x / (1.0 + x) * specfn.LOG2E
-        x_new = x - f / deriv if deriv > 0.0 else -1.0
-        if x_new <= lo or (hi is not None and x_new >= hi):
-            x_new = 0.5 * (lo + hi) if hi is not None else 2.0 * max(x, 1e-300)
-        x = x_new
+        x -= f / (0.5 * n * x / (1.0 + x) * specfn.LOG2E)
     raise NumericError(f"solve_exact_power: no convergence (n={n}, delta={delta})")
 
 
@@ -176,9 +171,6 @@ def plan(params: CovertParams) -> PowerPlan:
     nec = psi_nec(params.n, params.delta, params.eta)
     exact = solve_exact_power(params.n, params.delta)
     threshold = _bracket_threshold(params.eta)
-    flags: list[str] = []
-    if nec >= threshold:
-        flags.append("taylor_bracket_invalid")
     if params.mu * suf > exact * (1.0 + 1e-12):
         # cannot happen for nu_sq >= 1; a trip here means a numerics bug
         raise NumericError(
@@ -190,5 +182,5 @@ def plan(params: CovertParams) -> PowerPlan:
         psi_nec=nec,
         psi_exact=exact,
         bracket_valid_below=threshold,
-        flags=tuple(flags),
+        flags=("taylor_bracket_invalid",) if nec >= threshold else (),
     )

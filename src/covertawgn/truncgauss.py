@@ -37,8 +37,8 @@ __all__ = [
 def shell_mass(n: int, mu: float) -> float:
     """Delta = P(n/2, n/(2 mu)) - P(n/2, n mu/2): Gaussian mass of the code shell.
 
-    Grows toward 1 as n increases at fixed mu (sphere hardening) and
-    degenerates to 0 as mu -> 1.
+    Grows toward 1 as n increases at fixed mu (sphere hardening), rounding
+    to 1.0 once 1 - Delta < 2^-53, and degenerates to 0 as mu -> 1.
     """
     if n < 1:
         raise DomainError(f"shell_mass: need n >= 1, got {n}")
@@ -52,7 +52,8 @@ def shell_mass(n: int, mu: float) -> float:
 
 @dataclass(frozen=True)
 class TruncatedGaussianSpec:
-    """Dimension, per-coordinate power scale psi, and truncation parameter mu."""
+    """Dimension, per-coordinate power scale psi, and truncation parameter mu;
+    refused only where the shell mass Delta lies outside (0, 1]."""
 
     n: int
     psi: float
@@ -65,7 +66,7 @@ class TruncatedGaussianSpec:
             raise DomainError(f"TruncatedGaussianSpec: need psi > 0, got {self.psi!r}")
         if not (0.0 < self.mu < 1.0):
             raise DomainError(f"TruncatedGaussianSpec: need 0 < mu < 1, got {self.mu!r}")
-        if not (0.0 < self.delta_mass < 1.0):
+        if not (0.0 < self.delta_mass <= 1.0):
             raise DomainError(
                 f"TruncatedGaussianSpec: shell mass {self.delta_mass} degenerate "
                 f"(n={self.n}, mu={self.mu})"
@@ -207,7 +208,7 @@ class RadialOutputDensity:
                 f"{self.weights.shape} must be matching vectors"
             )
         err = abs(float(self.weights.sum()) - 1.0)
-        if err > 1e-10:
+        if not err <= 1e-10:  # a NaN weight fails too
             raise NumericError(
                 f"RadialOutputDensity: radius-law weights sum off by {err:.2e} for "
                 f"{self.spec} over {self.weights.size} nodes"
@@ -365,7 +366,7 @@ def output_divergences_quadrature(model: RadialOutputDensity) -> DivergenceRepor
     fbar = f0 * ratio
     norm0 = float(np.trapezoid(f0, s))
     norm1 = float(np.trapezoid(fbar, s))
-    if abs(norm0 - 1.0) > 1e-6 or abs(norm1 - 1.0) > 1e-6:
+    if not (abs(norm0 - 1.0) <= 1e-6 and abs(norm1 - 1.0) <= 1e-6):
         raise NumericError(
             f"output_divergences_quadrature: normalization off (noise {norm0}, "
             f"output {norm1}) for {model.spec}"

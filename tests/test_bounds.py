@@ -111,6 +111,19 @@ def test_epsilon_relaxation_raises_achievability():
     assert hi > lo
 
 
+@pytest.mark.parametrize("bad", [1000.9, float("nan"), 0, -5, 2**63])
+def test_bounds_grid_refuses_a_non_blocklength_entry(bad):
+    # 1000.9 used to give a row for n = 1000, and nan a bare ValueError
+    with pytest.raises(DomainError, match=rf"n_values\[1\] = {bad!r}"):
+        bd.bounds_grid([1000, bad], 0.01)
+
+
+def test_bounds_grid_takes_any_order():
+    rows = bd.bounds_grid([5000, 1000.0, np.int64(3000)], 0.01)
+    assert [r.n for r in rows] == [5000, 1000, 3000]
+    assert all(type(r.n) is int for r in rows)
+
+
 def test_bounds_grid_and_csv_golden_header():
     rows = bd.bounds_grid([10**3, 10**4], 0.01, 0.1)
     assert len(rows) == 2

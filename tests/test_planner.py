@@ -68,7 +68,7 @@ def test_solve_exact_power_delta_doubling():
 
 def test_solve_exact_power_wide_grid():
     for n in (16, 400, 10**4, 10**8):
-        for delta in (1e-4, 0.01, 0.5):
+        for delta in (1e-300, 1e-4, 0.01, 0.5, 1e300):
             x = pl.solve_exact_power(n, delta)
             assert x > 0.0
             assert _kl(n, x) == pytest.approx(delta, rel=1e-10)

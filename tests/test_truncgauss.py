@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -61,9 +62,24 @@ def test_spec_validation():
         tg.TruncatedGaussianSpec(n=8, psi=0.0, mu=0.8)
     with pytest.raises(DomainError):
         tg.TruncatedGaussianSpec(n=8, psi=0.1, mu=1.0)
-    # shell so thin its mass underflows to zero: unusable spec must refuse
+    # 1 - 1e-17 is 1.0 in double, so the mu check refuses it
     with pytest.raises(DomainError):
         tg.TruncatedGaussianSpec(n=8, psi=0.1, mu=1.0 - 1e-17)
+    # the largest double below 1: a shell so thin its mass Delta is 0.0
+    assert tg.shell_mass(2, 1.0 - 2**-53) == 0.0
+    with pytest.raises(DomainError, match="shell mass 0.0 degenerate"):
+        tg.TruncatedGaussianSpec(n=2, psi=0.1, mu=1.0 - 2**-53)
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.95])
+def test_spec_admits_shell_mass_rounding_to_one(mu):
+    # 1 - Delta < 2^-53 makes Delta 1.0: the spec constructs and samples
+    spec = tg.TruncatedGaussianSpec(n=10**6, psi=1e-3, mu=mu)
+    assert spec.delta_mass == 1.0
+    uniform, acceptance, _ = tg._radius_proposal(spec)
+    assert not uniform and acceptance == 1.0
+    r = tg._sample_radii(spec, 1000, np.random.default_rng(5))
+    assert r.min() >= spec.r_inner and r.max() <= spec.r_outer
 
 
 def test_sample_codewords_shapes_and_shell():
@@ -153,10 +169,7 @@ def test_radius_sampler_count_shell_and_acceptance(log10_n, v, count):
     # planner default 1/(n+1)
     n = max(1, round(10.0**log10_n))
     mu = 1.0 - 0.95 ** (1.0 - v) * (1.0 / (n + 1)) ** v
-    try:
-        spec = tg.TruncatedGaussianSpec(n=n, psi=1.0, mu=mu)
-    except DomainError:
-        assume(False)  # a thick shell whose mass rounds to 1 at large n
+    spec = tg.TruncatedGaussianSpec(n=n, psi=1.0, mu=mu)
     uniform, acceptance, _ = tg._radius_proposal(spec)
     # n = 1 bottoms out at 0.398 (mu = 0.416), where the two proposals tie
     assert acceptance >= (0.39 if n == 1 else 0.45), (n, mu, uniform)
@@ -223,6 +236,12 @@ def test_output_density_errors_name_the_spec_and_the_value():
     far_out = tg.RadialOutputDensity(spec=spec, radii=np.array([50.0]), weights=np.array([1.0]))
     with pytest.raises(NumericError, match=rf"normalization off \(noise .*\) for {named}"):
         tg.output_divergences_quadrature(far_out)
+    # a NaN in the ratio table makes the output's normalization NaN
+    nan_table = tg.RadialOutputDensity(spec=spec, radii=model.radii, weights=model.weights)
+    s, v = model.ratio_table
+    nan_table.__dict__["ratio_table"] = (s, np.where(s > 3.0, np.nan, v))
+    with pytest.raises(NumericError, match=rf"output nan\) for {named}"):
+        tg.output_divergences_quadrature(nan_table)
 
 
 def test_radius_law_miss_raises_after_one_build(monkeypatch):
@@ -252,6 +271,68 @@ def test_radius_law_miss_raises_after_one_build(monkeypatch):
 def _planner_default_spec(n, delta):
     params = pl.CovertParams.defaults(n=n, delta=delta)
     return tg.TruncatedGaussianSpec(n, pl.plan(params).psi_suf, params.mu)
+
+
+# The survey of specs the radius law refuses (ROADMAP item 19). Every spec on
+# the grid constructs; a row's refusals are every grid n from its first
+# refused one up (None: no refusal), with no isolated entries on this grid.
+# No weight miss on the grid lies within a factor 2 of the 1e-10 gate (the
+# closest is 4.99e-11 at mu = 0.9, n = 988982), so a last-bit change in the
+# law cannot flip an entry.
+_SURVEY_NS = np.unique(np.round(np.logspace(0.0, math.log10(2e8), 19)).astype(int)).tolist()
+_SURVEY_MUS = (0.05, 0.2, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.99999)
+_THICK = (
+    "shell many sd thick: 256 nodes spread over the whole shell miss its peak; "
+    "item 3 places them on mode +- k sd"
+)
+_THIN = (
+    "thin shell (1 - mu = 1/(n+1)): Delta = P - P of two values near 1/2 loses "
+    "relative precision; item 3 takes Delta as the band integral"
+)
+SURVEY_FIRST_REFUSED = {
+    0.05: (1691, _THICK),
+    0.2: (4890, _THICK),
+    0.5: (40896, _THICK),
+    0.8: (341995, _THICK),
+    0.9: (2859938, _THICK),
+    0.95: (8270371, _THICK),
+    0.99: (200_000_000, _THICK),
+    0.999: (None, ""),
+    0.99999: (None, ""),
+    ("planner", 0.05): (8270371, _THIN),
+    ("planner", 0.01): (8270371, _THIN),
+}
+
+
+def _survey_specs():
+    for i, mu in enumerate(_SURVEY_MUS):
+        psi = (1e-6, 0.05, 3.0)[i % 3]
+        for n in _SURVEY_NS:
+            yield mu, tg.TruncatedGaussianSpec(n, psi, mu)
+    for delta in (0.05, 0.01):
+        for n in _SURVEY_NS:
+            yield ("planner", delta), _planner_default_spec(n, delta)
+
+
+def test_survey_pins_every_refused_spec_to_the_radius_law(monkeypatch):
+    # one 256-node Legendre rule serves every build (computing it takes ~10 ms)
+    rule = functools.cache(np.polynomial.legendre.leggauss)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rule)
+    refused = []
+    for row, spec in _survey_specs():
+        try:
+            tg.radial_output_density(spec)
+        except NumericError as exc:
+            assert "radius-law weights sum off" in str(exc)
+            refused.append((row, spec.n))
+    pinned = [
+        (row, n)
+        for row, (first, _) in SURVEY_FIRST_REFUSED.items()
+        for n in _SURVEY_NS
+        if first is not None and n >= first
+    ]
+    assert len(_SURVEY_NS) * len(SURVEY_FIRST_REFUSED) == 209
+    assert refused == pinned
 
 
 @pytest.mark.parametrize("make", [
@@ -378,6 +459,10 @@ def test_radial_model_rejects_bad_weights():
     r = model.radii
     with pytest.raises(NumericError):
         tg.RadialOutputDensity(spec=spec, radii=r, weights=np.full(r.size, 2.0 / r.size))
+    nan_weight = model.weights.copy()
+    nan_weight[3] = np.nan
+    with pytest.raises(NumericError, match="sum off by nan"):
+        tg.RadialOutputDensity(spec=spec, radii=r, weights=nan_weight)
     with pytest.raises(DomainError):
         tg.RadialOutputDensity(spec=spec, radii=r[:-1], weights=model.weights)
 
@@ -478,10 +563,11 @@ def test_log_density_ratio_one_kernel_call_per_block(monkeypatch):
     assert np.all(np.isfinite(lr)) and np.all(np.diff(lr) > 0.0)
 
 
-def test_quadrature_reaches_sqrt_law_plateau_at_n_16384():
-    # psi = c/sqrt(n) with c = 1: the KL plateau is mu^2 c^2 / 4 * log2 e bits
-    mu = 0.97
-    spec = tg.TruncatedGaussianSpec(n=16384, psi=1.0 / 128, mu=mu)
+@pytest.mark.parametrize("n,mu", [(16384, 0.97), (10**5, 0.95)], ids=["n16384", "n1e5"])
+def test_quadrature_reaches_sqrt_law_plateau(n, mu):
+    # psi = c/sqrt(n) with c = 1: the KL plateau is mu^2 c^2 / 4 * log2 e bits;
+    # at n = 1e5, mu = 0.95 the shell mass rounds to 1.0 (KL 0.32486 bits)
+    spec = tg.TruncatedGaussianSpec(n=n, psi=1.0 / math.sqrt(n), mu=mu)
     rep = tg.output_divergences_quadrature(tg.radial_output_density(spec))
     assert rep.kl_bits == pytest.approx(0.25 * mu * mu / LN2, rel=0.02)
 
