@@ -24,13 +24,14 @@ error flags are exactly those of the float64 decisions (see `_decode_errors`).
 
 Determinism: every random quantity is drawn from a stream keyed by
 (seed, stream tag, block index) with a fixed block size, and partial results
-are reduced in block order. `simulate` decodes Bob's blocks in order on the
-calling thread. One helper thread runs Willie's test with the empirical
-divergences, then draws Bob's noise one block ahead of his decode (the caller
-draws a block the helper has not started). A draw depends only on its stream
-key, so the results do not depend on which thread draws or how the threads are
-scheduled. While `simulate` runs, the OpenBLAS that numpy loaded is held to one
-thread, process-wide, and restored afterwards (a no-op where none is found).
+are reduced in block order. In `simulate`, one helper thread runs Willie's
+test with the empirical divergences while the calling thread builds the
+codebook; then both threads take Bob's blocks from one queue, each drawing,
+decoding and counting the blocks it takes. A draw depends only on its stream
+key, and integer counts add up alike in any order, so the results do not
+depend on which thread takes a block or how the threads are scheduled. While
+`simulate` runs, the OpenBLAS that numpy loaded is held to one thread,
+process-wide, and restored afterwards (a no-op where none is found).
 The stream tags below and the draws made from each stream are the
 reproducibility contract (v2: the Willie and divergence streams draw radii;
 v3: the Bob stream draws the message indices, then count x k span-coordinate
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import IntEnum
@@ -171,10 +173,14 @@ class Codebook:
         return coords, _read_only_copy(np.sum(coords**2, axis=1))
 
 
-def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
-    """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
+def _check_codebook_size(M: int) -> None:
     if M < 2:
         raise DomainError(f"build_codebook: need M >= 2, got {M}")
+
+
+def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
+    """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
+    _check_codebook_size(M)
     rng = _rng(seed, StreamTag.CODEBOOK, 0)
     return Codebook(spec=spec, codewords=sample_codewords(spec, M, rng), seed=seed)
 
@@ -563,20 +569,41 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
     rate is reported alongside). Willie's alternative draws a fresh shell
     codeword per trial: the code-ensemble output law whose V_T the closed
     forms predict. Each of the decode, detect and divergence estimates uses
-    `trials` samples, so `trials >= 2`. Bob decodes on the calling thread.
-    One helper thread runs Willie's test and the divergences, then draws
-    Bob's noise one block ahead of his decode. OpenBLAS is held to one
-    thread, process-wide, until the call returns (see the module docstring).
+    `trials` samples, so `trials >= 2`; `M >= 2` too, both checked before
+    any work. One helper thread runs Willie's test and the divergences while
+    the calling thread builds the codebook; then both take Bob's blocks from
+    one queue, and a failure on either empties it and is raised here.
+    OpenBLAS is held to one thread, process-wide, until the call returns (see
+    the module docstring).
     """
     if trials < 2:
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
+    _check_codebook_size(M)
     t0 = time.perf_counter()
     counts = _map_blocks(lambda b, count: count, trials)
+    blocks = deque(enumerate(counts))  # Bob's (b, count), taken by either thread
 
-    def bob_draw(b: int, count: int):
-        rng = _rng(seed, StreamTag.BOB_NOISE, b)
-        w = rng.integers(0, M, size=count)
-        return w, rng.standard_normal(out=noise[b % 2, :count])
+    def bob_side():
+        """Per message, the trials sent and decoded wrong in the blocks this
+        thread takes until none is left, drawn into its one noise buffer."""
+        noise = np.empty((counts[0], coords.shape[1]))
+        sent, wrong = tally = np.zeros((2, M), dtype=np.int64)
+        try:
+            while True:
+                try:
+                    b, count = blocks.popleft()
+                except IndexError:
+                    return tally
+                rng = _rng(seed, StreamTag.BOB_NOISE, b)
+                w = rng.integers(0, M, size=count)
+                y = rng.standard_normal(out=noise[:count])
+                for a in range(0, count, _DECODE_CHUNK):  # no block-sized copy of coords[w]
+                    y[a : a + _DECODE_CHUNK] += coords[w[a : a + _DECODE_CHUNK]]
+                sent += np.bincount(w, minlength=M)
+                wrong += np.bincount(w[_decode_errors(y, w, coords, coords_sq, table)], minlength=M)
+        except BaseException:
+            blocks.clear()  # so the other thread takes no further block
+            raise
 
     def willie_block(b: int, count: int):
         rng = _rng(seed, StreamTag.WILLIE_H1, b)
@@ -590,31 +617,16 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         return detection, *empirical_divergences(spec, trials, seed)
 
     with _one_blas_thread:
-        cb = build_codebook(spec, M, seed)
-        # two noise buffers: block b + 1's draw, queued as block b's decode
-        # starts, writes the one block b - 1 was decoded in; sized after
-        # build_codebook has checked M
-        noise = np.empty((2, counts[0], min(spec.n, M)))
-        # The helper thread runs the detector side, then Bob's noise draws one
-        # block ahead of his decode. Once it starts, Bob's side calls only
-        # private kernels, on either thread, so calls into the public
-        # functions never interleave across the two threads (a tracer
-        # wrapping them keeps one call stack per process).
+        # The detector side goes first, so the codebook is built beside it.
+        # Public functions then run on both threads at once (build_codebook
+        # beside willie_detect and empirical_divergences); Bob's blocks call
+        # only private kernels.
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simkit-helper") as helper:
             detector = helper.submit(detector_side)
-            draw = helper.submit(bob_draw, 0, counts[0])
-            coords, coords_sq = cb._span
+            coords, coords_sq = build_codebook(spec, M, seed)._span
             table = _float32_table(coords, coords_sq) if M >= _FLOAT32_MIN_ROWS else None
-            sent, wrong = np.zeros((2, M), dtype=np.int64)
-            for b, count in enumerate(counts):
-                # a draw the helper has not started yet is made here instead
-                w, y = bob_draw(b, count) if draw.cancel() else draw.result()
-                if b + 1 < len(counts):
-                    draw = helper.submit(bob_draw, b + 1, counts[b + 1])
-                for a in range(0, count, _DECODE_CHUNK):  # no block-sized copy of coords[w]
-                    y[a : a + _DECODE_CHUNK] += coords[w[a : a + _DECODE_CHUNK]]
-                sent += np.bincount(w, minlength=M)
-                wrong += np.bincount(w[_decode_errors(y, w, coords, coords_sq, table)], minlength=M)
+            helper_bob = helper.submit(bob_side)
+            sent, wrong = bob_side() + helper_bob.result()
             detection, kl, tvd = detector.result()
     decode_errors = int(wrong.sum())
     per_message = wrong[sent > 0] / sent[sent > 0]

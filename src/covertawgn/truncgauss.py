@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -329,10 +329,18 @@ def _read_ratio(x: np.ndarray, s: np.ndarray, v: np.ndarray, slope: np.ndarray) 
     return out
 
 
+@cache
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Gauss-Legendre rule (x, w) on [-1, 1], computed on first
+    use per node count: its eigenvalue solve would be almost all of the cost
+    of each radius-law build."""
+    return tuple(map(_read_only_copy, np.polynomial.legendre.leggauss(nodes)))
+
+
 def _gauss_legendre_radius_law(
     spec: TruncatedGaussianSpec, nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     # the band [mu r_outer, r_outer] has half-width r_outer (1 - mu) / 2, with
     # 1 - mu exact for mu >= 1/2; r_outer - r_inner cancels as mu nears 1
     r_outer = spec.r_outer

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -49,11 +50,24 @@ def test_build_codebook_validation():
         sk.build_codebook(_spec(), 1, seed=0)
 
 
-def test_simulate_checks_M_before_sizing_bob_noise():
-    # the noise ring is min(n, M) wide; a negative M used to reach np.empty
+def test_simulate_checks_M_before_sizing_bob_noise(monkeypatch):
+    # the noise buffers are min(n, M) wide; a negative M used to reach
+    # np.empty. The detector side is submitted before the codebook is built,
+    # so a refused M must also start no thread and run no detector side.
+    ran = []
+
+    def recording(*args):
+        ran.append(args)
+
+    for name in ("_output_radii", "willie_detect", "empirical_divergences"):
+        monkeypatch.setattr(sk, name, recording)
+    baseline = threading.active_count()
     for M in (-5, 1):
-        with pytest.raises(DomainError, match=f"build_codebook: need M >= 2, got {M}"):
+        with pytest.raises(DomainError) as err:
             sk.simulate(_spec(), M=M, trials=100, seed=0)
+        assert str(err.value) == f"build_codebook: need M >= 2, got {M}"
+    assert ran == []
+    assert threading.active_count() == baseline
 
 
 def test_negative_seed_is_a_domain_error_naming_it():
@@ -673,16 +687,16 @@ def _recording(kernel, threads):
 
 
 def _recording_bob_draws(monkeypatch):
-    # the threads Bob's noise blocks are drawn on, in draw order
-    threads, rng = [], sk._rng
+    # (block, thread) for each of Bob's noise blocks drawn, in draw order
+    draws, rng = [], sk._rng
 
     def recording(seed, tag, block):
         if tag == sk.StreamTag.BOB_NOISE:
-            threads.append(threading.get_ident())
+            draws.append((block, threading.get_ident()))
         return rng(seed, tag, block)
 
     monkeypatch.setattr(sk, "_rng", recording)
-    return threads
+    return draws
 
 
 @pytest.fixture
@@ -727,68 +741,108 @@ def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, blas_get):
 
 
 def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
-    # Bob decodes block by block on the calling thread; every detector-side
-    # draw (Willie's H1 radii and the divergence samples) on one other thread;
-    # each of Bob's noise blocks on one of those two
+    # every detector-side draw (Willie's H1 radii and the divergence samples)
+    # on one thread other than the caller; each of Bob's blocks drawn and
+    # decoded exactly once, on the caller or on that helper
     decode_threads, draw_threads = [], []
     monkeypatch.setattr(sk, "_decode_errors", _recording(sk._decode_errors, decode_threads))
     monkeypatch.setattr(sk, "_output_radii", _recording(sk._output_radii, draw_threads))
-    bob_threads = _recording_bob_draws(monkeypatch)
+    bob_draws = _recording_bob_draws(monkeypatch)
     baseline = threading.active_count()
     trials = 3 * sk._MC_BLOCK
     sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=trials, seed=3)
     caller = threading.get_ident()
-    assert decode_threads == [caller] * 3
     assert len(draw_threads) == 6  # three H1 blocks, three divergence blocks
     assert len(set(draw_threads)) == 1
-    assert draw_threads[0] != caller
-    assert len(bob_threads) == 3
-    assert set(bob_threads) <= {caller, draw_threads[0]}
+    helper = draw_threads[0]
+    assert helper != caller
+    assert sorted(b for b, _ in bob_draws) == [0, 1, 2]
+    assert sorted(t for _, t in bob_draws) == sorted(decode_threads)
+    assert set(decode_threads) <= {caller, helper}
     assert threading.active_count() == baseline
 
 
+def _scheduled_blocks(monkeypatch, on_caller):
+    # Bob's block queue, with block b taken by the calling thread exactly
+    # where on_caller(b): a thread waits until the head block is its own or
+    # the queue is empty. Returns the queues simulate makes.
+    caller, turn, queues = threading.get_ident(), threading.Condition(), []
+
+    class Scheduled(sk.deque):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queues.append(self)
+
+        def popleft(self):
+            mine = threading.get_ident() == caller
+            with turn:
+                assert turn.wait_for(lambda: not self or on_caller(self[0][0]) == mine, timeout=60)
+                task = super().popleft()  # IndexError once the queue is empty
+                turn.notify_all()
+                return task
+
+        def clear(self):
+            with turn:
+                super().clear()
+                turn.notify_all()
+
+    monkeypatch.setattr(sk, "deque", Scheduled)
+    return queues
+
+
 @pytest.mark.parametrize("M", [4, 300])  # the float64 and the float32 error check
-@pytest.mark.parametrize("drawer", ["helper", "caller"])
-def test_simulate_is_byte_identical_under_any_draw_schedule(monkeypatch, drawer, M):
-    # every one of Bob's noise blocks drawn on the helper thread, or every one
-    # stolen by the caller: the results of a normal run, to the last bit
+@pytest.mark.parametrize("schedule", ["caller", "helper", "alternating"])
+def test_simulate_is_byte_identical_under_any_block_schedule(monkeypatch, schedule, M):
+    # every one of Bob's blocks taken by the caller, every one by the helper
+    # thread, or the two alternating: the results of a normal run, to the last bit
     spec, trials = _spec(n=16, psi=0.8, mu=0.7), 3 * sk._MC_BLOCK + 5
     expected = _without_wall_time(sk.simulate(spec, M, trials, seed=9))
-    if drawer == "helper":
-        class NeverStealing(sk.ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                future = super().submit(fn, *args, **kwargs)
-                future.cancel = lambda: False  # so the caller waits for each draw
-                return future
-
-        monkeypatch.setattr(sk, "ThreadPoolExecutor", NeverStealing)
-    else:
-        # the detector side, and so each draw queued behind it, is held until
-        # Bob's last block is decoded
-        bob_done, decoded = threading.Event(), []
-        decode_errors, willie_detect = sk._decode_errors, sk.willie_detect
-
-        def counting(*args):
-            wrong = decode_errors(*args)
-            decoded.append(args[0].shape[0])
-            if sum(decoded) == trials:
-                bob_done.set()
-            return wrong
-
-        def held(*args):
-            assert bob_done.wait(timeout=60)
-            return willie_detect(*args)
-
-        monkeypatch.setattr(sk, "_decode_errors", counting)
-        monkeypatch.setattr(sk, "willie_detect", held)
-    bob_threads = _recording_bob_draws(monkeypatch)
+    on_caller = {
+        "caller": lambda b: True,
+        "helper": lambda b: False,
+        "alternating": lambda b: b % 2 == 0,
+    }[schedule]
+    _scheduled_blocks(monkeypatch, on_caller)
+    decode_threads = []
+    monkeypatch.setattr(sk, "_decode_errors", _recording(sk._decode_errors, decode_threads))
+    bob_draws = _recording_bob_draws(monkeypatch)
     assert _without_wall_time(sk.simulate(spec, M, trials, seed=9)) == expected
-    assert len(bob_threads) == 4
     caller = threading.get_ident()
-    if drawer == "helper":
-        assert len(set(bob_threads)) == 1 and bob_threads[0] != caller
-    else:
-        assert bob_threads == [caller] * 4
+    assert sorted(b for b, _ in bob_draws) == [0, 1, 2, 3]
+    assert all((t == caller) == on_caller(b) for b, t in bob_draws)
+    assert sorted(decode_threads) == sorted(t for _, t in bob_draws)
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_bob_side_error_stops_both_threads(monkeypatch, blas_get, failing):
+    # a NumericError in one thread's decode is raised from simulate as is;
+    # the other thread, held inside its own block until the queue is
+    # emptied, takes no further block, and the helper joins
+    failure = NumericError(f"synthetic decode failure on the {failing}")
+    caller, decode_errors = threading.get_ident(), sk._decode_errors
+    other_in = threading.Event()
+    queues = _scheduled_blocks(monkeypatch, lambda b: b % 2 == 0)
+
+    def decode(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            assert other_in.wait(timeout=60)
+            raise failure
+        other_in.set()
+        deadline = time.monotonic() + 60
+        while queues[0] and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return decode_errors(*args)
+
+    monkeypatch.setattr(sk, "_decode_errors", decode)
+    bob_draws = _recording_bob_draws(monkeypatch)
+    baseline = threading.active_count()
+    blas_before = blas_get and blas_get()
+    with pytest.raises(NumericError) as raised:
+        sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=6 * sk._MC_BLOCK, seed=1)
+    assert raised.value is failure
+    assert sorted(b for b, _ in bob_draws) == [0, 1]  # one block each, of six
+    assert threading.active_count() == baseline
+    assert (blas_get and blas_get()) == blas_before
 
 
 def test_simulate_holds_openblas_to_one_thread_and_restores_it(monkeypatch, blas_get):

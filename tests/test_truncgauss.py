@@ -1,5 +1,7 @@
-import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,10 +316,7 @@ def _survey_specs():
             yield ("planner", delta), _planner_default_spec(n, delta)
 
 
-def test_survey_pins_every_refused_spec_to_the_radius_law(monkeypatch):
-    # one 256-node Legendre rule serves every build (computing it takes ~10 ms)
-    rule = functools.cache(np.polynomial.legendre.leggauss)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rule)
+def test_survey_pins_every_refused_spec_to_the_radius_law():
     refused = []
     for row, spec in _survey_specs():
         try:
@@ -335,6 +334,24 @@ def test_survey_pins_every_refused_spec_to_the_radius_law(monkeypatch):
     assert refused == pinned
 
 
+def test_legendre_rule_is_computed_on_first_use_once_and_read_only():
+    # importing the package computes no rule; a rule is leggauss's to the
+    # last bit, shared by every later build, and cannot be written through
+    code = "import covertawgn.truncgauss as tg; print(tg._legendre_rule.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(tg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
+    x, w = tg._legendre_rule(256)
+    assert tg._legendre_rule(256)[0] is x
+    want_x, want_w = np.polynomial.legendre.leggauss(256)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: tg.TruncatedGaussianSpec(148972, 0.05, 0.99),
     lambda: tg.TruncatedGaussianSpec(1035712, 0.05, 0.99),
@@ -345,13 +362,13 @@ def test_output_model_is_one_256_node_build_at_large_n(make, monkeypatch):
     # which puts these weight sums 1e-10 off at any node count
     spec = make()
     rules = []
-    original = np.polynomial.legendre.leggauss
+    original = tg._legendre_rule
 
-    def counting(deg):
-        rules.append(deg)
-        return original(deg)
+    def counting(nodes):
+        rules.append(nodes)
+        return original(nodes)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    monkeypatch.setattr(tg, "_legendre_rule", counting)
     model = tg.radial_output_density(spec)
     assert rules == [256]
     assert abs(model.weights.sum() - 1.0) <= 1e-10
