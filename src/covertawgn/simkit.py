@@ -22,17 +22,18 @@ for which no earlier codeword certainly outscores the sent one, by an a-priori
 error bound; a trial the bound cannot settle is rescored in float64. So the
 error flags are exactly those of the float64 decisions (see `_decode_errors`).
 
-Determinism: every random quantity is drawn from a stream keyed by
-(seed, stream tag, block index) with a fixed block size, and partial results
-are reduced in block order. In `simulate`, one helper thread runs Willie's
-test with the empirical divergences while the calling thread builds the
-codebook; then both threads take Bob's blocks from one queue, each drawing,
-decoding and counting the blocks it takes. A draw depends only on its stream
-key, and integer counts add up alike in any order, so the results do not
-depend on which thread takes a block or how the threads are scheduled. While
-`simulate` runs, the OpenBLAS that numpy loaded is held to one thread,
-process-wide, and restored afterwards (a no-op where none is found).
-The stream tags below and the draws made from each stream are the
+Determinism: every random quantity is drawn from a stream keyed by (seed,
+stream tag, block index) with a fixed block size, and partial results are
+reduced in block order. In `simulate`, one helper thread runs Willie's test
+with the empirical divergences while the calling thread builds the codebook;
+then both threads take Bob's blocks from one queue, each drawing, decoding and
+counting the blocks it takes. Bob's steps are sized by elements, so each numpy
+call runs long enough for the other thread to take the GIL. A draw depends
+only on its stream key, and integer counts add up alike in any order, so the
+results do not depend on which thread takes a block or how the threads are
+scheduled. While `simulate` runs, the OpenBLAS that numpy loaded is held to
+one thread, process-wide, and restored afterwards (a no-op where none is
+found). The stream tags below and the draws made from each stream are the
 reproducibility contract (v2: the Willie and divergence streams draw radii;
 v3: the Bob stream draws the message indices, then count x k span-coordinate
 normals; v4: every shell radius, in the codebook, Willie H1 and divergence
@@ -80,8 +81,8 @@ __all__ = [
 ]
 
 _MC_BLOCK = 4096
-# points the float64 decision kernel scores at once, capping its score matrix
-# at 256 x M; the error check scores at least this many per pass
+# the fewest points a row step on Bob's side takes (see `_rows_per_pass`): a
+# floor, so from M = 256 up the float64 kernel's score matrix is 256 x M
 _DECODE_CHUNK = 256
 # codebooks this wide are scored in float32; below it the certificate's
 # per-chunk passes cost more than the narrower product saves
@@ -90,8 +91,8 @@ _FLOAT32_MIN_ROWS = 256
 # [256, 1024), [1024, 4096), ... (see `_slab_edges`); a first slab of 256
 # was measured against 128 and 512
 _FIRST_SLAB = 256
-# augmented float32 points per row chunk of the error check (at least
-# _DECODE_CHUNK rows): about 1000 rows at k = 64
+# elements per row step on Bob's side, so each numpy call runs long enough for
+# `simulate`'s other thread to take the GIL: 1024 rows at k = 64, 4096 at M = 16
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -109,6 +110,10 @@ def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, int(tag), block]))
+
+
+def _rows_per_pass(width: int) -> int:
+    return max(_DECODE_CHUNK, _CHUNK_ELEMENTS // width)
 
 
 def _map_blocks(fn, total: int) -> list:
@@ -191,16 +196,17 @@ def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
 def _nearest_float64(points: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray) -> np.ndarray:
     """Index of the row nearest each point (lowest index on ties), given the
     rows' squared norms: argmax_j <y, c_j> - ||c_j||^2 / 2 (exactly -1/2 of
-    ||c_j||^2 - 2 <y, c_j>, so ties fall alike), scored _DECODE_CHUNK points
-    at a time into one reused float64 score buffer."""
+    ||c_j||^2 - 2 <y, c_j>, so ties fall alike), scored `_rows_per_pass(M)`
+    points at a time into one reused float64 score buffer."""
     half_sq = 0.5 * rows_sq
     out = np.empty(points.shape[0], dtype=np.intp)
-    buffer = np.empty((min(_DECODE_CHUNK, points.shape[0]), rows.shape[0]))
-    for i in range(0, points.shape[0], _DECODE_CHUNK):
-        chunk = points[i : i + _DECODE_CHUNK]
+    step = _rows_per_pass(rows.shape[0])
+    buffer = np.empty((min(step, points.shape[0]), rows.shape[0]))
+    for i in range(0, points.shape[0], step):
+        chunk = points[i : i + step]
         scores = np.matmul(chunk, rows.T, out=buffer[: chunk.shape[0]])
         scores -= half_sq
-        out[i : i + _DECODE_CHUNK] = np.argmax(scores, axis=1)
+        out[i : i + step] = np.argmax(scores, axis=1)
     return out
 
 
@@ -272,20 +278,20 @@ def _decode_errors(
     B holds for a float32 product of length k + 1 summed in any order, so
     each point's s_w is computed up front by a product of its own.
 
-    The points are taken about _CHUNK_ELEMENTS / (k + 1) at a time (at least
-    _DECODE_CHUNK) and scored on the column slabs of `_slab_edges` in turn.
-    After each slab but the last, the points certainly wrong are done. One
-    flat buffer holds each pass: a chunk on the first slab, or _DECODE_CHUNK
-    points on the widest slab. A gap counts only when finite, since B
-    assumes no overflow. Every point left undecided after the last slab (a
-    tie, a near-tie, a NaN or an overflow) is rescored in float64.
+    The points are taken `_rows_per_pass(k + 1)` at a time and scored on the
+    column slabs of `_slab_edges` in turn. After each slab but the last, the
+    points certainly wrong are done. One flat buffer holds each pass: a chunk
+    on the first slab, or _DECODE_CHUNK points on the widest slab. A gap
+    counts only when finite, since B assumes no overflow. Every point left
+    undecided after the last slab (a tie, a near-tie, a NaN or an overflow)
+    is rescored in float64.
     """
     M, k = rows.shape
     if M < _FLOAT32_MIN_ROWS:
         return _nearest_float64(points, rows, rows_sq) != sent
     count = points.shape[0]
     edges = _slab_edges(M)
-    step = min(count, max(_DECODE_CHUNK, _CHUNK_ELEMENTS // (k + 1)))
+    step = min(count, _rows_per_pass(k + 1))
     widest = max(np.diff(edges))
     buffer = np.empty(max(step * edges[1], min(count, _DECODE_CHUNK) * widest), dtype=np.float32)
     augmented = np.ones((step, k + 1), dtype=np.float32)
@@ -587,6 +593,7 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         """Per message, the trials sent and decoded wrong in the blocks this
         thread takes until none is left, drawn into its one noise buffer."""
         noise = np.empty((counts[0], coords.shape[1]))
+        step = _rows_per_pass(coords.shape[1])
         sent, wrong = tally = np.zeros((2, M), dtype=np.int64)
         try:
             while True:
@@ -597,8 +604,8 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
                 rng = _rng(seed, StreamTag.BOB_NOISE, b)
                 w = rng.integers(0, M, size=count)
                 y = rng.standard_normal(out=noise[:count])
-                for a in range(0, count, _DECODE_CHUNK):  # no block-sized copy of coords[w]
-                    y[a : a + _DECODE_CHUNK] += coords[w[a : a + _DECODE_CHUNK]]
+                for a in range(0, count, step):  # no block-sized copy of coords[w]
+                    y[a : a + step] += coords[w[a : a + step]]
                 sent += np.bincount(w, minlength=M)
                 wrong += np.bincount(w[_decode_errors(y, w, coords, coords_sq, table)], minlength=M)
         except BaseException:

@@ -267,18 +267,20 @@ def test_bob_decode_pinned_seeded_values_at_m_1024():
 
 def test_bob_decode_in_place_scores_match_reference():
     # the chunked kernel decides as one full score matrix does, on full
-    # vectors and on span coordinates, with a partial last chunk
-    rows = 2 * sk._DECODE_CHUNK + 59
-    cb = sk.build_codebook(_spec(n=32), 64, seed=3)  # k = n = 32 span coordinates
-    z = np.random.default_rng(4).standard_normal((rows, 32))
-    coords, coords_sq = cb._span
-    for book, decide in (
-        (cb.codewords, lambda y: sk.bob_decode_batch(cb, y)),
-        (coords, lambda y: sk._nearest_float64(y, coords, coords_sq)),
-    ):
-        y = book[np.arange(rows) % 64] + z
-        scores = np.sum(book**2, axis=1)[None, :] - 2.0 * (y @ book.T)
-        assert np.array_equal(decide(y), np.argmin(scores, axis=1))
+    # vectors and on span coordinates (k = n here), over two full steps and a
+    # partial last one; at M = 16 a step spans many _DECODE_CHUNKs
+    assert sk._rows_per_pass(16) > sk._DECODE_CHUNK
+    for n, M in ((32, 64), (16, 16)):
+        rows = 2 * sk._rows_per_pass(M) + 59
+        cb = sk.build_codebook(_spec(n=n), M, seed=3)
+        z = np.random.default_rng(4).standard_normal((rows, n))
+        coords, coords_sq = cb._span
+        for book, decide in (
+            (cb.codewords, lambda y: sk.bob_decode_batch(cb, y)),
+            (coords, lambda y: sk._nearest_float64(y, coords, coords_sq)),
+        ):
+            y = book[np.arange(rows) % M] + z
+            assert np.array_equal(decide(y), _full_score_argmin(y, book))
 
 
 def _full_score_argmin(points, rows):
@@ -506,7 +508,8 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
     # a (trials, n) noise block at n = 4096, or a (4096, M) score block at
     # M = 4096, would alone be 128 MiB; at the k = 64, M = 4096 shape of a
     # simulate block the error check holds its 3 MiB score buffer and the
-    # 1 MiB float32 table, and little else
+    # 1 MiB float32 table, and little else; at M = 16 the float64 kernel's
+    # wider step holds a 512 KiB score buffer (0.9 MiB peak measured)
     spec = tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95)
     tg.radial_output_density(spec).ratio_table  # the model is cached per spec
     rng = np.random.default_rng(2)
@@ -515,11 +518,15 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
     wide_rows = rng.standard_normal((4096, 64))
     wide_sq = np.sum(wide_rows**2, axis=1)
     wide_points = wide_rows[sent] + rng.standard_normal((4096, 64))
+    narrow_rows = rng.standard_normal((16, 16))
+    narrow_sq = np.sum(narrow_rows**2, axis=1)
+    narrow_points = narrow_rows[rng.integers(0, 16, 40960)] + rng.standard_normal((40960, 16))
     for run, bound_mib in (
         (lambda: sk.simulate(spec, M=4, trials=4096, seed=1), 16),
         (lambda: sk._nearest_float64(points, rows, rows_sq), 16),
         (lambda: sk._decode_errors(points, sent, rows, rows_sq), 16),
         (lambda: sk._decode_errors(wide_points, sent, wide_rows, wide_sq), 6),
+        (lambda: sk._nearest_float64(narrow_points, narrow_rows, narrow_sq), 2),
     ):
         tracemalloc.start()
         try:
@@ -982,6 +989,34 @@ def test_simulate_pinned_seeded_values():
         "empirical_tvd": {"value": 0.48519240828326776, "std_err": 0.004018361306975193},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
+        },
+    }
+
+
+def test_simulate_pinned_seeded_values_on_a_narrow_codebook():
+    # stream contract v5 at n = 512 > M = 16: Bob decodes in QR span
+    # coordinates over three blocks, the last one partial; how many points
+    # the kernels take per step must not move these
+    spec = tg.TruncatedGaussianSpec(n=512, psi=0.05, mu=0.8)
+    d = sk.simulate(spec, M=16, trials=9000, seed=29).to_dict()
+    d.pop("wall_time")
+    assert d == {
+        "decode_error_rate": 0.007555555555555556,
+        "decode_error_worst_message": 0.016216216216216217,
+        "decode_trials": 9000,
+        "detection": {
+            "threshold": 522.1063693948122,
+            "alpha": 0.38177777777777777,
+            "beta": 0.36777777777777776,
+            "sum_error": 0.7495555555555555,
+            "trials_h0": 9000,
+            "trials_h1": 9000,
+            "std_err": 0.007215267686752529,
+        },
+        "empirical_kl_bits": {"value": 0.28767317919814794, "std_err": 0.009812031478675542},
+        "empirical_tvd": {"value": 0.2476898120573509, "std_err": 0.0019156322246467064},
+        "config": {
+            "n": 512, "psi": 0.05, "mu": 0.8, "M": 16, "trials": 9000, "seed": 29,
         },
     }
 
