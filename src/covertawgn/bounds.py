@@ -144,7 +144,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(ThroughputBounds))
 def throughput_bounds(params: CovertParams) -> ThroughputBounds:
     """Both exact bounds plus the simplified expansion terms at one point."""
     n, delta, epsilon = params.n, params.delta, params.epsilon
-    nu = math.sqrt(params.nu_sq)
     first, so_conv, so_ach = simplified_asymptotics(params)
     return ThroughputBounds(
         n=n,
@@ -155,7 +154,7 @@ def throughput_bounds(params: CovertParams) -> ThroughputBounds:
         first_order=first,
         second_order_conv=so_conv,
         second_order_achiev=so_ach,
-        v1=v1_dispersion(n, delta, params.mu, nu),
+        v1=_dispersion(psi_suf(n, delta, params.mu, params.nu_sq)),
         v2=v2_dispersion(n, delta, params.eta),
     )
 

@@ -61,8 +61,8 @@ class CovarianceSpec:
     def __post_init__(self) -> None:
         if len(self.eigenvalues) == 0:
             raise DomainError("CovarianceSpec: need at least one eigenvalue")
-        if any(not (lam > 0.0) for lam in self.eigenvalues):
-            raise DomainError("CovarianceSpec: all eigenvalues must be positive")
+        if any(not (0.0 < lam < math.inf) for lam in self.eigenvalues):
+            raise DomainError("CovarianceSpec: all eigenvalues must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -135,8 +135,11 @@ def kl_isotropic(pair: IsotropicGaussianPair) -> float:
 
 def kl_general_covariance(spec: CovarianceSpec) -> float:
     """(1/2) sum_i (lambda_i - 1 - ln lambda_i) log2 e bits; isotropic when all equal."""
-    total = math.fsum(lam - 1.0 - math.log(lam) for lam in spec.eigenvalues)
-    return 0.5 * total * specfn.LOG2E
+    # lambda - 1 is exact from 1/2 up, so a term is x_minus_log1p of it, as in
+    # kl_isotropic; below, it rounds (to -1 at 1e-300) and the difference does not cancel
+    terms = (specfn.x_minus_log1p(lam - 1.0) if lam >= 0.5 else lam - 1.0 - math.log(lam)
+             for lam in spec.eigenvalues)
+    return 0.5 * math.fsum(terms) * specfn.LOG2E
 
 
 def _hellinger_sq(n, x):

@@ -75,6 +75,14 @@ def test_dispersion_factors_in_unit_interval():
             assert 0.0 < bd.v2_dispersion(n, delta, p.eta) < 1.0
 
 
+def test_v1_is_the_dispersion_at_the_achievability_power():
+    # bit for bit: nu_sq goes to psi_suf as is, not as sqrt(nu_sq) squared
+    grid = bd.default_n_grid(1, 10**8)
+    for row in bd.bounds_grid(grid, 0.01):
+        p = _p(row.n)
+        assert row.v1 == bd._dispersion(pl.psi_suf(row.n, 0.01, p.mu, p.nu_sq)), row.n
+
+
 def test_dispersions_inherit_planner_domain_checks():
     with pytest.raises(DomainError, match="psi_suf"):
         bd.v1_dispersion(1000, 0.01, 1.0, 1.0)

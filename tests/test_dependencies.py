@@ -49,3 +49,27 @@ def test_third_party_imports_equal_runtime_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[A-Za-z0-9_.\-]+", req).group(0) for req in project["dependencies"]}
     assert _third_party_imports() == declared
+
+
+def _lgamma_sites() -> list[tuple[str, str]]:
+    """(file, enclosing function) of every name or attribute lgamma in
+    src/covertawgn, imports included; '' outside any function."""
+    sites = []
+
+    def visit(node, where, file):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = node.name if isinstance(node, ast.alias) else getattr(node, "attr", None)
+        if "lgamma" in (name, getattr(node, "id", None)):
+            sites.append((file, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, file)
+
+    for py in sorted((SRC / "covertawgn").glob("*.py")):
+        visit(ast.parse(py.read_text(encoding="utf-8")), "", py.name)
+    return sites
+
+
+def test_lgamma_is_read_only_by_the_gamma_log_density():
+    # ln Gamma is evaluated in one place, so the Gamma density is written once
+    assert _lgamma_sites() == [("specfn.py", "_log_gamma_pdf")]

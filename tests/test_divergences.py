@@ -109,10 +109,15 @@ def test_tvd_isotropic_monotone_in_power():
 
 
 def test_kl_general_covariance_reduces_to_isotropic():
-    n, s2 = 12, 1.35
-    spec = dv.CovarianceSpec((s2,) * n)
-    pair = dv.IsotropicGaussianPair(n, s2)
-    assert dv.kl_general_covariance(spec) == pytest.approx(dv.kl_isotropic(pair), rel=1e-13)
+    n = 12
+    for s2 in (1.35, 1.0 + 1e-2, 1.0 + 1e-5, 1.0 + 1e-8):
+        spec = dv.CovarianceSpec((s2,) * n)
+        pair = dv.IsotropicGaussianPair(n, s2)
+        iso = dv.kl_isotropic(pair)
+        assert dv.kl_general_covariance(spec) == pytest.approx(iso, rel=1e-15, abs=0.0)
+    # below lambda = 1/2 the direct form, finite where lambda - 1 rounds to -1
+    tiny = dv.kl_general_covariance(dv.CovarianceSpec((1e-300,)))
+    assert tiny == pytest.approx(0.5 * (300.0 * math.log(10.0) - 1.0) * LOG2E, rel=1e-15)
 
 
 def test_isotropic_minimizes_kl_at_fixed_trace():
@@ -131,6 +136,9 @@ def test_covariance_spec_validation():
         dv.CovarianceSpec(())  # no eigenvalues
     with pytest.raises(DomainError):
         dv.CovarianceSpec((1.0, -0.5))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            dv.CovarianceSpec((1.0, bad))
     spec = dv.CovarianceSpec((1.5, 1.1))
     assert spec.n == 2
     assert spec.trace_power == pytest.approx(0.3, rel=1e-14)

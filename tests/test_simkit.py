@@ -965,7 +965,10 @@ def test_simulate_pinned_seeded_values():
     # only with a documented bump. The KL alone moved from 1.3441503309140383,
     # with every draw unchanged, when the radius law's Gamma density was
     # rewritten about its mean, and from 1.3441503309140364 when its band
-    # half-width became r_outer (1 - mu) / 2. v4 moved every field drawn from
+    # half-width became r_outer (1 - mu) / 2. The KL (from 1.3441503309140368)
+    # and the TVD (from 0.48519240828326776, std_err 0.004018361306975193)
+    # moved, with every draw unchanged, when the incomplete gamma's prefactor
+    # was written about the mean, through Delta. v4 moved every field drawn from
     # shell radii (v3: decode 0.03275, alpha 0.28025, KL 1.34517, TVD
     # 0.48366); v3 moved only the two decode fields (v2: 0.03375,
     # 0.04263959390862944)
@@ -985,8 +988,8 @@ def test_simulate_pinned_seeded_values():
             "trials_h1": 4000,
             "std_err": 0.009607756469384516,
         },
-        "empirical_kl_bits": {"value": 1.3441503309140368, "std_err": 0.03439039329506543},
-        "empirical_tvd": {"value": 0.48519240828326776, "std_err": 0.004018361306975193},
+        "empirical_kl_bits": {"value": 1.3441503309140361, "std_err": 0.03439039329506543},
+        "empirical_tvd": {"value": 0.4851924082832678, "std_err": 0.0040183613069751925},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
         },
