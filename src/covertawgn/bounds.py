@@ -33,8 +33,6 @@ from .planner import CovertParams, psi_nec, psi_suf
 __all__ = [
     "ThroughputBounds",
     "AsymptoticSweep",
-    "v1_dispersion",
-    "v2_dispersion",
     "achievability_bound",
     "converse_bound",
     "simplified_asymptotics",
@@ -63,19 +61,6 @@ def _normal_approximation(n: int, x: float, v: float, epsilon: float, order: flo
     first = 0.5 * n * math.log1p(x) * specfn.LOG2E
     penalty = math.sqrt(0.5 * n * v) * specfn.LOG2E * specfn.gaussian_q_inv(epsilon)
     return first - penalty + order * math.log2(n)
-
-
-def v1_dispersion(n: int, delta: float, mu: float, nu: float) -> float:
-    """Achievability-side dispersion x(x + 2)/(1 + x)^2 at x = psi_suf(n, delta, mu, nu^2).
-
-    Lies in (0, 1) and vanishes like 2 psi_suf.
-    """
-    return _dispersion(psi_suf(n, delta, mu, nu * nu))
-
-
-def v2_dispersion(n: int, delta: float, eta: float) -> float:
-    """Converse-side dispersion x(x + 2)/(1 + x)^2 at x = psi_nec(n, delta, eta)."""
-    return _dispersion(psi_nec(n, delta, eta))
 
 
 def achievability_bound(params: CovertParams) -> float:
@@ -155,7 +140,7 @@ def throughput_bounds(params: CovertParams) -> ThroughputBounds:
         second_order_conv=so_conv,
         second_order_achiev=so_ach,
         v1=_dispersion(psi_suf(n, delta, params.mu, params.nu_sq)),
-        v2=v2_dispersion(n, delta, params.eta),
+        v2=_dispersion(psi_nec(n, delta, params.eta)),
     )
 
 

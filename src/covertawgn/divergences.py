@@ -45,6 +45,12 @@ class IsotropicGaussianPair:
             raise DomainError(
                 f"IsotropicGaussianPair: need sigma1_sq > 0, got {self.sigma1_sq!r}"
             )
+        # below 2^-54, sigma1_sq - 1 rounds to -1 and every closed form takes ln 0
+        if self.excess_power == -1.0:
+            raise DomainError(
+                f"IsotropicGaussianPair: sigma1_sq={self.sigma1_sq!r} at n={self.n} is too "
+                "small for sigma1_sq - 1 to differ from -1 in double precision"
+            )
 
     @property
     def excess_power(self) -> float:
@@ -129,7 +135,7 @@ def _kl_excess_bits(n, x):
 
 def kl_isotropic(pair: IsotropicGaussianPair) -> float:
     """D(N(0, s^2 I_n) || N(0, I_n)) = (n/2) [x - ln(1+x)] log2 e bits, x = s^2 - 1."""
-    # x > -1 is guaranteed by sigma1_sq > 0
+    # x > -1 is guaranteed by IsotropicGaussianPair
     return _kl_excess_bits(pair.n, pair.excess_power)
 
 

@@ -24,10 +24,11 @@ error flags are exactly those of the float64 decisions (see `_decode_errors`).
 
 Determinism: every random quantity is drawn from a stream keyed by (seed,
 stream tag, block index) with a fixed block size, and partial results are
-reduced in block order. In `simulate`, one helper thread runs Willie's test
-with the empirical divergences while the calling thread builds the codebook;
-then both threads take Bob's blocks from one queue, each drawing, decoding and
-counting the blocks it takes. Bob's steps are sized by elements, so each numpy
+reduced in block order. In `simulate`, one helper thread draws Willie's
+radii, once per trial under each hypothesis, and reads them twice, for his
+test and for the empirical divergences, while the calling thread builds the
+codebook; then both threads take Bob's blocks from one queue, each drawing,
+decoding and counting the blocks it takes. Bob's steps are sized by elements, so each numpy
 call runs long enough for the other thread to take the GIL. A draw depends
 only on its stream key, and integer counts add up alike in any order, so the
 results do not depend on which thread takes a block or how the threads are
@@ -37,10 +38,12 @@ found). The stream tags below and the draws made from each stream are the
 reproducibility contract (v2: the Willie and divergence streams draw radii;
 v3: the Bob stream draws the message indices, then count x k span-coordinate
 normals; v4: every shell radius, in the codebook, Willie H1 and divergence
-streams, comes from the rejection sampler `truncgauss._sample_radii`; v5, in
-force: where n <= M Bob's normals are noise in the standard basis, not in a QR
-basis, which moves only the decode error rates); changing them changes every
-seeded result they feed.
+streams, comes from the rejection sampler `truncgauss._sample_radii`; v5:
+where n <= M Bob's normals are noise in the standard basis, not in a QR
+basis, which moves only the decode error rates; v6, in force: the empirical
+divergences read Willie's WILLIE_H0 and WILLIE_H1 radii and the divergence
+stream is retired, which moves only the empirical KL and TVD); changing them
+changes every seeded result they feed.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ class StreamTag(IntEnum):
     BOB_NOISE = 2
     WILLIE_H1 = 3
     WILLIE_H0 = 4
-    DIVERGENCE = 5
+    # 5 was DIVERGENCE, retired in v6 when the divergences began to read
+    # Willie's radii; it is never reused
 
 
 def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
@@ -361,6 +365,25 @@ def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
 # --- Willie's detector ----------------------------------------------------------
 
 
+def _detector_radii(
+    spec: TruncatedGaussianSpec, total: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(h0, h1): `total` radii ||y|| of Willie's observation under noise only
+    and under the code-ensemble output, drawn per block, H0 on the WILLIE_H0
+    stream and H1 (a fresh shell radius, then the noise) on WILLIE_H1, and
+    concatenated in block order. Willie's test and the empirical divergences
+    both read them."""
+
+    def block(b: int, count: int):
+        rng = _rng(seed, StreamTag.WILLIE_H1, b)
+        r = _sample_radii(spec, count, rng)
+        r0 = np.sqrt(_rng(seed, StreamTag.WILLIE_H0, b).chisquare(spec.n, count))
+        return r0, _output_radii(r, spec.n, rng)
+
+    h0, h1 = map(np.concatenate, zip(*_map_blocks(block, total)))
+    return h0, h1
+
+
 @dataclass(frozen=True)
 class DetectionResult:
     """Binary-test outcome: alpha = missed detection, beta = false alarm.
@@ -454,17 +477,27 @@ def empirical_divergences(
     beyond the bulk, so the clipped tail is negligible. The model reads it
     (`RadialOutputDensity._ratio_at`) with the values np.interp would give,
     bit for bit.
+
+    Stream contract v6: the radii are Willie's, drawn on the WILLIE_H1 and
+    WILLIE_H0 streams, so the result equals the empirical KL and TVD of
+    `simulate(spec, M, n_samples, seed)` for every M, bit for bit.
     """
     if n_samples < 2:
         raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
+    return _divergence_estimates(spec, *_detector_radii(spec, n_samples, seed), seed)
+
+
+def _divergence_estimates(
+    spec: TruncatedGaussianSpec, h0: np.ndarray, h1: np.ndarray, seed: int
+) -> tuple[Estimate, Estimate]:
+    """`empirical_divergences` from the radii of `_detector_radii`, read as
+    views per block of `_map_blocks` and reduced in block order."""
     model = radial_output_density(spec)
 
     def one_block(b: int, count: int):
-        rng = _rng(seed, StreamTag.DIVERGENCE, b)
-        r1 = _output_radii(_sample_radii(spec, count, rng), spec.n, rng)
-        r0 = np.sqrt(rng.chisquare(spec.n, count))
-        lr1 = model._ratio_at(r1)
-        lr0 = model._ratio_at(r0)
+        at = slice(b * _MC_BLOCK, b * _MC_BLOCK + count)
+        lr1 = model._ratio_at(h1[at])
+        lr0 = model._ratio_at(h0[at])
         if not (np.isfinite(lr1).all() and np.isfinite(lr0).all()):
             raise NumericError(
                 f"empirical_divergences: non-finite ratio in block {b} of {spec}, seed {seed}"
@@ -477,9 +510,9 @@ def empirical_divergences(
             t1.sum(), (t1**2).sum(),
         )
 
-    parts = _map_blocks(one_block, n_samples)
+    parts = _map_blocks(one_block, h0.size)
     sums = [math.fsum(p[i] for p in parts) for i in range(6)]
-    m = float(n_samples)
+    m = float(h0.size)
 
     def mean_se(s: float, s2: float) -> tuple[float, float]:
         mean = s / m
@@ -574,11 +607,13 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
     Decode error is pooled over uniformly drawn messages (the worst per-message
     rate is reported alongside). Willie's alternative draws a fresh shell
     codeword per trial: the code-ensemble output law whose V_T the closed
-    forms predict. Each of the decode, detect and divergence estimates uses
-    `trials` samples, so `trials >= 2`; `M >= 2` too, both checked before
-    any work. One helper thread runs Willie's test and the divergences while
-    the calling thread builds the codebook; then both take Bob's blocks from
-    one queue, and a failure on either empties it and is raised here.
+    forms predict. The decode estimate uses `trials` samples, and the detect
+    and divergence estimates read the same `trials` radii per hypothesis, so
+    the divergences equal `empirical_divergences(spec, trials, seed)`;
+    `trials >= 2` and `M >= 2`, both checked before any work. One helper
+    thread runs Willie's test and the divergences while the calling thread
+    builds the codebook; then both take Bob's blocks from one queue, and a
+    failure on either empties it and is raised here.
     OpenBLAS is held to one thread, process-wide, until the call returns (see
     the module docstring).
     """
@@ -612,22 +647,15 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
             blocks.clear()  # so the other thread takes no further block
             raise
 
-    def willie_block(b: int, count: int):
-        rng = _rng(seed, StreamTag.WILLIE_H1, b)
-        r = _sample_radii(spec, count, rng)
-        r0 = np.sqrt(_rng(seed, StreamTag.WILLIE_H0, b).chisquare(spec.n, count))
-        return r0, _output_radii(r, spec.n, rng)
-
     def detector_side():
-        h0, h1 = map(np.concatenate, zip(*_map_blocks(willie_block, trials)))
+        h0, h1 = _detector_radii(spec, trials, seed)
         detection = willie_detect(h0, h1, radial_output_density(spec))
-        return detection, *empirical_divergences(spec, trials, seed)
+        return detection, *_divergence_estimates(spec, h0, h1, seed)
 
     with _one_blas_thread:
         # The detector side goes first, so the codebook is built beside it.
         # Public functions then run on both threads at once (build_codebook
-        # beside willie_detect and empirical_divergences); Bob's blocks call
-        # only private kernels.
+        # beside willie_detect); Bob's blocks call only private kernels.
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simkit-helper") as helper:
             detector = helper.submit(detector_side)
             coords, coords_sq = build_codebook(spec, M, seed)._span

@@ -70,24 +70,28 @@ def test_median_epsilon_kills_dispersion_terms():
 def test_dispersion_factors_in_unit_interval():
     for n in (100, 10**4, 10**8):
         for delta in (1e-3, 0.05):
-            p = _p(n, delta)
-            assert 0.0 < bd.v1_dispersion(n, delta, p.mu, math.sqrt(p.nu_sq)) < 1.0
-            assert 0.0 < bd.v2_dispersion(n, delta, p.eta) < 1.0
+            tb = bd.throughput_bounds(_p(n, delta))
+            assert 0.0 < tb.v1 < 1.0
+            assert 0.0 < tb.v2 < 1.0
 
 
 def test_v1_is_the_dispersion_at_the_achievability_power():
-    # bit for bit: nu_sq goes to psi_suf as is, not as sqrt(nu_sq) squared
+    # bit for bit: nu_sq goes to psi_suf as is, not as sqrt(nu_sq) squared;
+    # v2 is the dispersion at the converse's power
     grid = bd.default_n_grid(1, 10**8)
     for row in bd.bounds_grid(grid, 0.01):
         p = _p(row.n)
         assert row.v1 == bd._dispersion(pl.psi_suf(row.n, 0.01, p.mu, p.nu_sq)), row.n
+        assert row.v2 == bd._dispersion(pl.psi_nec(row.n, 0.01, p.eta)), row.n
 
 
 def test_dispersions_inherit_planner_domain_checks():
+    # v1 and v2 are read at the planner's power corners, which refuse a
+    # slack outside their domain by name
     with pytest.raises(DomainError, match="psi_suf"):
-        bd.v1_dispersion(1000, 0.01, 1.0, 1.0)
+        pl.psi_suf(1000, 0.01, 1.0, 1.0)
     with pytest.raises(DomainError, match="psi_nec"):
-        bd.v2_dispersion(1000, 0.01, 1.0)
+        pl.psi_nec(1000, 0.01, 1.0)
 
 
 @pytest.mark.parametrize("n,tol", [(10**6, 2e-4), (10**8, 2e-5)])

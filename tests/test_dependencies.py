@@ -73,3 +73,26 @@ def _lgamma_sites() -> list[tuple[str, str]]:
 def test_lgamma_is_read_only_by_the_gamma_log_density():
     # ln Gamma is evaluated in one place, so the Gamma density is written once
     assert _lgamma_sites() == [("specfn.py", "_log_gamma_pdf")]
+
+
+def _stream_sites() -> tuple[list[str], set[str]]:
+    """The tag argument of every _rng(...) call in src/covertawgn, as source
+    text, and every name and attribute named there."""
+    tags, names = [], set()
+    for py in sorted((SRC / "covertawgn").glob("*.py")):
+        for node in ast.walk(ast.parse(py.read_text(encoding="utf-8"))):
+            names.add(getattr(node, "attr", getattr(node, "id", None)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rng":
+                tags.append(ast.unparse(node.args[1]))
+    return tags, names
+
+
+def test_each_stream_is_drawn_at_one_rng_call_site():
+    # one draw site per stream (stream contract v6): a second site for a
+    # stream would draw its samples twice; the retired DIVERGENCE appears
+    # nowhere in the sources
+    from covertawgn.simkit import StreamTag
+
+    tags, names = _stream_sites()
+    assert sorted(tags) == sorted(f"StreamTag.{t.name}" for t in StreamTag)
+    assert "DIVERGENCE" not in names

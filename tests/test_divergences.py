@@ -25,6 +25,27 @@ def test_pair_validation():
     assert dv.IsotropicGaussianPair(4, 1.25).excess_power == pytest.approx(0.25)
 
 
+def test_closed_forms_raise_no_bare_value_error_at_tiny_power():
+    # below 2^-54, sigma1_sq - 1 rounds to -1: the pair is refused by name,
+    # and every pair that constructs has finite closed forms
+    with pytest.raises(DomainError, match=r"sigma1_sq=1e-17 at n=4"):
+        dv.IsotropicGaussianPair(4, 1e-17)
+    smallest = math.nextafter(2.0**-54, 1.0)
+    for n in (1, 4, 10**6):
+        for s2 in (5e-324, 1e-300, 1e-17, 2.0**-54, smallest, 2.0**-53, 1e-15, 1e-8):
+            try:
+                pair = dv.IsotropicGaussianPair(n, s2)
+            except DomainError:
+                assert s2 <= 2.0**-54
+                continue
+            assert s2 >= smallest
+            kl = dv.kl_isotropic(pair)
+            h2 = dv.hellinger_sq_isotropic(pair)
+            tvd = dv.tvd_isotropic_exact(pair)
+            assert kl > 0.0 and math.isfinite(kl)
+            assert 0.0 < h2 <= 1.0 and 0.0 < tvd <= 1.0
+
+
 def test_kl_isotropic_anchor():
     # n=2, sigma^2=2: KL = (1 - ln 2) log2 e = log2 e - 1
     pair = dv.IsotropicGaussianPair(2, 2.0)

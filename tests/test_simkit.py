@@ -32,7 +32,10 @@ def test_stream_tags_are_frozen():
     assert int(sk.StreamTag.BOB_NOISE) == 2
     assert int(sk.StreamTag.WILLIE_H1) == 3
     assert int(sk.StreamTag.WILLIE_H0) == 4
-    assert int(sk.StreamTag.DIVERGENCE) == 5
+    # v6 retired DIVERGENCE = 5; the divergences read Willie's radii, and 5
+    # is never reused
+    assert [int(t) for t in sk.StreamTag] == [1, 2, 3, 4]
+    assert "DIVERGENCE" not in sk.StreamTag.__members__
 
 
 def test_build_codebook_deterministic():
@@ -59,7 +62,7 @@ def test_simulate_checks_M_before_sizing_bob_noise(monkeypatch):
     def recording(*args):
         ran.append(args)
 
-    for name in ("_output_radii", "willie_detect", "empirical_divergences"):
+    for name in ("_output_radii", "willie_detect", "_divergence_estimates"):
         monkeypatch.setattr(sk, name, recording)
     baseline = threading.active_count()
     for M in (-5, 1):
@@ -618,6 +621,45 @@ def test_empirical_divergences_match_quadrature():
     assert abs(tvd.value - rep.tvd) <= 4 * tvd.std_err
 
 
+# ((KL bits, std_err), (TVD, std_err)) of simulate(spec, 16, 40000, seed)
+# under stream contract v5, which drew the divergences' own radii on the
+# retired stream 5
+_V5_DIVERGENCES = {
+    "mc_detect": {
+        0: ((0.05288940263988762, 0.0018899362025184836), (0.10400124676277997, 0.0004635504212160692)),
+        1: ((0.04666455818511299, 0.0018958356664950428), (0.10317428748431201, 0.000461633598097509)),
+        2: ((0.049052085101953045, 0.001897745723634722), (0.10401726147723193, 0.00046413868905584234)),
+    },
+    "thin_shell": {
+        0: ((0.052438234970437356, 0.0018911656905270739), (0.10400299258439752, 0.0004633617095253368)),
+        1: ((0.04703370145958588, 0.001894474450086088), (0.10319421730707151, 0.0004616011813834287)),
+        2: ((0.049229351271560626, 0.001898062805752786), (0.10407755609730135, 0.0004646259059440564)),
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_V5_DIVERGENCES))
+def test_v6_divergences_agree_with_quadrature_and_with_v5(shape):
+    # stream contract v6 reads Willie's radii: its KL and TVD lie within 5
+    # standard errors of the quadrature and, in the se of the difference, of
+    # v5's estimates; at the mc_detect benchmark shape (mu = 0.8, Gamma
+    # proposal) and at the planner-default thin shell (mu = 1 - 1/(n+1),
+    # uniform proposal)
+    n, delta = 512, 0.05
+    mu = 0.8 if shape == "mc_detect" else pl.CovertParams.defaults(n, delta).mu
+    spec = tg.TruncatedGaussianSpec(n=n, psi=pl.psi_suf(n, delta, mu, pl.nu_lemma_shell(n)), mu=mu)
+    assert tg._radius_proposal(spec)[0] == (shape == "thin_shell")
+    rep = tg.output_divergences_quadrature(tg.radial_output_density(spec))
+    for seed, (kl5, tvd5) in _V5_DIVERGENCES[shape].items():
+        res = sk.simulate(spec, M=16, trials=40_000, seed=seed)
+        for v6, (v5, se5), exact in (
+            (res.empirical_kl_bits, kl5, rep.kl_bits),
+            (res.empirical_tvd, tvd5, rep.tvd),
+        ):
+            assert abs(v6.value - exact) <= 5.0 * v6.std_err
+            assert abs(v6.value - v5) <= 5.0 * math.hypot(v6.std_err, se5)
+
+
 def test_empirical_tvd_does_not_saturate_when_laws_separate():
     # positive-part estimator keeps working when the hypotheses are far apart
     spec = tg.TruncatedGaussianSpec(n=64, psi=4.0, mu=0.8)
@@ -662,8 +704,9 @@ def test_triangle_chain_bounds_codebook_output():
 
 
 def test_simulate_detector_side_equals_its_sequential_composition():
-    # Willie's radii drawn by hand, then his test, then the divergences: what
-    # the helper thread computes beside Bob's decode, to the last bit
+    # Willie's radii drawn by hand, then his test, then the divergences on the
+    # same radii: what the helper thread computes beside Bob's decode, to the
+    # last bit; the public empirical_divergences draws the same radii
     spec, trials, seed = _spec(n=16, psi=0.8, mu=0.7), 5000, 42
     res = sk.simulate(spec, M=4, trials=trials, seed=seed)
     h0, h1 = [], []
@@ -674,10 +717,12 @@ def test_simulate_detector_side_equals_its_sequential_composition():
         h0.append(np.sqrt(sk._rng(seed, sk.StreamTag.WILLIE_H0, b).chisquare(spec.n, count)))
         h1.append(sk._output_radii(r, spec.n, rng))
     model = tg.radial_output_density(spec)
-    assert res.detection == sk.willie_detect(np.concatenate(h0), np.concatenate(h1), model)
-    kl, tvd = sk.empirical_divergences(spec, trials, seed)
+    h0, h1 = np.concatenate(h0), np.concatenate(h1)
+    assert res.detection == sk.willie_detect(h0, h1, model)
+    kl, tvd = sk._divergence_estimates(spec, h0, h1, seed)
     assert res.empirical_kl_bits == kl
     assert res.empirical_tvd == tvd
+    assert sk.empirical_divergences(spec, trials, seed) == (kl, tvd)
 
 
 def _without_wall_time(res):
@@ -737,7 +782,8 @@ def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, blas_get):
     def fail(*args, **kwargs):
         raise failure
 
-    monkeypatch.setattr(sk, "empirical_divergences", fail)
+    # the divergences' reduction of Willie's radii, on the helper thread
+    monkeypatch.setattr(sk, "_divergence_estimates", fail)
     baseline = threading.active_count()
     blas_before = blas_get and blas_get()
     with pytest.raises(NumericError) as raised:
@@ -748,9 +794,9 @@ def test_detector_side_error_leaves_simulate_unchanged(monkeypatch, blas_get):
 
 
 def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
-    # every detector-side draw (Willie's H1 radii and the divergence samples)
-    # on one thread other than the caller; each of Bob's blocks drawn and
-    # decoded exactly once, on the caller or on that helper
+    # every detector-side draw (Willie's H1 radii, which the divergences also
+    # read) on one thread other than the caller; each of Bob's blocks drawn
+    # and decoded exactly once, on the caller or on that helper
     decode_threads, draw_threads = [], []
     monkeypatch.setattr(sk, "_decode_errors", _recording(sk._decode_errors, decode_threads))
     monkeypatch.setattr(sk, "_output_radii", _recording(sk._output_radii, draw_threads))
@@ -759,7 +805,7 @@ def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
     trials = 3 * sk._MC_BLOCK
     sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=4, trials=trials, seed=3)
     caller = threading.get_ident()
-    assert len(draw_threads) == 6  # three H1 blocks, three divergence blocks
+    assert len(draw_threads) == 3  # three H1 blocks, drawn once
     assert len(set(draw_threads)) == 1
     helper = draw_threads[0]
     assert helper != caller
@@ -961,8 +1007,11 @@ def test_simulate_builds_the_float32_table_once(monkeypatch):
 
 
 def test_simulate_pinned_seeded_values():
-    # stream contract v5 (n > M here, so as in v4): these exact values change
-    # only with a documented bump. The KL alone moved from 1.3441503309140383,
+    # stream contract v6: these exact values change only with a documented
+    # bump. v6 moved only the empirical divergences, which now read Willie's
+    # radii (v5: KL 1.3441503309140361, std_err 0.03439039329506543; TVD
+    # 0.4851924082832678, std_err 0.0040183613069751925). Under v5 (n > M
+    # here, so as in v4) the KL alone moved from 1.3441503309140383,
     # with every draw unchanged, when the radius law's Gamma density was
     # rewritten about its mean, and from 1.3441503309140364 when its band
     # half-width became r_outer (1 - mu) / 2. The KL (from 1.3441503309140368)
@@ -988,8 +1037,8 @@ def test_simulate_pinned_seeded_values():
             "trials_h1": 4000,
             "std_err": 0.009607756469384516,
         },
-        "empirical_kl_bits": {"value": 1.3441503309140361, "std_err": 0.03439039329506543},
-        "empirical_tvd": {"value": 0.4851924082832678, "std_err": 0.0040183613069751925},
+        "empirical_kl_bits": {"value": 1.4934307751994784, "std_err": 0.03507571062766607},
+        "empirical_tvd": {"value": 0.49698439339159767, "std_err": 0.004007271426391374},
         "config": {
             "n": 16, "psi": 0.8, "mu": 0.7, "M": 4, "trials": 4000, "seed": 42,
         },
@@ -997,9 +1046,12 @@ def test_simulate_pinned_seeded_values():
 
 
 def test_simulate_pinned_seeded_values_on_a_narrow_codebook():
-    # stream contract v5 at n = 512 > M = 16: Bob decodes in QR span
+    # stream contract v6 at n = 512 > M = 16: Bob decodes in QR span
     # coordinates over three blocks, the last one partial; how many points
-    # the kernels take per step must not move these
+    # the kernels take per step must not move these. v6 moved only the
+    # empirical divergences (v5: KL 0.28767317919814794, std_err
+    # 0.009812031478675542; TVD 0.2476898120573509, std_err
+    # 0.0019156322246467064)
     spec = tg.TruncatedGaussianSpec(n=512, psi=0.05, mu=0.8)
     d = sk.simulate(spec, M=16, trials=9000, seed=29).to_dict()
     d.pop("wall_time")
@@ -1016,8 +1068,8 @@ def test_simulate_pinned_seeded_values_on_a_narrow_codebook():
             "trials_h1": 9000,
             "std_err": 0.007215267686752529,
         },
-        "empirical_kl_bits": {"value": 0.28767317919814794, "std_err": 0.009812031478675542},
-        "empirical_tvd": {"value": 0.2476898120573509, "std_err": 0.0019156322246467064},
+        "empirical_kl_bits": {"value": 0.2879024364373915, "std_err": 0.009720104165321326},
+        "empirical_tvd": {"value": 0.24704387569658337, "std_err": 0.0019076750144097366},
         "config": {
             "n": 512, "psi": 0.05, "mu": 0.8, "M": 16, "trials": 9000, "seed": 29,
         },
