@@ -4,7 +4,7 @@ Closed forms for isotropic pairs N(0, sigma1^2 I_n) vs N(0, I_n): KL (bits),
 exact total variation via the monotone radial likelihood ratio, squared
 Hellinger, and the eigenvalue form of KL for general covariances. Every
 report is checked against the Hellinger sandwich
-H^2 <= V_T <= sqrt(1 - (1 - H^2)^2) and Pinsker.
+H^2 <= V_T <= sqrt(H^2 (2 - H^2)) and Pinsker.
 
 All divergences are reported in bits.
 """
@@ -51,6 +51,10 @@ class IsotropicGaussianPair:
                 f"IsotropicGaussianPair: sigma1_sq={self.sigma1_sq!r} at n={self.n} is too "
                 "small for sigma1_sq - 1 to differ from -1 in double precision"
             )
+        # the crossing radius n sigma1_sq ln(sigma1_sq) / (sigma1_sq - 1) must be finite
+        if not math.isfinite(self.n * self.sigma1_sq):
+            raise DomainError(f"IsotropicGaussianPair: n * sigma1_sq overflows at "
+                              f"n={self.n}, sigma1_sq={self.sigma1_sq!r}")
 
     @property
     def excess_power(self) -> float:
@@ -107,7 +111,8 @@ class DivergenceReport:
             if not (-1e-12 <= v <= 1.0 + 1e-12):
                 raise DomainError(f"DivergenceReport: {name}={v} outside [0, 1]")
         slack = 1e-9
-        hi = math.sqrt(max(0.0, 1.0 - (1.0 - self.hellinger_sq) ** 2))
+        # sqrt(1 - (1 - H^2)^2), written so that it does not cancel at small H^2
+        hi = math.sqrt(max(0.0, self.hellinger_sq * (2.0 - self.hellinger_sq)))
         if self.tvd < self.hellinger_sq - slack or self.tvd > hi + slack:
             raise DomainError(
                 f"DivergenceReport: TVD {self.tvd} violates the Hellinger sandwich "

@@ -474,9 +474,8 @@ def empirical_divergences(
     measure, so the estimate cannot saturate the way the absolute-ratio form
     does when the hypotheses are nearly disjoint. The density ratio is read
     off a dense monotone interpolation table; its horizon lies ~16 sigma
-    beyond the bulk, so the clipped tail is negligible. The model reads it
-    (`RadialOutputDensity._ratio_at`) with the values np.interp would give,
-    bit for bit.
+    beyond the bulk, so the clipped tail is negligible
+    (`RadialOutputDensity._ratio_at`).
 
     Stream contract v6: the radii are Willie's, drawn on the WILLIE_H1 and
     WILLIE_H0 streams, so the result equals the empirical KL and TVD of

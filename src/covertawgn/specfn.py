@@ -146,7 +146,9 @@ def _stirling_corr(a: float) -> float:
 
 def _log_gamma_pdf(a: float, u: np.ndarray | float) -> np.ndarray | float:
     """ln( u^(a-1) e^-u / Gamma(a) ), the Gamma(a) log-density at u > 0: on a
-    float with ``math``, elementwise on a float64 array with numpy.
+    float with ``math``, elementwise on a float64 array with numpy. An element
+    equals its float where np.log and math.log agree on q = u/a; elsewhere
+    their ulp apart moves it by (a - 1) ulp(ln q), plus rounding.
 
     Written about the mean, q = u/a, with Stirling's series for ln Gamma(a)
     (DLMF 5.11.3): a (ln q - (q - 1)) - ln q - ln(2 pi a)/2 - corr(a), where

@@ -239,11 +239,15 @@ class RadialOutputDensity:
         return slope
 
     def _ratio_at(self, x: np.ndarray) -> np.ndarray:
-        """np.interp(x, *ratio_table), bit for bit, by `_read_ratio` on the
-        slopes computed once per model: how the Monte-Carlo statistics read
-        the log ratio at radii x."""
+        """The log ratio at radii x as the Monte-Carlo statistics read it: linear
+        between the grid points of ratio_table, clamped to its end values
+        outside; a NaN radius reads NaN."""
         s, v = self.ratio_table
-        return _read_ratio(x, s, v, self._ratio_slope)
+        top = s.size - 1
+        x = np.clip(x, s[0], s[top])
+        j = np.floor((x - s[0]) * (top / (s[top] - s[0])))
+        j = np.fmin(np.fmax(j, 0.0), top - 1).astype(np.intp)  # fmax sends NaN to 0
+        return self._ratio_slope[j] * (x - s[j]) + v[j]
 
     def _bayes_crossing(self) -> float:
         """Radius where the log ratio, read piecewise-linearly off ratio_table
@@ -276,7 +280,8 @@ class RadialOutputDensity:
         for j in range(0, s.size, _RATIO_BLOCK):
             block = s[j : j + _RATIO_BLOCK]
             log_f = specfn.log_sph_bessel_factor(b, np.outer(self.radii, block))
-            out[j : j + _RATIO_BLOCK] = _log_sum_exp_cols(self._log_mix[:, None] + log_f)
+            log_f += self._log_mix[:, None]
+            out[j : j + _RATIO_BLOCK] = _log_sum_exp_cols(log_f)
         if not np.all(np.isfinite(out)):
             i = int(np.argmin(np.isfinite(out)))
             raise NumericError(
@@ -287,46 +292,14 @@ class RadialOutputDensity:
 
 
 def _log_sum_exp_cols(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x), axis=0)) of a 2-D float array, bit for bit as
-    scipy.special.logsumexp(x, axis=0) (scipy 1.17) computes it: with m0 the
-    column peak and k the number of entries equal to it, the other entries give
-    s = sum exp(x - m0) / k, and the result is log1p(s) + log(k) + m0. Where
-    that is not finite (a column of -inf, a +inf or a nan) the direct
-    log(sum(exp(x))) stands instead, so a column of -inf gives -inf."""
-    m0 = x.max(axis=0)
-    peak = x == m0
-    k = np.count_nonzero(peak, axis=0).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.exp(np.where(peak, -np.inf, x) - m0).sum(axis=0)
-        out = np.log1p(s / k) + np.log(k) + m0
-    if not (finite := np.isfinite(out)).all():
-        with np.errstate(divide="ignore", over="ignore"):
-            out[~finite] = np.log(np.exp(x[:, ~finite]).sum(axis=0))
-    return out
-
-
-def _read_ratio(x: np.ndarray, s: np.ndarray, v: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """np.interp(x, s, v), bit for bit, on a uniform grid s (a `linspace`)
-    with slope = np.diff(v) / np.diff(s), finding each bin by index arithmetic
-    instead of np.interp's binary search.
-
-    The scaled offset lands within one bin of the right one, and one
-    comparison each way makes j np.interp's bin: s[j] <= x < s[j + 1], -1 below
-    the grid and the last index at or past its end. Inside, the value is
-    numpy's own slope[j] * (x - s[j]) + v[j], or v[j] on a grid point; outside
-    it is clamped to the end values.
-    """
-    top = s.size - 1
-    guess = np.floor((x - s[0]) * (top / (s[top] - s[0])))
-    j = np.fmin(np.fmax(guess, 0.0), top - 1).astype(np.intp)  # fmax sends NaN to 0
-    j -= x < s[j]
-    j += x >= s[j + 1]
-    k = np.clip(j, 0, top - 1)
-    at = s[k]
-    out = np.where(x == at, v[k], slope[k] * (x - at) + v[k])
-    out[j < 0] = v[0]
-    out[j == top] = v[top]
-    return out
+    """log(sum(exp(x), axis=0)) of a 2-D float array as m + log(sum(exp(x - m)))
+    with m the column peak, overwriting x. A column of -inf gives -inf, one
+    holding +inf gives +inf and one holding a NaN gives NaN."""
+    m = x.max(axis=0)
+    m[~np.isfinite(m)] = 0.0  # a column with an inf or a NaN sums unshifted
+    x -= m
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.log(np.exp(x, out=x).sum(axis=0)) + m
 
 
 @cache

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -168,7 +169,7 @@ def test_covariance_spec_validation():
 def test_report_construction_and_serialization():
     rep = dv.isotropic_report(dv.IsotropicGaussianPair(16, 1.2))
     assert rep.method == "closed_form"
-    assert rep.hellinger_sq <= rep.tvd <= math.sqrt(1 - (1 - rep.hellinger_sq) ** 2) + 1e-12
+    assert rep.hellinger_sq <= rep.tvd <= math.sqrt(rep.hellinger_sq * (2.0 - rep.hellinger_sq)) + 1e-12
     d = rep.to_dict()
     assert set(d) == {"kl_bits", "tvd", "hellinger_sq", "chi_sq", "method"}
     assert json.loads(json.dumps(d)) == d
@@ -177,6 +178,28 @@ def test_report_construction_and_serialization():
 def test_report_rejects_sandwich_violation():
     with pytest.raises(DomainError):
         dv.DivergenceReport(kl_bits=1.0, tvd=0.9, hellinger_sq=0.1, chi_sq=None, method="closed_form")
+
+
+def test_report_sandwich_does_not_cancel_near_unit_variance():
+    # sqrt(1 - (1 - H^2)^2) rounds to 0 once H^2 is below about 1e-16, under a
+    # TVD of 1.2e-9 here; sqrt(H^2 (2 - H^2)) keeps the upper end
+    rep = dv.isotropic_report(dv.IsotropicGaussianPair(1, 1.0 + 5e-9))
+    assert rep.hellinger_sq < 1e-17 and rep.tvd > 1e-9
+    for n in (1, 10**12):
+        for x in np.logspace(-15.0, -7.0, 17):
+            for s2 in (1.0 + x, 1.0 - x):
+                rep = dv.isotropic_report(dv.IsotropicGaussianPair(n, s2))
+                assert rep.tvd <= math.sqrt(rep.hellinger_sq * (2.0 - rep.hellinger_sq)) + 1e-9
+
+
+def test_pair_refuses_a_power_whose_crossing_radius_overflows():
+    # n sigma1_sq = inf sent the crossing radius to inf and the TVD to 0.0
+    with pytest.raises(DomainError, match=r"n \* sigma1_sq overflows at n=2, sigma1_sq=1e\+308"):
+        dv.IsotropicGaussianPair(2, 1e308)
+    with pytest.raises(DomainError, match=r"at n=1000000, sigma1_sq=1e\+303"):
+        dv.IsotropicGaussianPair(10**6, 1e303)
+    rep = dv.isotropic_report(dv.IsotropicGaussianPair(2, 0.5 * sys.float_info.max))
+    assert rep.tvd == rep.hellinger_sq == 1.0
 
 
 def test_report_rejects_pinsker_violation():

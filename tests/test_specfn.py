@@ -222,14 +222,30 @@ def test_log_gamma_pdf_vs_mpmath_within_12_sd_of_the_mean(log_a, z):
 
 
 def test_log_gamma_pdf_on_both_sides_of_the_stirling_switch():
-    # lgamma below a = 60, Stirling's series from 60 up; arrays go elementwise
+    # lgamma below a = 60, Stirling's series from 60 up
     for a in (59.0, math.nextafter(60.0, 0.0), 60.0, 61.0):
         u = np.maximum(a + math.sqrt(a) * np.array([-12.0, -1.0, 0.0, 1.0, 12.0]), 1e-6 * a)
-        got = specfn._log_gamma_pdf(a, u)
-        assert got.shape == u.shape
-        for ui, gi in zip(u, got):
-            _check_log_gamma_pdf(a, float(ui))
-            assert gi == specfn._log_gamma_pdf(a, float(ui))
+        assert specfn._log_gamma_pdf(a, u).shape == u.shape
+        for ui in u.tolist():
+            _check_log_gamma_pdf(a, ui)
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0, 59.0, math.nextafter(60.0, 0.0), 60.0, 61.0, 1e4, 1e8])
+def test_log_gamma_pdf_arrays_match_floats_where_the_logs_agree(a):
+    # arrays take np.log(q) and floats math.log(q), q = u/a: where the two agree
+    # an element equals its float; elsewhere they are an ulp apart, which the
+    # density scales by a - 1 (1526 ulp of the result at a = 1e8)
+    q = np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, 20_000))
+    u = a * q
+    got = specfn._log_gamma_pdf(a, u)
+    want = np.array([specfn._log_gamma_pdf(a, ui) for ui in u.tolist()])
+    q = u / a
+    np_log, math_log = np.log(q), np.array([math.log(qi) for qi in q.tolist()])
+    same = np_log == math_log
+    assert np.array_equal(got[same], want[same])
+    log_gap = np.abs(np_log - math_log)
+    assert np.all(log_gap <= np.spacing(np.abs(math_log)))
+    assert np.all(np.abs(got - want) <= abs(a - 1.0) * log_gap + 4.0 * np.spacing(np.abs(want)))
 
 
 def _temme_coefficients(rows, cols):
