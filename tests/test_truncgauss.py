@@ -428,6 +428,24 @@ def test_log_sum_exp_within_4_ulp_of_mpmath():
     _assert_log_sum_exp_within_4_ulp(x[:, [0, 4, 5]])
 
 
+@pytest.mark.parametrize("n,psi,mu", [(16, 0.1, 0.8), (64, 0.3, 0.6), (512, 0.05, 0.8),
+                                      (4096, 0.02, 0.9)])
+def test_ratio_table_equals_scipy_built_table(n, psi, mu):
+    # the whole table, block by block, against scipy.special.logsumexp: the two
+    # round differently, so they agree to 2 ulp of each column's largest term
+    model = tg.radial_output_density(tg.TruncatedGaussianSpec(n=n, psi=psi, mu=mu))
+    s, got = model.ratio_table
+    want, scale = [], []
+    for block in np.split(s, range(tg._RATIO_BLOCK, s.size, tg._RATIO_BLOCK)):
+        x = (model._log_mix[:, None]
+             + tg.specfn.log_sph_bessel_factor(0.5 * n, np.outer(model.radii, block)))
+        want.append(special.logsumexp(x, axis=0))
+        scale.append(np.maximum(np.abs(want[-1]), np.abs(x).max(axis=0)))
+    want, scale = np.concatenate(want), np.concatenate(scale)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(scale))
+
+
 def _exact_lookup(x: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The table (s, v) interpolated linearly at x, clamped to its end values,
     in 40-digit decimal arithmetic (exact for these float inputs to well below
