@@ -282,6 +282,12 @@ def asymptotic_sweep(c: float, tau: float, n_grid: np.ndarray | None = None) -> 
     n = grid.astype(float)
     # sigma1^2 and its excess power as IsotropicGaussianPair holds them
     s2 = 1.0 + _schedule_power(c, tau, n)
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite(n * s2)
+    if overflows.any():
+        i = int(np.argmax(overflows))
+        raise DomainError(f"asymptotic_sweep: n * sigma1_sq overflows from "
+                          f"n={grid[i]}, sigma1_sq={float(s2[i])!r}")
     x = s2 - 1.0
     kl = dv._kl_excess_bits(n, x)
     cls = classify_kl_trend(grid, kl)

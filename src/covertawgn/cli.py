@@ -1,9 +1,10 @@
 """Batch front door: plan / divergence / bounds / sweep / simulate / verify.
 
-Each subcommand accepts exactly the flags it reads (_SUBCOMMAND_FLAGS), and
-its settings come from those flags alone, typed and defaulted by argparse;
-the config, holding only what the run read, is embedded in every output so
-runs are self-describing. Exit codes: 2 config, domain or input error (an
+Each subcommand accepts exactly the flags it reads (_SUBCOMMANDS), and
+its settings come from those flags alone, typed and defaulted by argparse
+(--c, which needs --tau, by _resolve); the config, holding every setting
+the run read, defaults included, is embedded in every output so runs are
+self-describing. Exit codes: 2 config, domain or input error (an
 unknown flag or an unparseable value included), 3 numeric failure, 4
 verification gate failure.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -31,27 +32,17 @@ __all__ = ["main", "build_parser"]
 _FLAG_SPEC = {
     "n": (str, None, "blocklength: single value, comma list, or log grid 'a..b'"),
     "delta": (float, None, "covertness budget delta in bits"),
-    "epsilon": (float, 0.1, "target error probability (default 0.1)"),
+    "epsilon": (float, 0.1, "target error probability (default %(default)s)"),
     "mu": (float, None, "shell truncation ratio in (0,1)"),
     "nu2": (float, None, "sufficient-corner slack nu^2 >= 1"),
     "eta": (float, None, "necessary-corner slack eta > 1"),
     "tau": (float, None, "power-schedule exponent: psi = c * n^-tau"),
     "c": (float, None, "power-schedule coefficient (default 1.0)"),
-    "M": (int, None, "codebook size (default 4)"),
-    "trials": (int, None, "Monte-Carlo trials (default 10000)"),
-    "seed": (int, 0, "master seed (default 0)"),
-    "format": (str, None, "output format: csv (default) or json"),
+    "M": (int, 4, "codebook size (default %(default)s)"),
+    "trials": (int, 10_000, "Monte-Carlo trials (default %(default)s)"),
+    "seed": (int, 0, "master seed (default %(default)s)"),
+    "format": (str, "csv", "output format: %(default)s (default) or json"),
     "out": (str, None, "output path (default: stdout)"),
-}
-
-# subcommand -> the flags it reads, in _FLAG_SPEC order
-_SUBCOMMAND_FLAGS = {
-    "plan": ("n", "delta", "epsilon", "mu", "nu2", "eta", "out"),
-    "divergence": ("n", "delta", "mu", "nu2", "tau", "c", "out"),
-    "bounds": ("n", "delta", "epsilon", "format", "out"),
-    "sweep": ("n", "tau", "c", "format", "out"),
-    "simulate": ("n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "out"),
-    "verify": ("out",),
 }
 
 # divergence and simulate set the power by the schedule (tau, c) or by the
@@ -69,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on the unit-noise AWGN channel.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, flags in _SUBCOMMAND_FLAGS.items():
+    for name, (_, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             kind, default, text = _FLAG_SPEC[flag]
@@ -79,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """The subcommand's flags, after rejecting a run that sets the power two
-    ways."""
+    ways, with --c defaulted to 1.0 under --tau."""
     sub = args.subcommand
-    cfg = {"subcommand": sub, **{flag: getattr(args, flag) for flag in _SUBCOMMAND_FLAGS[sub]}}
+    cfg = {"subcommand": sub, **{flag: getattr(args, flag) for flag in _SUBCOMMANDS[sub][1]}}
     if sub in _POWER_WAYS:
         schedule, planned = ([k for k in way if cfg[k] is not None] for way in _POWER_WAYS[sub])
         if schedule and planned:
@@ -90,6 +81,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             )
         if cfg["c"] is not None and cfg["tau"] is None:
             raise ConfigError(f"{sub}: --c needs --tau")
+    if cfg.get("tau") is not None and cfg["c"] is None:
+        cfg["c"] = 1.0
     return cfg
 
 
@@ -119,9 +112,7 @@ def _parse_n_grid(text: str) -> np.ndarray:
 
 
 def _single_n(cfg: dict) -> int:
-    if cfg["n"] is None:
-        raise ConfigError(f"{cfg['subcommand']}: --n is required")
-    grid = _parse_n_grid(cfg["n"])
+    grid = _parse_n_grid(_require(cfg, "n"))
     if grid.size != 1:
         raise ConfigError(f"{cfg['subcommand']}: --n must be a single value")
     return int(grid[0])
@@ -137,24 +128,17 @@ def _params(cfg: dict, n: int) -> pl.CovertParams:
     """CovertParams from resolved config, defaulting unset slacks to the
     asymptotic presets."""
     base = pl.CovertParams.defaults(n, float(_require(cfg, "delta")), cfg["epsilon"])
-    return pl.CovertParams(
-        n=n,
-        delta=base.delta,
-        epsilon=base.epsilon,
-        mu=base.mu if cfg["mu"] is None else cfg["mu"],
-        nu_sq=base.nu_sq if cfg["nu2"] is None else cfg["nu2"],
-        eta=base.eta if cfg["eta"] is None else cfg["eta"],
-    )
+    given = {"mu": cfg["mu"], "nu_sq": cfg["nu2"], "eta": cfg["eta"]}
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _shell_power(cfg: dict, n: int) -> tuple[float, float]:
     """(mu, psi) for divergence and simulate: mu from --mu (default 1 - 1/(n+1));
-    psi = c n^-tau when --tau is given (c defaults to 1), else psi_suf at
-    --delta and --nu2 (default 1 + 1/n)."""
+    psi = c n^-tau when --tau is given, else psi_suf at --delta and --nu2
+    (default 1 + 1/n)."""
     mu = cfg["mu"] if cfg["mu"] is not None else 1.0 - 1.0 / (n + 1)
     if cfg["tau"] is not None:
-        c = 1.0 if cfg["c"] is None else cfg["c"]
-        return mu, c * float(n) ** (-cfg["tau"])
+        return mu, cfg["c"] * float(n) ** (-cfg["tau"])
     nu2 = cfg["nu2"] if cfg["nu2"] is not None else pl.nu_lemma_shell(n)
     return mu, pl.psi_suf(n, float(_require(cfg, "delta")), mu, nu2)
 
@@ -180,7 +164,7 @@ def _emit_json(payload: dict | list, cfg: dict) -> None:
 
 
 def _want_format(cfg: dict) -> str:
-    fmt = cfg["format"] or "csv"
+    fmt = cfg["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{cfg['subcommand']}: format {fmt!r} not supported (csv or json)")
     return fmt
@@ -205,9 +189,7 @@ def _cmd_divergence(cfg: dict) -> int:
 
 def _cmd_bounds(cfg: dict) -> int:
     fmt = _want_format(cfg)
-    if cfg["n"] is None:
-        raise ConfigError("bounds: --n is required")
-    grid = _parse_n_grid(cfg["n"])
+    grid = _parse_n_grid(_require(cfg, "n"))
     delta = float(_require(cfg, "delta"))
     rows = bd.bounds_grid(grid, delta, cfg["epsilon"])
     if fmt == "csv":
@@ -220,7 +202,7 @@ def _cmd_bounds(cfg: dict) -> int:
 def _cmd_sweep(cfg: dict) -> int:
     fmt = _want_format(cfg)
     tau = float(_require(cfg, "tau"))
-    c = 1.0 if cfg["c"] is None else cfg["c"]
+    c = cfg["c"]
     grid = _parse_n_grid(cfg["n"]) if cfg["n"] is not None else None
     sweep = bd.asymptotic_sweep(c, tau, grid)
     if fmt == "json":
@@ -240,12 +222,7 @@ def _cmd_simulate(cfg: dict) -> int:
     n = _single_n(cfg)
     mu, psi = _shell_power(cfg, n)
     spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=mu)
-    result = sk.simulate(
-        spec,
-        M=cfg["M"] if cfg["M"] is not None else 4,
-        trials=cfg["trials"] if cfg["trials"] is not None else 10_000,
-        seed=cfg["seed"],
-    )
+    result = sk.simulate(spec, M=cfg["M"], trials=cfg["trials"], seed=cfg["seed"])
     _emit_json(result.to_dict(), cfg)
     return 0
 
@@ -266,25 +243,27 @@ def _cmd_verify(cfg: dict) -> int:
     return 4 if failed else 0
 
 
+# subcommand -> (handler, the flags it reads, in _FLAG_SPEC order)
+_SUBCOMMANDS = {
+    "plan": (_cmd_plan, ("n", "delta", "epsilon", "mu", "nu2", "eta", "out")),
+    "divergence": (_cmd_divergence, ("n", "delta", "mu", "nu2", "tau", "c", "out")),
+    "bounds": (_cmd_bounds, ("n", "delta", "epsilon", "format", "out")),
+    "sweep": (_cmd_sweep, ("n", "tau", "c", "format", "out")),
+    "simulate": (_cmd_simulate,
+                 ("n", "delta", "mu", "nu2", "tau", "c", "M", "trials", "seed", "out")),
+    "verify": (_cmd_verify, ("out",)),
+}
+
 # one parser per process: a parser built per call is cyclic garbage that
 # piles up between collections when main() runs in a loop
 _PARSER = build_parser()
-
-_HANDLERS = {
-    "plan": _cmd_plan,
-    "divergence": _cmd_divergence,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _resolve(args)
-        return _HANDLERS[args.subcommand](cfg)
+        return _SUBCOMMANDS[args.subcommand][0](cfg)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -12,6 +12,7 @@ All divergences are reported in bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class IsotropicGaussianPair:
                 f"IsotropicGaussianPair: sigma1_sq={self.sigma1_sq!r} at n={self.n} is too "
                 "small for sigma1_sq - 1 to differ from -1 in double precision"
             )
-        # the crossing radius n sigma1_sq ln(sigma1_sq) / (sigma1_sq - 1) must be finite
-        if not math.isfinite(self.n * self.sigma1_sq):
+        # the crossing radius n sigma1_sq ln(sigma1_sq) / (sigma1_sq - 1) must be
+        # finite; an int n above the largest float does not convert to one
+        if not (self.n <= sys.float_info.max and math.isfinite(self.n * self.sigma1_sq)):
             raise DomainError(f"IsotropicGaussianPair: n * sigma1_sq overflows at "
                               f"n={self.n}, sigma1_sq={self.sigma1_sq!r}")
 
@@ -158,7 +160,8 @@ def _hellinger_sq(n, x):
     f = specfn._lib(x)
     # ln(2 s / (1 + s^2)) = (1/2) ln(1+x) - ln(1 + x/2), stable near x = 0
     log_base = 0.5 * f.log1p(x) - f.log1p(0.5 * x)
-    return -f.expm1(0.5 * n * log_base)
+    # 0.0 - v, not -v: at x = 0, H^2 is +0.0, so no output prints -0
+    return 0.0 - f.expm1(0.5 * n * log_base)
 
 
 def hellinger_sq_isotropic(pair: IsotropicGaussianPair) -> float:

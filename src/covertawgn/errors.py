@@ -28,4 +28,8 @@ class InputError(CovertError, ValueError):
 
 
 class ConfigError(CovertError, ValueError):
-    """Unparseable or inconsistent run configuration (CLI flags / config file)."""
+    """Unparseable or inconsistent run configuration from CLI flags.
+
+    There is no config file: an unknown flag such as --config is refused by
+    the parser, which exits 2 as well.
+    """

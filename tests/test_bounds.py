@@ -240,6 +240,22 @@ def test_sweep_validation():
         bd.asymptotic_sweep(math.inf, 0.5)
 
 
+def test_sweep_refuses_where_n_sigma1_sq_overflows():
+    # the pair refuses these points; the sweep once returned TVD 0.0 and KL inf there
+    with pytest.raises(DomainError, match=r"overflows from n=22387211, sigma1_sq=8\.44306\d*e\+300$"):
+        bd.asymptotic_sweep(1e301, 0.01)
+    sweep = bd.asymptotic_sweep(1e300, 0.01)
+    n = int(sweep.n_grid[-1])
+    pair = dv.IsotropicGaussianPair(n, 1.0 + 1e300 * float(n) ** -0.01)
+    assert sweep.tvd[-1] == dv.tvd_isotropic_exact(pair) == 1.0
+
+
+def test_sweep_hellinger_sq_has_no_negative_zero():
+    # at c = 1e-320 every sigma1_sq rounds to 1, where H^2 is 0.0
+    h2 = bd.asymptotic_sweep(1e-320, 0.5).hellinger_sq
+    assert (h2 == 0.0).all() and not np.signbit(h2).any()
+
+
 @pytest.mark.parametrize("grid,bad", [
     ([0, 100, 1000, 10000], r"n_grid\[0\] = 0$"),
     ([100, 1000.9, 10**4, 10**5], r"n_grid\[1\] = 1000.9 after 100.0$"),

@@ -196,11 +196,36 @@ def test_flags_a_subcommand_does_not_read_exit_2():
     assert "two ways" in mixed.stderr
     assert run_cli("simulate", "--n", "16", "--delta", "0.05", "--c", "2").returncode == 2
     assert run_cli("divergence", "--n", "400", "--c", "2").returncode == 2
-    # the bounds CSV echoes only what the run read
+    # the bounds CSV echoes only what the run read, its defaulted --format
+    # included (it was once left out: "# subcommand=bounds", "# n=1e3..1e4",
+    # "# delta=0.01", "# epsilon=0.1")
     proc = run_cli("bounds", "--n", "1e3..1e4", "--delta", "0.01")
     assert proc.returncode == 0, proc.stderr
     comments = [l for l in proc.stdout.splitlines() if l.startswith("#")]
-    assert comments == ["# subcommand=bounds", "# n=1e3..1e4", "# delta=0.01", "# epsilon=0.1"]
+    assert comments == ["# subcommand=bounds", "# n=1e3..1e4", "# delta=0.01", "# epsilon=0.1",
+                        "# format=csv"]
+
+
+def test_each_output_echoes_the_defaults_its_run_used(capsys):
+    assert cli.main(["simulate", "--n", "16", "--delta", "0.05", "--trials", "100"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["M"] == 4 and config["trials"] == 100
+    assert cli.main(["simulate", "--n", "16", "--delta", "0.05", "--M", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 10_000
+    assert cli.main(["sweep", "--tau", "0.5", "--n", "1e2..1e3"]) == 0
+    comments = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
+    assert comments[:5] == ["# subcommand=sweep", "# n=1e2..1e3", "# tau=0.5", "# c=1.0",
+                            "# format=csv"]
+    assert cli.main(["divergence", "--n", "400", "--tau", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "subcommand": "divergence", "n": "400", "tau": 0.5, "c": 1.0}
+
+
+def test_sweep_past_the_largest_float_exits_2(capsys):
+    assert cli.main(["sweep", "--tau", "0.01", "--c", "1e301"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: asymptotic_sweep: n * sigma1_sq overflows from n=22387211")
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -202,6 +202,17 @@ def test_pair_refuses_a_power_whose_crossing_radius_overflows():
     assert rep.tvd == rep.hellinger_sq == 1.0
 
 
+def test_pair_refuses_an_int_n_beyond_the_largest_float():
+    # float(10**400) raises a bare OverflowError
+    with pytest.raises(DomainError, match=r"n \* sigma1_sq overflows at n=10{400}, sigma1_sq=1\.5$"):
+        dv.IsotropicGaussianPair(10**400, 1.5)
+
+
+def test_hellinger_sq_of_an_equal_pair_is_positive_zero():
+    h2 = dv.isotropic_report(dv.IsotropicGaussianPair(10, 1.0)).hellinger_sq
+    assert h2 == 0.0 and math.copysign(1.0, h2) == 1.0
+
+
 def test_report_rejects_pinsker_violation():
     # tvd far above sqrt(KL_nats / 2)
     with pytest.raises(DomainError):
