@@ -177,13 +177,14 @@ def _cmd_plan(cfg: dict) -> int:
 
 
 def _cmd_divergence(cfg: dict) -> int:
-    """Closed-form report for the isotropic output law: sigma1^2 = 1 + c n^-tau
-    when --tau is given, else 1 + mu * psi_suf at the planned power."""
+    """Closed-form report for the isotropic output law, with the sigma1^2 it
+    evaluated: 1 + c n^-tau when --tau is given, else 1 + mu * psi_suf at the
+    planned power."""
     n = _single_n(cfg)
     mu, psi = _shell_power(cfg, n)
-    excess = psi if cfg["tau"] is not None else mu * psi
-    report = dv.isotropic_report(dv.IsotropicGaussianPair(n=n, sigma1_sq=1.0 + excess))
-    _emit_json(report.to_dict(), cfg)
+    sigma1_sq = 1.0 + (psi if cfg["tau"] is not None else mu * psi)
+    report = dv.isotropic_report(dv.IsotropicGaussianPair(n=n, sigma1_sq=sigma1_sq))
+    _emit_json({**report.to_dict(), "sigma1_sq": sigma1_sq}, cfg)
     return 0
 
 

@@ -2,8 +2,10 @@
 closed-form implementation with an independent oracle (Monte Carlo against
 numpy's samplers, or exact side conditions).
 
-Every check returns a CheckResult with its measured values in `detail`, so a
-failure message identifies the offending sub-case without rerunning. Checks
+Each check returns (passed, detail), with its measured values in `detail`, so
+a failure message identifies the offending sub-case without rerunning.
+`CHECKS` gives each criterion its name, time limit and check; `run_all` times
+every check and passes it only if it also finishes within its limit. Checks
 1 and 9 assert literal published targets that the implemented formulas do not
 meet (see the README's acceptance table); they are reported red rather than
 loosened.
@@ -41,30 +43,15 @@ class CheckResult:
     detail: str
 
 
-def _result(criterion, name, passed, t0, limit, detail) -> CheckResult:
-    rt = time.perf_counter() - t0
-    return CheckResult(
-        criterion=criterion,
-        name=name,
-        passed=bool(passed) and rt < limit,
-        runtime=rt,
-        limit=limit,
-        detail=detail,
-    )
-
-
-def check_01_shell_mass_claim() -> CheckResult:
+def check_01_shell_mass_claim() -> tuple[bool, str]:
     """1 - Delta < 0.005 at n=400 for mu in {0.70, 0.75, 0.80, 0.85}."""
-    t0 = time.perf_counter()
     vals = {mu: 1.0 - tg.shell_mass(400, mu) for mu in (0.70, 0.75, 0.80, 0.85)}
     ok = all(v < 0.005 for v in vals.values())
-    detail = ", ".join(f"mu={m}: {v:.3e}" for m, v in vals.items())
-    return _result(1, "shell mass below 0.005 at n=400", ok, t0, 1.0, detail)
+    return ok, ", ".join(f"mu={m}: {v:.3e}" for m, v in vals.items())
 
 
-def check_02_shell_mass_mc() -> CheckResult:
+def check_02_shell_mass_mc() -> tuple[bool, str]:
     """Closed-form Delta vs Monte-Carlo mass of the chi-square norm law."""
-    t0 = time.perf_counter()
     msgs, ok = [], True
     trials = 10**6
     for i, (n, mu) in enumerate([(n, m) for n in (2, 8, 64, 400) for m in (0.5, 0.8)]):
@@ -77,13 +64,11 @@ def check_02_shell_mass_mc() -> CheckResult:
         if dev > 3.0 * se:
             ok = False
             msgs.append(f"(n={n},mu={mu}): |{delta:.6f}-{phat:.6f}|={dev:.2e}>3se={3*se:.2e}")
-    detail = "all 8 configs within 3 std errors" if ok else "; ".join(msgs)
-    return _result(2, "shell mass vs MC oracle", ok, t0, 30.0, detail)
+    return ok, "all 8 configs within 3 std errors" if ok else "; ".join(msgs)
 
 
-def check_03_kl_isotropic_mc() -> CheckResult:
+def check_03_kl_isotropic_mc() -> tuple[bool, str]:
     """kl_isotropic vs MC mean log-ratio on 12 parameter points."""
-    t0 = time.perf_counter()
     points = [
         (1, 1.5), (2, 1.2), (4, 0.8), (8, 1.1), (16, 2.0), (32, 0.95),
         (64, 1.05), (128, 1.02), (256, 0.99), (512, 1.01), (1024, 1.005),
@@ -102,13 +87,11 @@ def check_03_kl_isotropic_mc() -> CheckResult:
         if abs(kl - mean) > 4.0 * se:
             ok = False
             msgs.append(f"(n={n},s2={s2}): |{kl:.5f}-{mean:.5f}|>4se={4*se:.1e}")
-    detail = "12 points within 4 std errors" if ok else "; ".join(msgs)
-    return _result(3, "isotropic KL vs MC oracle", ok, t0, 60.0, detail)
+    return ok, "12 points within 4 std errors" if ok else "; ".join(msgs)
 
 
-def check_04_detection_matches_tvd() -> CheckResult:
+def check_04_detection_matches_tvd() -> tuple[bool, str]:
     """Optimal-test advantage 1-(alpha+beta) vs the MC TVD estimate."""
-    t0 = time.perf_counter()
     n, delta = 64, 0.05
     psi = pl.psi_suf(n, delta, _MU_TEST, pl.nu_lemma_shell(n))
     spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=_MU_TEST)
@@ -122,12 +105,11 @@ def check_04_detection_matches_tvd() -> CheckResult:
         f"1-(a+b)={adv:.5f}, MC V_T={tvd_est.value:.5f}±{tvd_est.std_err:.5f}, "
         f"|diff|={dev:.2e} <= 3*comb={3*comb:.2e}: {ok}"
     )
-    return _result(4, "detector advantage equals V_T", ok, t0, 300.0, detail)
+    return ok, detail
 
 
-def check_05_isotropic_minimizes_kl() -> CheckResult:
+def check_05_isotropic_minimizes_kl() -> tuple[bool, str]:
     """Random covariance spectra at fixed trace never beat the isotropic KL."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([90105]))
     n, excess = 16, 0.3
     iso = dv.kl_isotropic(dv.IsotropicGaussianPair(n=n, sigma1_sq=1.0 + excess))
@@ -138,12 +120,11 @@ def check_05_isotropic_minimizes_kl() -> CheckResult:
         worst = min(worst, dv.kl_general_covariance(dv.CovarianceSpec(tuple(lam))) - iso)
     ok = worst >= -1e-9
     detail = f"min(KL_general - KL_iso) = {worst:.3e} over 1000 spectra (n={n}, excess={excess})"
-    return _result(5, "isotropic covariance minimizes KL", ok, t0, 10.0, detail)
+    return ok, detail
 
 
-def check_06_taylor_sandwich() -> CheckResult:
+def check_06_taylor_sandwich() -> tuple[bool, str]:
     """x^2/(4 eta) < (x - ln(1+x))/2 < x^2/4 on dense grids below threshold."""
-    t0 = time.perf_counter()
     msgs, ok = [], True
     for eta in (1.001, 1.01, 1.1):
         thr = pl._bracket_threshold(eta)
@@ -154,19 +135,16 @@ def check_06_taylor_sandwich() -> CheckResult:
         if not (lower_ok and upper_ok):
             ok = False
             msgs.append(f"eta={eta}: lower={lower_ok}, upper={upper_ok}")
-    detail = "3 eta values x 1e4 grid points" if ok else "; ".join(msgs)
-    return _result(6, "Taylor bracket inside validity range", ok, t0, 5.0, detail)
+    return ok, "3 eta values x 1e4 grid points" if ok else "; ".join(msgs)
 
 
-def check_07_planner_end_to_end() -> CheckResult:
+def check_07_planner_end_to_end() -> tuple[bool, str]:
     """Empirical output KL respects delta at psi_suf and breaks it at 2 psi_nec."""
-    t0 = time.perf_counter()
     msgs, ok = [], True
     for i, (n, delta) in enumerate([(n, d) for n in (16, 64, 128) for d in (0.01, 0.05)]):
-        nu2 = pl.nu_lemma_shell(n)
-        eta = 1.0 + 1.0 / n
-        psi_s = pl.psi_suf(n, delta, _MU_TEST, nu2)
-        psi_n2 = 2.0 * pl.psi_nec(n, delta, eta)
+        slack = pl.CovertParams.defaults(n, delta)
+        psi_s = pl.psi_suf(n, delta, _MU_TEST, slack.nu_sq)
+        psi_n2 = 2.0 * pl.psi_nec(n, delta, slack.eta)
         spec_s = tg.TruncatedGaussianSpec(n=n, psi=psi_s, mu=_MU_TEST)
         spec_n = tg.TruncatedGaussianSpec(n=n, psi=psi_n2, mu=_MU_TEST)
         kl_s, _ = sk.empirical_divergences(spec_s, 400_000, 90107 + i)
@@ -179,12 +157,11 @@ def check_07_planner_end_to_end() -> CheckResult:
             f"(n={n},d={delta}): suf {kl_s.value:.5f}±{kl_s.std_err:.5f} "
             f"{'<=' if within else '>'} d+3se; 2nec {kl_n.value:.5f} {'>' if broken else '<='} d"
         )
-    return _result(7, "covertness both directions", ok, t0, 600.0, "; ".join(msgs))
+    return ok, "; ".join(msgs)
 
 
-def check_08_schedule_regimes() -> CheckResult:
+def check_08_schedule_regimes() -> tuple[bool, str]:
     """tau = 0.25 / 0.5 / 0.75 sweeps land in the three predicted regimes."""
-    t0 = time.perf_counter()
     grid = bd.default_n_grid(100, 10**8)
     msgs, ok = [], True
     sw = {tau: bd.asymptotic_sweep(1.0, tau, grid) for tau in (0.25, 0.5, 0.75)}
@@ -203,13 +180,12 @@ def check_08_schedule_regimes() -> CheckResult:
         f"tau=.5 {sw[0.5].classification} top-decade dev={dev:.2e}; "
         f"tau=.75 {sw[0.75].classification} KL(end)={sw[0.75].kl_bits[-1]:.2e}"
     )
-    return _result(8, "power-schedule regime classification", ok, t0, 10.0, "; ".join(msgs))
+    return ok, "; ".join(msgs)
 
 
-def check_09_bounds_structure() -> CheckResult:
+def check_09_bounds_structure() -> tuple[bool, str]:
     """Ordering, first-order ratios at n=1e8 (2% target), epsilon monotonicity,
     and boundedness of converse - achievability - log2 n."""
-    t0 = time.perf_counter()
     delta, eps = 0.01, 0.1
     grid = bd.default_n_grid(10**3, 10**8)
     rows = bd.bounds_grid(grid, delta, eps)
@@ -233,13 +209,12 @@ def check_09_bounds_structure() -> CheckResult:
         f"ach/first={ach_ratio:.5f}, conv/first={conv_ratio:.5f} (target within 2% of 1: "
         f"{ratios_ok}), eps-monotone={mono}"
     )
-    return _result(9, "bound structure and first-order ratio", ok, t0, 60.0, detail)
+    return ok, detail
 
 
-def check_10_sandwich_and_pinsker() -> CheckResult:
+def check_10_sandwich_and_pinsker() -> tuple[bool, str]:
     """Hellinger sandwich and Pinsker on every divergence report produced by
     the closed forms and the quadrature path."""
-    t0 = time.perf_counter()
     count = 0
     try:
         for n in (1, 2, 8, 64, 400, 4096):
@@ -257,25 +232,35 @@ def check_10_sandwich_and_pinsker() -> CheckResult:
             spec = tg.TruncatedGaussianSpec(n=n, psi=psi, mu=_MU_TEST)
             tg.output_divergences_quadrature(tg.radial_output_density(spec))
             count += 1
-        ok, detail = True, f"{count} reports validated at construction"
     except Exception as exc:  # report the first violation verbatim
-        ok, detail = False, f"after {count} reports: {exc}"
-    return _result(10, "sandwich and Pinsker cross-cutting", ok, t0, 120.0, detail)
+        return False, f"after {count} reports: {exc}"
+    return True, f"{count} reports validated at construction"
 
 
-CHECKS = [
-    check_01_shell_mass_claim,
-    check_02_shell_mass_mc,
-    check_03_kl_isotropic_mc,
-    check_04_detection_matches_tvd,
-    check_05_isotropic_minimizes_kl,
-    check_06_taylor_sandwich,
-    check_07_planner_end_to_end,
-    check_08_schedule_regimes,
-    check_09_bounds_structure,
-    check_10_sandwich_and_pinsker,
-]
+# criterion -> (display name, time limit in seconds, check)
+CHECKS = {
+    1: ("shell mass below 0.005 at n=400", 1.0, check_01_shell_mass_claim),
+    2: ("shell mass vs MC oracle", 30.0, check_02_shell_mass_mc),
+    3: ("isotropic KL vs MC oracle", 60.0, check_03_kl_isotropic_mc),
+    4: ("detector advantage equals V_T", 300.0, check_04_detection_matches_tvd),
+    5: ("isotropic covariance minimizes KL", 10.0, check_05_isotropic_minimizes_kl),
+    6: ("Taylor bracket inside validity range", 5.0, check_06_taylor_sandwich),
+    7: ("covertness both directions", 600.0, check_07_planner_end_to_end),
+    8: ("power-schedule regime classification", 10.0, check_08_schedule_regimes),
+    9: ("bound structure and first-order ratio", 60.0, check_09_bounds_structure),
+    10: ("sandwich and Pinsker cross-cutting", 120.0, check_10_sandwich_and_pinsker),
+}
 
 
 def run_all() -> list[CheckResult]:
-    return [c() for c in CHECKS]
+    """Every check in criterion order, timed; a check passes only if it also
+    finishes within its limit."""
+    results = []
+    for criterion, (name, limit, check) in sorted(CHECKS.items()):
+        t0 = time.perf_counter()
+        passed, detail = check()
+        runtime = time.perf_counter() - t0
+        results.append(
+            CheckResult(criterion, name, bool(passed) and runtime < limit, runtime, limit, detail)
+        )
+    return results

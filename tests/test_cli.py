@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from covertawgn import cli
+from covertawgn import divergences as dv
+from covertawgn import planner as pl
 from covertawgn import verify as vf
 from covertawgn.errors import NumericError
 
@@ -61,6 +63,18 @@ def test_divergence_json_via_planned_power():
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout)["result"]
     assert 0.0 < res["kl_bits"] < 0.01  # mu psi_suf stays inside the budget
+
+
+def test_divergence_reports_the_sigma1_sq_it_evaluated(capsys):
+    mu = 1.0 - 1.0 / 401
+    planned = 1.0 + mu * pl.psi_suf(400, 0.01, mu, 1.0 + 1.0 / 400)
+    for argv, sigma1_sq in ((["--delta", "0.01"], planned), (["--tau", "0.5"], 1.0 + 400**-0.5)):
+        assert cli.main(["divergence", "--n", "400", *argv]) == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert list(res) == ["kl_bits", "tvd", "hellinger_sq", "chi_sq", "method", "sigma1_sq"]
+        assert res["sigma1_sq"] == sigma1_sq
+        pair = dv.IsotropicGaussianPair(n=400, sigma1_sq=sigma1_sq)
+        assert {k: res[k] for k in list(res)[:-1]} == dv.isotropic_report(pair).to_dict()
 
 
 def test_bounds_csv_golden_header_and_ordering():
