@@ -4,9 +4,9 @@ Each subcommand accepts exactly the flags it reads (_SUBCOMMANDS), and
 its settings come from those flags alone, typed and defaulted by argparse
 (--c, which needs --tau, by _resolve); the config, holding every setting
 the run read, defaults included, is embedded in every output so runs are
-self-describing. Exit codes: 2 config, domain or input error (an
-unknown flag or an unparseable value included), 3 numeric failure, 4
-verification gate failure.
+self-describing. Exit codes: 2 config or domain error (an unknown flag or
+an unparseable value included), 3 numeric failure, 4 verification gate
+failure.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except CovertError as exc:  # config, domain and input errors alike
+    except CovertError as exc:  # config and domain errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,11 +80,6 @@ class CovarianceSpec:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def trace_power(self) -> float:
-        """Mean excess power tr(K)/n of the eigenvalues over the unit noise."""
-        return math.fsum(self.eigenvalues) / self.n - 1.0
-
 
 _METHODS = ("closed_form", "quadrature")
 

@@ -4,7 +4,7 @@ The CLI maps these onto exit codes: ConfigError -> 2, DomainError -> 2,
 NumericError -> 3, verification gate failures -> 4.
 """
 
-__all__ = ["CovertError", "DomainError", "NumericError", "InputError", "ConfigError"]
+__all__ = ["CovertError", "DomainError", "NumericError", "ConfigError"]
 
 
 class CovertError(Exception):
@@ -12,19 +12,14 @@ class CovertError(Exception):
 
 
 class DomainError(CovertError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument outside the domain of an operation, or a malformed array."""
 
 
 class NumericError(CovertError, ArithmeticError):
     """A numerical routine failed to converge or produced a non-finite value.
 
-    Carries enough context (routine name, arguments, iteration count) to
-    reproduce the failure.
+    Its message names the routine and the arguments or spec it failed at.
     """
-
-
-class InputError(CovertError, ValueError):
-    """Degenerate or malformed data handed to a simulation routine."""
 
 
 class ConfigError(CovertError, ValueError):

@@ -84,7 +84,7 @@ class CovertParams:
             delta=delta,
             epsilon=epsilon,
             mu=1.0 - 1.0 / (n + 1),
-            nu_sq=1.0 + 1.0 / n,
+            nu_sq=nu_lemma_shell(n),
             eta=1.0 + 1.0 / n,
         )
 

@@ -59,7 +59,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, NumericError
 from .specfn import LOG2E
 from .truncgauss import (
     RadialOutputDensity,
@@ -147,7 +147,6 @@ class Codebook:
 
     spec: TruncatedGaussianSpec
     codewords: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codewords", _read_only_copy(self.codewords))
@@ -191,7 +190,7 @@ def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
     """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
     _check_codebook_size(M)
     rng = _rng(seed, StreamTag.CODEBOOK, 0)
-    return Codebook(spec=spec, codewords=sample_codewords(spec, M, rng), seed=seed)
+    return Codebook(spec=spec, codewords=sample_codewords(spec, M, rng))
 
 
 # --- Bob's decoder --------------------------------------------------------------
@@ -263,12 +262,11 @@ def _slab_edges(M: int) -> list[int]:
 
 
 def _decode_errors(
-    points: np.ndarray, sent: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray, table=None
+    points: np.ndarray, sent: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray, table
 ) -> np.ndarray:
-    """`_nearest_float64(points, rows, rows_sq) != sent`, with each point scored only
-    until its error is certain, in float32 once there are at least
-    _FLOAT32_MIN_ROWS rows. `table` is `_float32_table(rows, rows_sq)` when
-    the caller keeps one (`simulate` does); otherwise it is built here.
+    """`_nearest_float64(points, rows, rows_sq) != sent`. `table` is None,
+    which runs that kernel, or `_float32_table(rows, rows_sq)`, against
+    which each point is scored in float32 only until its error is certain.
 
     The float64 kernel errs on a point sent as w exactly when some j != w
     outscores w, or ties with it from a lower index. Let B be the point's
@@ -290,9 +288,9 @@ def _decode_errors(
     undecided after the last slab (a tie, a near-tie, a NaN or an overflow)
     is rescored in float64.
     """
-    M, k = rows.shape
-    if M < _FLOAT32_MIN_ROWS:
+    if table is None:
         return _nearest_float64(points, rows, rows_sq) != sent
+    M, k = rows.shape
     count = points.shape[0]
     edges = _slab_edges(M)
     step = min(count, _rows_per_pass(k + 1))
@@ -304,7 +302,7 @@ def _decode_errors(
     # an overflow or NaN below leaves a non-finite gap, which settles nothing;
     # an underflow is in the bound's absolute term
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        table, bound = _float32_table(rows, rows_sq) if table is None else table
+        table, bound = table
         for i in range(0, count, step):
             chunk = points[i : i + step]
             c = chunk.shape[0]
@@ -355,10 +353,10 @@ def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     coordinates, without forming n-vectors."""
     y = np.asarray(received, dtype=float)
     if y.ndim != 2 or y.shape[1] != cb.n:
-        raise InputError(f"bob_decode_batch: need shape (count, {cb.n}), got {y.shape}")
+        raise DomainError(f"bob_decode_batch: need shape (count, {cb.n}), got {y.shape}")
     bad = ~np.isfinite(y)
     if bad.any():
-        raise InputError(f"bob_decode_batch: received value {y[bad][0]} is not finite")
+        raise DomainError(f"bob_decode_batch: received value {y[bad][0]} is not finite")
     return _nearest_float64(y, cb.codewords, np.sum(cb.codewords**2, axis=1))
 
 
@@ -432,13 +430,13 @@ def willie_detect(
     r0 = np.asarray(h0_radii, dtype=float)
     r1 = np.asarray(h1_radii, dtype=float)
     if r0.ndim != 1 or r1.ndim != 1 or r0.size == 0 or r1.size == 0:
-        raise InputError(
+        raise DomainError(
             f"willie_detect: need nonempty 1-D radius arrays, got {r0.shape} and {r1.shape}"
         )
     for r in (r0, r1):
         bad = ~(np.isfinite(r) & (r >= 0.0))
         if bad.any():
-            raise InputError(f"willie_detect: radius {r[bad][0]} is not finite and >= 0")
+            raise DomainError(f"willie_detect: radius {r[bad][0]} is not finite and >= 0")
     thr = model._bayes_crossing() ** 2
     beta = float(np.mean(r0 * r0 > thr))    # false alarm: H1 declared under H0
     alpha = float(np.mean(r1 * r1 <= thr))  # missed detection: H0 declared under H1
@@ -458,9 +456,6 @@ def willie_detect(
 class Estimate:
     value: float
     std_err: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def empirical_divergences(

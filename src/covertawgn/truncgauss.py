@@ -91,7 +91,7 @@ class TruncatedGaussianSpec:
 
     @cached_property
     def _output_model(self) -> RadialOutputDensity:
-        return RadialOutputDensity(self, *_gauss_legendre_radius_law(self, _RADIUS_LAW_NODES))
+        return RadialOutputDensity(self, *_gauss_legendre_radius_law(self))
 
 
 def _read_only_copy(a) -> np.ndarray:
@@ -303,17 +303,15 @@ def _log_sum_exp_cols(x: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only Gauss-Legendre rule (x, w) on [-1, 1], computed on first
-    use per node count: its eigenvalue solve would be almost all of the cost
-    of each radius-law build."""
-    return tuple(map(_read_only_copy, np.polynomial.legendre.leggauss(nodes)))
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Gauss-Legendre rule (x, w) on [-1, 1] with
+    _RADIUS_LAW_NODES nodes, computed on first use: its eigenvalue solve
+    would be almost all of the cost of each radius-law build."""
+    return tuple(map(_read_only_copy, np.polynomial.legendre.leggauss(_RADIUS_LAW_NODES)))
 
 
-def _gauss_legendre_radius_law(
-    spec: TruncatedGaussianSpec, nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _legendre_rule(nodes)
+def _gauss_legendre_radius_law(spec: TruncatedGaussianSpec) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _legendre_rule()
     # the band [mu r_outer, r_outer] has half-width r_outer (1 - mu) / 2, with
     # 1 - mu exact for mu >= 1/2; r_outer - r_inner cancels as mu nears 1
     r_outer = spec.r_outer

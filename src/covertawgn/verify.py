@@ -28,8 +28,9 @@ from .specfn import LOG2E
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
-# test power configs use this shell ratio: the asymptotic default mu = 1 - 1/(n+1)
-# leaves the shell too thin for the small n exercised here (mass check fails)
+# mu of checks 4, 7 and 10, which pass at the planner default 1 - 1/(n+1) too:
+# at n = 8..128 its shells span a wider band of radii, 0.34-0.92 of the Gaussian
+# mass (the default's 0.18-0.05), and check 7's KL at 2 psi_nec is 2.5 delta, not 3.4-3.9
 _MU_TEST = 0.8
 
 

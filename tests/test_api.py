@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,12 +12,18 @@ MODULES = (bounds, divergences, errors, planner, simkit, truncgauss)
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _api_index() -> list[str]:
-    """The names listed as '- `name`: purpose' in the README's API index."""
+def _api_index() -> dict[str, list[str]]:
+    """Module name -> the names listed as '- `name`: purpose' under its
+    '**`covertawgn.module`**' heading in the README's API index."""
     text = README.read_text(encoding="utf-8")
     assert "\n## API index\n" in text, "README.md has no API index section"
     section = text.split("\n## API index\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^- `(\w+)`: \S", section, flags=re.MULTILINE)
+    parts = re.split(r"^\*\*`covertawgn\.(\w+)`\*\*$", section, flags=re.MULTILINE)
+    index = {}
+    for module, body in zip(parts[1::2], parts[2::2]):
+        assert module not in index, f"two README sections for {module}"
+        index[module] = re.findall(r"^- `(\w+)`: \S", body, flags=re.MULTILINE)
+    return index
 
 
 def test_all_names_resolve_once():
@@ -26,12 +34,24 @@ def test_all_names_resolve_once():
 
 
 def test_readme_api_index_matches_all():
-    listed = _api_index()
+    index = _api_index()
+    listed = [name for module in MODULES for name in index[module.__name__.split(".")[-1]]]
     assert len(listed) == len(set(listed))
     undocumented = sorted(set(covertawgn.__all__) - set(listed))
     assert not undocumented, f"exported but not in the README API index: {undocumented}"
     stale = sorted(set(listed) - set(covertawgn.__all__))
     assert not stale, f"in the README API index but not exported: {stale}"
+
+
+def test_readme_api_index_lists_every_module_all():
+    # specfn, verify and cli are not re-exported, but their __all__ is
+    # public too, so every module of the package has its section
+    index = _api_index()
+    modules = sorted(m.name for m in pkgutil.iter_modules(covertawgn.__path__))
+    assert sorted(index) == modules
+    for name in modules:
+        exported = importlib.import_module(f"covertawgn.{name}").__all__
+        assert sorted(index[name]) == sorted(exported), name
 
 
 def test_each_exported_name_has_one_source():

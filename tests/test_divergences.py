@@ -163,7 +163,6 @@ def test_covariance_spec_validation():
             dv.CovarianceSpec((1.0, bad))
     spec = dv.CovarianceSpec((1.5, 1.1))
     assert spec.n == 2
-    assert spec.trace_power == pytest.approx(0.3, rel=1e-14)
 
 
 def test_report_construction_and_serialization():

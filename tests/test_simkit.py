@@ -15,7 +15,7 @@ from covertawgn import divergences as dv
 from covertawgn import planner as pl
 from covertawgn import simkit as sk
 from covertawgn import truncgauss as tg
-from covertawgn.errors import DomainError, InputError, NumericError
+from covertawgn.errors import DomainError, NumericError
 
 
 def _spec(n=16, psi=0.5, mu=0.7):
@@ -45,7 +45,7 @@ def test_build_codebook_deterministic():
     c = sk.build_codebook(spec, 8, seed=102)
     np.testing.assert_array_equal(a.codewords, b.codewords)
     assert not np.array_equal(a.codewords, c.codewords)
-    assert a.n == 16 and a.M == 8 and a.seed == 101
+    assert a.n == 16 and a.M == 8
 
 
 def test_build_codebook_validation():
@@ -93,20 +93,20 @@ def test_codebook_rejects_rows_off_shell():
     not_finite[1, 3] = np.nan  # a NaN norm compares False against both radii
     for bad in (pushed, not_finite):
         with pytest.raises(DomainError, match="row norm"):
-            sk.Codebook(spec=spec, codewords=bad, seed=0)
+            sk.Codebook(spec=spec, codewords=bad)
 
 
 def test_codebook_rejects_rows_of_wrong_length():
     spec = _spec()
     rows = np.zeros((4, spec.n + 1))
     with pytest.raises(DomainError, match=rf"shape \(4, {spec.n + 1}\) does not match n={spec.n}"):
-        sk.Codebook(spec=spec, codewords=rows, seed=0)
+        sk.Codebook(spec=spec, codewords=rows)
 
 
 def test_codebook_copies_caller_rows_read_only():
     spec = _spec()
     rows = sk.build_codebook(spec, 4, seed=0).codewords.copy()
-    cb = sk.Codebook(spec=spec, codewords=rows, seed=0)
+    cb = sk.Codebook(spec=spec, codewords=rows)
     kept = rows.copy()
     rows[:] = rows[::-1].copy()  # the caller edits its array after construction
     np.testing.assert_array_equal(cb.codewords, kept)
@@ -180,7 +180,8 @@ def test_decoder_is_rotation_invariant(n, M):
     assert clear.sum() >= 2990 and 0.05 < np.mean(got != sent) < 0.95
     assert np.array_equal(got[clear], rotated[clear])
     # simulate's error check on the v5 span says the same
-    wrong = sk._decode_errors(y, sent, *cb._span)
+    table = sk._float32_table(*cb._span) if M >= sk._FLOAT32_MIN_ROWS else None
+    wrong = sk._decode_errors(y, sent, *cb._span, table)
     assert np.array_equal(wrong, got != sent)
     assert np.array_equal(wrong[clear], rotated[clear] != sent[clear])
 
@@ -206,13 +207,13 @@ def test_bob_decode_noiseless_and_batch_agree():
 def test_bob_decode_rejects_malformed_input(M):
     cb = sk.build_codebook(_spec(), M, seed=21)
     for received in (cb.codewords[0], cb.codewords[:, :-1], np.zeros((2, 16, 1))):
-        with pytest.raises(InputError, match=r"need shape \(count, 16\), got "):
+        with pytest.raises(DomainError, match=r"need shape \(count, 16\), got "):
             sk.bob_decode_batch(cb, received)
     for first_bad in (float("nan"), float("inf"), -float("inf")):
         y = np.array(cb.codewords[:3])
         y[1, 4] = first_bad
         y[2, 0] = float("nan")
-        with pytest.raises(InputError, match=f"received value {first_bad} is not finite"):
+        with pytest.raises(DomainError, match=f"received value {first_bad} is not finite"):
             sk.bob_decode_batch(cb, y)
 
 
@@ -220,7 +221,7 @@ def test_bob_decode_tie_goes_to_lowest_index():
     spec = tg.TruncatedGaussianSpec(n=2, psi=1.0, mu=0.5)
     c0 = np.array([0.9, 0.0])
     c1 = np.array([-0.9, 0.0])
-    cb = sk.Codebook(spec=spec, codewords=np.vstack([c0, c1]), seed=0)
+    cb = sk.Codebook(spec=spec, codewords=np.vstack([c0, c1]))
     assert sk.bob_decode_batch(cb, np.zeros((3, 2))).tolist() == [0, 0, 0]
 
 
@@ -228,7 +229,7 @@ def test_antipodal_error_rate_matches_q_function():
     # n=1, codewords {+a, -a}: ML error probability is Q(a) exactly
     a = 1.0
     spec = tg.TruncatedGaussianSpec(n=1, psi=a * a, mu=0.5)
-    cb = sk.Codebook(spec=spec, codewords=np.array([[a], [-a]]), seed=0)
+    cb = sk.Codebook(spec=spec, codewords=np.array([[a], [-a]]))
     rng = np.random.default_rng(8)
     trials = 200_000
     w = rng.integers(0, 2, trials)
@@ -297,10 +298,12 @@ def _wide_rows(M=300, k=8, seed=0):
     return rows, np.sum(rows**2, axis=1)
 
 
-def _assert_errors_match(points, sent, rows):
-    # the error check says exactly what the float64 decisions say
+def _assert_errors_match(points, sent, rows, float32=True):
+    # the error check, on the float32 table or else on the float64 kernel,
+    # says exactly what the float64 decisions say
     rows_sq = np.sum(rows**2, axis=1)
-    got = sk._decode_errors(points, sent, rows, rows_sq)
+    table = sk._float32_table(rows, rows_sq) if float32 else None
+    got = sk._decode_errors(points, sent, rows, rows_sq, table)
     assert got.dtype == bool
     assert np.array_equal(got, sk._nearest_float64(points, rows, rows_sq) != sent)
     return got
@@ -391,7 +394,8 @@ def test_decode_errors_rescore_near_ties_only(monkeypatch):
         return float64_kernel(p, r, r_sq)
 
     monkeypatch.setattr(sk, "_nearest_float64", counting)
-    got = sk._decode_errors(points, sent, rows, np.sum(rows**2, axis=1))
+    rows_sq = np.sum(rows**2, axis=1)
+    got = sk._decode_errors(points, sent, rows, rows_sq, sk._float32_table(rows, rows_sq))
     monkeypatch.undo()
     assert np.array_equal(got, _full_score_argmin(points, rows) != sent)
     assert got[:6].tolist() == [False] * 4 + [True, False]
@@ -439,7 +443,8 @@ def test_float32_overflow_certifies_nothing(near, far):
     points = np.full((4, 1), 1.5e19)
     assert sk._nearest_float64(points, rows, rows_sq).tolist() == [near] * 4
     sent = np.array([near, far, near, far])
-    assert sk._decode_errors(points, sent, rows, rows_sq).tolist() == [False, True] * 2
+    table = sk._float32_table(rows, rows_sq)
+    assert sk._decode_errors(points, sent, rows, rows_sq, table).tolist() == [False, True] * 2
 
 
 @pytest.mark.parametrize("M", [256, 257, 1024, 1025, 1280, 4096, 4097])
@@ -459,8 +464,9 @@ def test_decode_errors_at_the_first_stage_width(M, noise):
     true_rows[: len(near)] = near
     points = rows[true_rows] + noise * rng.standard_normal((count, 8))
     decided = sk._nearest_float64(points, rows, rows_sq)
+    table = sk._float32_table(rows, rows_sq)
     for sent in (true_rows, rng.integers(0, M, count), np.full(count, M - 1)):
-        got = sk._decode_errors(points, sent, rows, rows_sq)
+        got = sk._decode_errors(points, sent, rows, rows_sq, table)
         assert np.array_equal(got, decided != sent)
 
 
@@ -468,7 +474,7 @@ def test_decode_errors_below_the_float32_width_is_the_float64_kernel(monkeypatch
     rows = np.random.default_rng(3).standard_normal((sk._FLOAT32_MIN_ROWS - 1, 8))
     points, sent = rows[:5] + 0.5, np.arange(5)
     monkeypatch.setattr(sk, "_float32_table", None)  # never built
-    _assert_errors_match(points, sent, rows)
+    _assert_errors_match(points, sent, rows, float32=False)
 
 
 _SPEC_512 = tg.TruncatedGaussianSpec(512, pl.psi_suf(512, 0.05, 0.8, 1.0 + 1.0 / 512), 0.8)
@@ -527,8 +533,10 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
     for run, bound_mib in (
         (lambda: sk.simulate(spec, M=4, trials=4096, seed=1), 16),
         (lambda: sk._nearest_float64(points, rows, rows_sq), 16),
-        (lambda: sk._decode_errors(points, sent, rows, rows_sq), 16),
-        (lambda: sk._decode_errors(wide_points, sent, wide_rows, wide_sq), 6),
+        (lambda: sk._decode_errors(points, sent, rows, rows_sq,
+                                   sk._float32_table(rows, rows_sq)), 16),
+        (lambda: sk._decode_errors(wide_points, sent, wide_rows, wide_sq,
+                                   sk._float32_table(wide_rows, wide_sq)), 6),
         (lambda: sk._nearest_float64(narrow_points, narrow_rows, narrow_sq), 2),
     ):
         tracemalloc.start()
@@ -581,9 +589,9 @@ def test_willie_detect_input_errors():
     model = tg.radial_output_density(spec)
     rng = np.random.default_rng(0)
     obs = _norms(rng.standard_normal((10, 16)))
-    with pytest.raises(InputError):
+    with pytest.raises(DomainError):
         sk.willie_detect(obs[:0], obs, model)
-    with pytest.raises(InputError):  # observation matrices, not radii
+    with pytest.raises(DomainError):  # observation matrices, not radii
         sk.willie_detect(obs[:, None], obs[:, None], model)
     nan = float("nan")
     for h0, h1, first_bad in (
@@ -591,7 +599,7 @@ def test_willie_detect_input_errors():
         (obs, [1.0, -3.0, nan], "-3.0"),
         ([2.0, math.inf], obs, "inf"),
     ):
-        with pytest.raises(InputError, match=f"radius {first_bad} "):
+        with pytest.raises(DomainError, match=f"radius {first_bad} "):
             sk.willie_detect(h0, h1, model)
 
 
@@ -1004,6 +1012,32 @@ def test_simulate_builds_the_float32_table_once(monkeypatch):
     assert table.shape == (300, 17) and table.dtype == np.float32
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("M", [255, 256])
+def test_simulate_scores_in_float32_from_256_rows(monkeypatch, M):
+    # simulate is where the rule lives: below 256 codewords it builds no
+    # table and every block takes the float64 kernel; from 256 on, one table
+    # serves every block
+    built, tables = [], []
+    float32_table, decode_errors = sk._float32_table, sk._decode_errors
+
+    def counting(rows, rows_sq):
+        built.append(rows.shape[0])
+        return float32_table(rows, rows_sq)
+
+    def reading(points, sent, rows, rows_sq, table):
+        tables.append(table)
+        return decode_errors(points, sent, rows, rows_sq, table)
+
+    monkeypatch.setattr(sk, "_float32_table", counting)
+    monkeypatch.setattr(sk, "_decode_errors", reading)
+    sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M, trials=2 * sk._MC_BLOCK, seed=3)
+    assert len(tables) == 2
+    if M < 256:
+        assert built == [] and tables == [None, None]
+    else:
+        assert built == [M] and tables[0] is tables[1] is not None
 
 
 def test_simulate_pinned_seeded_values():

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import os
 import subprocess
@@ -252,17 +253,20 @@ def test_radius_law_miss_raises_after_one_build(monkeypatch):
     # 4 nodes cannot integrate the radius law to 1e-10: the one build raises,
     # and the error names the spec, the node count and the miss, so it can be rerun
     spec = tg.TruncatedGaussianSpec(n=16, psi=0.1, mu=0.8)
-    miss = abs(tg._gauss_legendre_radius_law(spec, 4)[1].sum() - 1.0)
+    monkeypatch.setattr(tg, "_RADIUS_LAW_NODES", 4)
+    # a rule cache of its own, so the 4-node rule is computed here and is
+    # neither read from nor left in the shared one
+    monkeypatch.setattr(tg, "_legendre_rule", functools.cache(tg._legendre_rule.__wrapped__))
+    miss = abs(tg._gauss_legendre_radius_law(spec)[1].sum() - 1.0)
     assert miss > 1e-10
     builds = []
     original = tg._gauss_legendre_radius_law
 
-    def counting(spec, nodes):
-        builds.append(nodes)
-        return original(spec, nodes)
+    def counting(spec):
+        builds.append(tg._legendre_rule()[0].size)
+        return original(spec)
 
     monkeypatch.setattr(tg, "_gauss_legendre_radius_law", counting)
-    monkeypatch.setattr(tg, "_RADIUS_LAW_NODES", 4)
     with pytest.raises(NumericError) as err:
         tg.radial_output_density(spec)
     assert builds == [4]
@@ -345,8 +349,8 @@ def test_legendre_rule_is_computed_on_first_use_once_and_read_only():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "0"
-    x, w = tg._legendre_rule(256)
-    assert tg._legendre_rule(256)[0] is x
+    x, w = tg._legendre_rule()
+    assert tg._legendre_rule()[0] is x
     want_x, want_w = np.polynomial.legendre.leggauss(256)
     assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
     for a in (x, w):
@@ -366,9 +370,10 @@ def test_output_model_is_one_256_node_build_at_large_n(make, monkeypatch):
     rules = []
     original = tg._legendre_rule
 
-    def counting(nodes):
-        rules.append(nodes)
-        return original(nodes)
+    def counting():
+        rule = original()
+        rules.append(rule[0].size)
+        return rule
 
     monkeypatch.setattr(tg, "_legendre_rule", counting)
     model = tg.radial_output_density(spec)
