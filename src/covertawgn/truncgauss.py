@@ -216,7 +216,10 @@ class RadialOutputDensity:
 
     @cached_property
     def _log_mix(self) -> np.ndarray:
-        return np.log(self.weights) - 0.5 * self.radii**2
+        # a weight that underflowed to 0.0 logs to -inf, and its node adds
+        # exp(-inf) = 0 to every log-sum-exp
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights) - 0.5 * self.radii**2
 
     @cached_property
     def ratio_table(self) -> tuple[np.ndarray, np.ndarray]:

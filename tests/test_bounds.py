@@ -231,6 +231,20 @@ def test_sweep_dict_round_trips_through_json():
     assert loaded["c"] == 1.0 and loaded["tau"] == 0.5
 
 
+def test_csv_text_writes_numpy_and_python_scalars_alike():
+    # the sweep subcommand hands _csv_text .tolist() columns; the bytes are
+    # those of the numpy rows
+    sweep = bd.asymptotic_sweep(2.0, 0.5, bd.default_n_grid())
+    columns = (sweep.n_grid, sweep.kl_bits, sweep.tvd, -sweep.hellinger_sq, 0.0 * sweep.tvd)
+    header = ("n", "kl_bits", "tvd", "minus_h2", "zero")
+    numpy_rows = list(zip(*columns))
+    python_rows = list(zip(*(col.tolist() for col in columns)))
+    assert type(numpy_rows[0][1]) is np.float64 and type(python_rows[0][1]) is float
+    comments = {"tau": 0.5}
+    assert (bd._csv_text(header, numpy_rows, comments).encode()
+            == bd._csv_text(header, python_rows, comments).encode())
+
+
 def test_sweep_validation():
     with pytest.raises(DomainError):
         bd.asymptotic_sweep(0.0, 0.5)

@@ -1,4 +1,6 @@
+import bisect
 import math
+import sys
 import time
 import types
 import warnings
@@ -201,6 +203,17 @@ def test_x_minus_log1p_arrays_match_floats():
         specfn.x_minus_log1p(np.array([0.5, -1.0, -2.0]))
 
 
+@given(log_abs=st.floats(min_value=math.log(1e-150), max_value=math.log(0.5)),
+       negative=st.booleans())
+def test_x_minus_log1p_vs_mpmath_on_the_series_interval(log_abs, negative):
+    x = math.copysign(math.exp(log_abs), -1.0 if negative else 1.0)
+    # the difference cancels about -log10|x| digits: work with that many more
+    with mp.workdps(40 + math.ceil(-math.log10(abs(x)))):
+        ref = mp.mpf(x) - mp.log1p(mp.mpf(x))
+    got = specfn.x_minus_log1p(x)
+    assert abs(got - ref) <= 1e-15 * ref, (x, got, float(ref))
+
+
 def _check_log_gamma_pdf(a, u):
     with mp.workdps(40):
         am, um = mp.mpf(a), mp.mpf(u)
@@ -318,6 +331,51 @@ def test_temme_region_never_iterates(monkeypatch):
     for a, x in ((big, big - h), (big, big + h), (150.0, 120.0)):
         ref = float(_reference_pq(a, x)[0])
         assert specfn.reg_inc_gamma_lower(a, x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_temme_sum_leaves_out_only_rows_below_1e_17_of_its_total():
+    # the row count follows from a alone; the generated sum equals the loop
+    # over its rows in k order, and the first row it leaves out is negligible
+    table = specfn._TEMME_D
+
+    def horner(row, eta):
+        c = row[-1]
+        for d in reversed(row[:-1]):
+            c = c * eta + d
+        return c
+
+    assert specfn._TEMME_ROWS_FROM == tuple(sorted(specfn._TEMME_ROWS_FROM))
+    for a in np.logspace(2.0, 8.0, 61).tolist():
+        rows = len(table) - bisect.bisect_right(specfn._TEMME_ROWS_FROM, a)
+        for sigma in np.linspace(-0.5, 0.5, 101).tolist():
+            eta = math.copysign(math.sqrt(2.0 * specfn.x_minus_log1p(sigma)), sigma)
+            total = specfn._temme_sum(eta, a, rows)
+            want, inv_a_k = horner(table[0], eta), 1.0
+            for row in table[1:rows]:
+                inv_a_k = inv_a_k / a
+                want = want + horner(row, eta) * inv_a_k
+            assert total == want, (a, sigma)
+            if rows < len(table):
+                left_out = horner(table[rows], eta) / a**rows
+                assert abs(left_out) < 1e-17 * abs(total), (a, sigma, rows)
+
+
+def test_float_temme_path_makes_a_fixed_few_python_calls():
+    # a deterministic cost guard: a per-term loop of Python-level calls (one
+    # per series term or Temme row) would show as more calls; the float path
+    # makes five, _gamma_pq, _pq_temme, the series, its polynomial and the sum
+    def count(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    for a in (150.0, 5000.0, 5e7):
+        calls = []
+        sys.setprofile(count)
+        try:
+            specfn._gamma_pq(a, a - 2.0 * math.sqrt(a))
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= 5, (a, calls)
 
 
 def test_gaussian_q_inv_anchor():

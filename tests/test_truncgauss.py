@@ -514,6 +514,22 @@ def test_radial_model_rejects_bad_weights():
         tg.RadialOutputDensity(spec=spec, radii=r[:-1], weights=model.weights)
 
 
+@pytest.mark.parametrize("n,psi,mu", [(93, 0.05, 0.05), (621, 0.05, 0.2)])
+def test_zero_weight_nodes_add_nothing_and_raise_no_warning(n, psi, mu):
+    # thick shells whose radius law underflows to 0.0 at its end nodes: under
+    # the suite's warning-as-error policy the quadrature still runs, and its
+    # values are those of the model on the nonzero nodes alone
+    model = tg.radial_output_density(tg.TruncatedGaussianSpec(n, psi, mu))
+    keep = model.weights > 0.0
+    assert 0 < (~keep).sum() < keep.sum()
+    trimmed = tg.RadialOutputDensity(spec=model.spec, radii=model.radii[keep],
+                                     weights=model.weights[keep])
+    got = tg.output_divergences_quadrature(model)
+    want = tg.output_divergences_quadrature(trimmed)
+    assert got.kl_bits == pytest.approx(want.kl_bits, rel=1e-14, abs=0.0)
+    assert got.tvd == pytest.approx(want.tvd, rel=1e-14, abs=0.0)
+
+
 def test_radial_model_copies_caller_arrays_read_only():
     spec = tg.TruncatedGaussianSpec(n=16, psi=0.3, mu=0.7)
     law = tg.radial_output_density(spec)
