@@ -12,8 +12,10 @@ the spherically symmetric output laws, drawn in O(1) per trial as
 projection onto the span of the codebook (the theorem of irrelevance), so
 `simulate` decodes in k = min(n, M) span coordinates: c_j = Q c~_j for an
 orthonormal basis Q of the span and Q^T z ~ N(0, I_k), so y~ = c~_w + N(0, I_k)
-is decided exactly as y = c_w + z would be. Where n <= M, Q = I; where n > M,
-C^T = Q R is a reduced QR, and a trial costs O(M^2) instead of O(n M).
+is decided exactly as y = c_w + z would be. By Bartlett's decomposition
+(Muirhead 1982, Thm 3.2.14) it draws the c~_j directly, an (M, k) lower
+trapezoid scaled row by row to shell radii (`_span_codebook`), so no n-vector
+is formed and a codebook costs O(M k), a trial O(k M), whatever n is.
 `simulate` needs only whether each trial decodes wrong. From 256 codewords up
 it scores in float32 against one table per codebook: first each trial's score
 on its sent codeword, then column slabs [0, 256), [256, 1024), [1024, 4096),
@@ -26,7 +28,7 @@ Determinism: every random quantity is drawn from a stream keyed by (seed,
 stream tag, block index) with a fixed block size, and partial results are
 reduced in block order. In `simulate`, one helper thread draws Willie's
 radii, once per trial under each hypothesis, and reads them twice, for his
-test and for the empirical divergences, while the calling thread builds the
+test and for the empirical divergences, while the calling thread draws the
 codebook; then both threads take Bob's blocks from one queue, each drawing,
 decoding and counting the blocks it takes. Bob's steps are sized by elements, so each numpy
 call runs long enough for the other thread to take the GIL. A draw depends
@@ -40,10 +42,11 @@ v3: the Bob stream draws the message indices, then count x k span-coordinate
 normals; v4: every shell radius, in the codebook, Willie H1 and divergence
 streams, comes from the rejection sampler `truncgauss._sample_radii`; v5:
 where n <= M Bob's normals are noise in the standard basis, not in a QR
-basis, which moves only the decode error rates; v6, in force: the empirical
+basis, which moves only the decode error rates; v6: the empirical
 divergences read Willie's WILLIE_H0 and WILLIE_H1 radii and the divergence
-stream is retired, which moves only the empirical KL and TVD); changing them
-changes every seeded result they feed.
+stream is retired, which moves only the empirical KL and TVD; v7, in force:
+the codebook is drawn in its span on CODEBOOK_SPAN, which moves only the decode
+error rates); changing them changes every seeded result they feed.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import IntEnum
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -108,6 +111,7 @@ class StreamTag(IntEnum):
     WILLIE_H0 = 4
     # 5 was DIVERGENCE, retired in v6 when the divergences began to read
     # Willie's radii; it is never reused
+    CODEBOOK_SPAN = 6
 
 
 def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
@@ -141,8 +145,7 @@ def _output_radii(r: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray
 class Codebook:
     """M codewords of blocklength n, all inside the power shell of `spec`.
 
-    `codewords` is a read-only copy of the rows passed in, so the cached span
-    coordinates cannot go stale.
+    `codewords` is a read-only copy of the rows passed in.
     """
 
     spec: TruncatedGaussianSpec
@@ -169,28 +172,28 @@ class Codebook:
     def M(self) -> int:
         return self.codewords.shape[0]
 
-    @cached_property
-    def _span(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C~, ||c~_j||^2): the rows' coordinates in an orthonormal basis Q of
-        their span, c_j = Q c~_j, and their squared norms. Where n <= M the
-        span is R^n, so Q = I and C~ is `codewords` itself; where n > M, C~ is
-        the M x M transpose of R in the reduced QR C^T = Q R."""
-        coords = self.codewords
-        if self.n > self.M:
-            coords = _read_only_copy(np.linalg.qr(coords.T, mode="r").T)
-        return coords, _read_only_copy(np.sum(coords**2, axis=1))
-
-
-def _check_codebook_size(M: int) -> None:
-    if M < 2:
-        raise DomainError(f"build_codebook: need M >= 2, got {M}")
-
 
 def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
     """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
-    _check_codebook_size(M)
+    if M < 2:
+        raise DomainError(f"build_codebook: need M >= 2, got {M}")
     rng = _rng(seed, StreamTag.CODEBOOK, 0)
     return Codebook(spec=spec, codewords=sample_codewords(spec, M, rng))
+
+
+def _span_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C~, ||c~_j||^2), read-only: M i.i.d. shell codewords in k = min(n, M)
+    coordinates of an orthonormal basis of their span, and their squared norms.
+    CODEBOOK_SPAN draws the radii, then an (M, k) lower trapezoid (Bartlett:
+    N(0, 1) below the diagonal, chi_{n-j} on it) whose rows take the radii."""
+    n, k = spec.n, min(spec.n, M)
+    rng = _rng(seed, StreamTag.CODEBOOK_SPAN, 0)
+    r = _sample_radii(spec, M, rng)
+    rows = np.tril(rng.standard_normal((M, k)), -1)
+    np.fill_diagonal(rows, np.sqrt(2.0 * rng.standard_gamma(0.5 * (n - np.arange(k)))))
+    rows *= (r / np.linalg.norm(rows, axis=1))[:, None]
+    rows.flags.writeable = False
+    return rows, _read_only_copy(np.sum(rows**2, axis=1))
 
 
 # --- Bob's decoder --------------------------------------------------------------
@@ -349,8 +352,8 @@ def bob_decode_batch(cb: Codebook, received: np.ndarray) -> np.ndarray:
     """Minimum-distance (= ML under Gaussian noise) decisions for the rows of
     `received` (full n-vectors, shape (count, n)), lowest index on ties.
 
-    `simulate` reaches the same decisions in the codebook's span
-    coordinates, without forming n-vectors."""
+    `simulate` decides by the same rule in span coordinates of a codebook
+    drawn in its span (`_span_codebook`), without forming n-vectors."""
     y = np.asarray(received, dtype=float)
     if y.ndim != 2 or y.shape[1] != cb.n:
         raise DomainError(f"bob_decode_batch: need shape (count, {cb.n}), got {y.shape}")
@@ -606,14 +609,16 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
     the divergences equal `empirical_divergences(spec, trials, seed)`;
     `trials >= 2` and `M >= 2`, both checked before any work. One helper
     thread runs Willie's test and the divergences while the calling thread
-    builds the codebook; then both take Bob's blocks from one queue, and a
+    draws the codebook in its span (`_span_codebook`, stream contract v7, not
+    `build_codebook`); then both take Bob's blocks from one queue, and a
     failure on either empties it and is raised here.
     OpenBLAS is held to one thread, process-wide, until the call returns (see
     the module docstring).
     """
     if trials < 2:
         raise DomainError(f"simulate: need trials >= 2, got {trials}")
-    _check_codebook_size(M)
+    if M < 2:
+        raise DomainError(f"simulate: need M >= 2, got {M}")
     t0 = time.perf_counter()
     counts = _map_blocks(lambda b, count: count, trials)
     blocks = deque(enumerate(counts))  # Bob's (b, count), taken by either thread
@@ -647,12 +652,12 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
         return detection, *_divergence_estimates(spec, h0, h1, seed)
 
     with _one_blas_thread:
-        # The detector side goes first, so the codebook is built beside it.
-        # Public functions then run on both threads at once (build_codebook
-        # beside willie_detect); Bob's blocks call only private kernels.
+        # The detector side goes first, so the codebook is drawn beside it.
+        # This thread, codebook and Bob's blocks alike, calls only private
+        # kernels, so no public function runs beside willie_detect.
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simkit-helper") as helper:
             detector = helper.submit(detector_side)
-            coords, coords_sq = build_codebook(spec, M, seed)._span
+            coords, coords_sq = _span_codebook(spec, M, seed)
             table = _float32_table(coords, coords_sq) if M >= _FLOAT32_MIN_ROWS else None
             helper_bob = helper.submit(bob_side)
             sent, wrong = bob_side() + helper_bob.result()

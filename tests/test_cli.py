@@ -275,7 +275,7 @@ def test_exit_code_2_on_bad_inputs():
 def test_negative_M_exits_2_naming_it():
     proc = run_cli("simulate", "--n", "16", "--delta", "0.05", "--M", "-5")
     assert proc.returncode == 2
-    assert proc.stderr == "error: build_codebook: need M >= 2, got -5\n"
+    assert proc.stderr == "error: simulate: need M >= 2, got -5\n"
 
 
 def test_negative_seed_exits_2_naming_it(capsys):

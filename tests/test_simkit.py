@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import sys
 import threading
 import time
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import covertawgn
 from covertawgn import divergences as dv
 from covertawgn import planner as pl
 from covertawgn import simkit as sk
@@ -32,9 +36,11 @@ def test_stream_tags_are_frozen():
     assert int(sk.StreamTag.BOB_NOISE) == 2
     assert int(sk.StreamTag.WILLIE_H1) == 3
     assert int(sk.StreamTag.WILLIE_H0) == 4
+    # v7: simulate draws its codebook in its span on a stream of its own
+    assert int(sk.StreamTag.CODEBOOK_SPAN) == 6
     # v6 retired DIVERGENCE = 5; the divergences read Willie's radii, and 5
     # is never reused
-    assert [int(t) for t in sk.StreamTag] == [1, 2, 3, 4]
+    assert [int(t) for t in sk.StreamTag] == [1, 2, 3, 4, 6]
     assert "DIVERGENCE" not in sk.StreamTag.__members__
 
 
@@ -68,7 +74,7 @@ def test_simulate_checks_M_before_sizing_bob_noise(monkeypatch):
     for M in (-5, 1):
         with pytest.raises(DomainError) as err:
             sk.simulate(_spec(), M=M, trials=100, seed=0)
-        assert str(err.value) == f"build_codebook: need M >= 2, got {M}"
+        assert str(err.value) == f"simulate: need M >= 2, got {M}"
     assert ran == []
     assert threading.active_count() == baseline
 
@@ -114,24 +120,39 @@ def test_codebook_copies_caller_rows_read_only():
         cb.codewords[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("n,M", [(64, 4), (64, 63), (64, 64), (64, 65), (512, 16)])
-def test_span_coordinates_reproduce_the_gram_matrix(n, M):
-    cb = sk.build_codebook(_spec(n=n, psi=0.2, mu=0.8), M, seed=M)
-    coords, coords_sq = cb._span
-    assert coords.shape == (M, min(n, M)) and coords.flags.c_contiguous
-    gram = cb.codewords @ cb.codewords.T
-    assert np.max(np.abs(coords @ coords.T - gram)) <= 1e-12 * np.max(np.abs(gram))
-    np.testing.assert_allclose(coords_sq, np.diag(gram), rtol=1e-12)
-    assert cb._span is cb._span  # computed once per codebook
+@pytest.mark.parametrize("n,M", [(3, 5), (5, 3), (4, 4), (2, 6)])
+def test_span_codebook_gram_law_matches_explicit_codewords(n, M):
+    # Bartlett: the span draw's Gram matrix has the law of M explicit shell
+    # codewords'; each inner product <c_i, c_j>, i < j, and the determinant of
+    # the leading k x k block, over 3000 seeds, by two-sample KS tests
+    spec, k = _spec(n=n, psi=0.5, mu=0.6), min(n, M)
+    upper = np.triu_indices(M, 1)
+
+    def statistics(rows):
+        gram = rows @ rows.T
+        return np.append(gram[upper], np.linalg.det(gram[:k, :k]))
+
+    span = np.array([statistics(sk._span_codebook(spec, M, s)[0]) for s in range(3000)])
+    full = np.array([statistics(sk.build_codebook(spec, M, s).codewords) for s in range(3000)])
+    p_min = min(stats.ks_2samp(a, b).pvalue for a, b in zip(span.T, full.T))
+    assert p_min > 1e-3 / span.shape[1]  # 0.001 after Bonferroni
 
 
-@pytest.mark.parametrize("n,M", [(64, 64), (64, 256), (16, 300)])
-def test_span_is_the_codewords_where_they_span_r_n(n, M):
-    cb = sk.build_codebook(_spec(n=n, psi=0.2, mu=0.8), M, seed=M)
-    coords, coords_sq = cb._span
-    assert coords is cb.codewords
-    np.testing.assert_array_equal(coords_sq, np.sum(cb.codewords**2, axis=1))
-    assert not coords_sq.flags.writeable
+@pytest.mark.parametrize("n,M", [
+    (64, 4), (64, 63), (64, 64), (64, 65), (512, 16), (64, 256), (16, 300), (1, 3),
+])
+def test_span_codebook_rows_sit_in_the_shell(n, M):
+    spec = _spec(n=n, psi=0.2, mu=0.8)
+    rows, rows_sq = sk._span_codebook(spec, M, seed=M)
+    assert rows.shape == (M, min(n, M)) and rows.flags.c_contiguous
+    assert not rows.flags.writeable and not rows_sq.flags.writeable
+    np.testing.assert_array_equal(rows_sq, np.sum(rows**2, axis=1))
+    assert np.array_equal(np.triu(rows, 1), np.zeros_like(rows))  # lower trapezoid
+    tol = 1e-12 * spec.r_outer
+    assert np.all((_norms(rows) >= spec.r_inner - tol) & (_norms(rows) <= spec.r_outer + tol))
+    again, _ = sk._span_codebook(spec, M, seed=M)
+    assert np.array_equal(rows, again)
+    assert not np.array_equal(rows, sk._span_codebook(spec, M, seed=M + 1)[0])
 
 
 def _counting_qr(monkeypatch, fail):
@@ -147,18 +168,14 @@ def _counting_qr(monkeypatch, fail):
     return calls
 
 
-@pytest.mark.parametrize("n,M", [(64, 64), (64, 256)])
+@pytest.mark.parametrize("n,M", [(64, 64), (64, 256), (64, 63), (512, 16)])
 def test_simulate_runs_no_qr_where_n_is_at_most_m(monkeypatch, n, M):
+    # since stream contract v7 the codebook is drawn in its span, so no QR
+    # runs where n > M either; the codeword energy n psi is 12.8 at every
+    # shape, so some trials decode wrong and some right
     _counting_qr(monkeypatch, fail=True)
-    res = sk.simulate(_spec(n=n, psi=0.2, mu=0.8), M, trials=2000, seed=1)
+    res = sk.simulate(_spec(n=n, psi=12.8 / n, mu=0.8), M, trials=2000, seed=1)
     assert 0.0 < res.decode_error_rate < 1.0
-
-
-@pytest.mark.parametrize("n,M", [(64, 63), (512, 16)])
-def test_simulate_runs_one_qr_per_codebook_where_n_exceeds_m(monkeypatch, n, M):
-    calls = _counting_qr(monkeypatch, fail=False)
-    sk.simulate(_spec(n=n, psi=0.2, mu=0.8), M, trials=2 * sk._MC_BLOCK + 1, seed=1)
-    assert calls == [(n, M)]
 
 
 @pytest.mark.parametrize("n,M", [(16, 300), (64, 64)])  # float32 check, float64 kernel
@@ -179,9 +196,10 @@ def test_decoder_is_rotation_invariant(n, M):
     clear = scores[:, -1] - scores[:, -2] > 1e-9
     assert clear.sum() >= 2990 and 0.05 < np.mean(got != sent) < 0.95
     assert np.array_equal(got[clear], rotated[clear])
-    # simulate's error check on the v5 span says the same
-    table = sk._float32_table(*cb._span) if M >= sk._FLOAT32_MIN_ROWS else None
-    wrong = sk._decode_errors(y, sent, *cb._span, table)
+    # simulate's error check on the v5 span (n <= M: the codewords) says the same
+    C_sq = np.sum(C**2, axis=1)
+    table = sk._float32_table(C, C_sq) if M >= sk._FLOAT32_MIN_ROWS else None
+    wrong = sk._decode_errors(y, sent, C, C_sq, table)
     assert np.array_equal(wrong, got != sent)
     assert np.array_equal(wrong[clear], rotated[clear] != sent[clear])
 
@@ -248,25 +266,28 @@ def test_decoder_reliable_at_generous_power():
 
 
 def test_bob_decode_pinned_seeded_values():
-    # stream contract v5: at n <= M Bob's noise coordinates are in the
-    # standard basis (v4 gave 0.07883333333333334 and 0.34615384615384615 in
-    # a QR basis, with the codebook radii from the rejection sampler; v3 gave
+    # stream contract v7: the codebook is drawn in its span (v5 and v6 gave
+    # 0.07733333333333334 and 0.3157894736842105 on build_codebook's rows).
+    # v5: at n <= M Bob's noise coordinates are in the standard basis (v4
+    # gave 0.07883333333333334 and 0.34615384615384615 in a QR basis, with
+    # the codebook radii from the rejection sampler; v3 gave
     # 0.08483333333333333 and 0.4117647058823529; v1 and v2 gave
     # 0.08033333333333334 and 0.35714285714285715 from full n-vectors)
     spec = tg.TruncatedGaussianSpec(n=32, psi=1.0, mu=0.7)
     res = sk.simulate(spec, M=256, trials=6000, seed=11)
-    assert res.decode_error_rate == 0.07733333333333334
-    assert res.decode_error_worst_message == 0.3157894736842105
+    assert res.decode_error_rate == 0.09316666666666666
+    assert res.decode_error_worst_message == 0.38095238095238093
 
 
 def test_bob_decode_pinned_seeded_values_at_m_1024():
     # about a third of the trials decode wrong: the error check settles some
     # on the first columns alone and scores every other trial on all 1024
-    # (stream contract v5; v4 gave 0.3231201171875 and 0.9090909090909091)
+    # (stream contract v7; v5 and v6 gave 0.3223876953125 and
+    # 0.7857142857142857, v4 0.3231201171875 and 0.9090909090909091)
     spec = tg.TruncatedGaussianSpec(n=64, psi=0.3, mu=0.8)
     res = sk.simulate(spec, M=1024, trials=16384, seed=5)
-    assert res.decode_error_rate == 0.3223876953125
-    assert res.decode_error_worst_message == 0.7857142857142857
+    assert res.decode_error_rate == 0.3231201171875
+    assert res.decode_error_worst_message == 0.8181818181818182
 
 
 def test_bob_decode_in_place_scores_match_reference():
@@ -278,7 +299,7 @@ def test_bob_decode_in_place_scores_match_reference():
         rows = 2 * sk._rows_per_pass(M) + 59
         cb = sk.build_codebook(_spec(n=n), M, seed=3)
         z = np.random.default_rng(4).standard_normal((rows, n))
-        coords, coords_sq = cb._span
+        coords, coords_sq = cb.codewords, np.sum(cb.codewords**2, axis=1)
         for book, decide in (
             (cb.codewords, lambda y: sk.bob_decode_batch(cb, y)),
             (coords, lambda y: sk._nearest_float64(y, coords, coords_sq)),
@@ -480,9 +501,17 @@ def test_decode_errors_below_the_float32_width_is_the_float64_kernel(monkeypatch
 _SPEC_512 = tg.TruncatedGaussianSpec(512, pl.psi_suf(512, 0.05, 0.8, 1.0 + 1.0 / 512), 0.8)
 
 
+def _span_codebook_in_r_n(spec, M, seed):
+    # simulate's codebook as n-vectors: its span coordinates, zero-padded.
+    # The decoder is rotation-invariant and the noise isotropic, so deciding
+    # these is deciding the codebook the coordinates stand for
+    rows, _ = sk._span_codebook(spec, M, seed)
+    return sk.Codebook(spec=spec, codewords=np.pad(rows, ((0, 0), (0, spec.n - rows.shape[1]))))
+
+
 def _full_vector_decode_error(spec, M, trials, seed):
     # the oracle: y = c_w + z in R^n, decided by bob_decode_batch
-    cb = sk.build_codebook(spec, M, seed)
+    cb = _span_codebook_in_r_n(spec, M, seed)
     rng = np.random.default_rng([seed, M])
     w = rng.integers(0, M, size=trials)
     y = cb.codewords[w] + rng.standard_normal((trials, spec.n))
@@ -508,7 +537,7 @@ def test_two_codeword_decode_error_matches_q_function():
     # M=2: the ML error is exactly Q(||c0 - c1|| / 2) for either message
     trials = 100_000
     got = sk.simulate(_SPEC_512, M=2, trials=trials, seed=8)
-    c0, c1 = sk.build_codebook(_SPEC_512, 2, seed=8).codewords
+    c0, c1 = _span_codebook_in_r_n(_SPEC_512, 2, seed=8).codewords
     q = float(stats.norm.sf(np.linalg.norm(c0 - c1) / 2.0))
     assert abs(got.decode_error_rate - q) <= 4 * math.sqrt(q * (1 - q) / trials)
 
@@ -518,8 +547,12 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
     # M = 4096, would alone be 128 MiB; at the k = 64, M = 4096 shape of a
     # simulate block the error check holds its 3 MiB score buffer and the
     # 1 MiB float32 table, and little else; at M = 16 the float64 kernel's
-    # wider step holds a 512 KiB score buffer (0.9 MiB peak measured)
+    # wider step holds a 512 KiB score buffer (0.9 MiB peak measured); at
+    # n = 1e6, M = 256 the codebook is drawn in its 256-dimensional span, where
+    # 256 n-vector codewords alone would be 1953 MiB
     spec = tg.TruncatedGaussianSpec(4096, 1 / 64, 0.95)
+    n, mu = 10**6, 1.0 - 1.0 / (10**6 + 1)
+    large = tg.TruncatedGaussianSpec(n, pl.psi_suf(n, 0.05, mu, pl.nu_lemma_shell(n)), mu)
     tg.radial_output_density(spec).ratio_table  # the model is cached per spec
     rng = np.random.default_rng(2)
     rows, points = rng.standard_normal((4096, 8)), rng.standard_normal((4096, 8))
@@ -538,6 +571,7 @@ def test_simulate_and_decode_kernel_memory_stay_bounded():
         (lambda: sk._decode_errors(wide_points, sent, wide_rows, wide_sq,
                                    sk._float32_table(wide_rows, wide_sq)), 6),
         (lambda: sk._nearest_float64(narrow_points, narrow_rows, narrow_sq), 2),
+        (lambda: sk.simulate(large, M=256, trials=4096, seed=1), 32),
     ):
         tracemalloc.start()
         try:
@@ -823,6 +857,32 @@ def test_simulate_computes_on_the_caller_and_one_helper_thread(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def test_simulate_calling_thread_enters_no_other_public_function():
+    # the codebook is drawn and Bob's blocks decoded by private kernels, so no
+    # public function the tracer wraps runs on the caller beside the helper's
+    # willie_detect; sys.setprofile sees only the thread that sets it
+    public = {}
+    for info in pkgutil.iter_modules(covertawgn.__path__):
+        module = importlib.import_module(f"covertawgn.{info.name}")
+        for name in module.__all__:
+            if inspect.isfunction(obj := getattr(module, name)):
+                public[obj.__code__] = f"{info.name}.{name}"
+    assert "simkit.build_codebook" in public.values()
+    for n, M in ((16, 300), (512, 16)):
+        spec, entered = _spec(n=n, psi=0.2, mu=0.8), []
+
+        def record(frame, event, arg):
+            if event == "call" and frame.f_code in public:
+                entered.append(public[frame.f_code])
+
+        sys.setprofile(record)
+        try:
+            sk.simulate(spec, M, trials=2 * sk._MC_BLOCK + 1, seed=1)
+        finally:
+            sys.setprofile(None)
+        assert entered == ["simkit.simulate"], (n, M)
+
+
 def _scheduled_blocks(monkeypatch, on_caller):
     # Bob's block queue, with block b taken by the calling thread exactly
     # where on_caller(b): a thread waits until the head block is its own or
@@ -1007,8 +1067,8 @@ def test_simulate_builds_the_float32_table_once(monkeypatch):
     monkeypatch.setattr(sk, "_float32_table", counting)
     sk.simulate(_spec(n=16, psi=0.8, mu=0.7), M=300, trials=3 * sk._MC_BLOCK, seed=3)
     assert built == [(300, 16)]
-    cb = sk.build_codebook(_spec(n=16, psi=0.8, mu=0.7), 300, seed=3)
-    table, _ = sk._float32_table(*cb._span)
+    C = sk.build_codebook(_spec(n=16, psi=0.8, mu=0.7), 300, seed=3).codewords
+    table, _ = sk._float32_table(C, np.sum(C**2, axis=1))
     assert table.shape == (300, 17) and table.dtype == np.float32
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
@@ -1041,9 +1101,11 @@ def test_simulate_scores_in_float32_from_256_rows(monkeypatch, M):
 
 
 def test_simulate_pinned_seeded_values():
-    # stream contract v6: these exact values change only with a documented
-    # bump. v6 moved only the empirical divergences, which now read Willie's
-    # radii (v5: KL 1.3441503309140361, std_err 0.03439039329506543; TVD
+    # stream contract v7: these exact values change only with a documented
+    # bump. v7 moved only the two decode fields, now on the span-drawn
+    # codebook (v6: 0.06325 and 0.08121827411167512). v6 moved only the
+    # empirical divergences, which now read Willie's radii (v5: KL
+    # 1.3441503309140361, std_err 0.03439039329506543; TVD
     # 0.4851924082832678, std_err 0.0040183613069751925). Under v5 (n > M
     # here, so as in v4) the KL alone moved from 1.3441503309140383,
     # with every draw unchanged, when the radius law's Gamma density was
@@ -1059,8 +1121,8 @@ def test_simulate_pinned_seeded_values():
     d = sk.simulate(spec, M=4, trials=4000, seed=42).to_dict()
     d.pop("wall_time")
     assert d == {
-        "decode_error_rate": 0.06325,
-        "decode_error_worst_message": 0.08121827411167512,
+        "decode_error_rate": 0.07225,
+        "decode_error_worst_message": 0.09035532994923857,
         "decode_trials": 4000,
         "detection": {
             "threshold": 19.777861168093956,
@@ -1080,18 +1142,20 @@ def test_simulate_pinned_seeded_values():
 
 
 def test_simulate_pinned_seeded_values_on_a_narrow_codebook():
-    # stream contract v6 at n = 512 > M = 16: Bob decodes in QR span
-    # coordinates over three blocks, the last one partial; how many points
-    # the kernels take per step must not move these. v6 moved only the
-    # empirical divergences (v5: KL 0.28767317919814794, std_err
+    # stream contract v7 at n = 512 > M = 16: Bob decodes in span coordinates
+    # over three blocks, the last one partial; how many points the kernels
+    # take per step must not move these. v7 moved only the two decode fields,
+    # now on the span-drawn codebook, not on QR coordinates of
+    # build_codebook's (v6: 0.007555555555555556 and 0.016216216216216217).
+    # v6 moved only the empirical divergences (v5: KL 0.28767317919814794, std_err
     # 0.009812031478675542; TVD 0.2476898120573509, std_err
     # 0.0019156322246467064)
     spec = tg.TruncatedGaussianSpec(n=512, psi=0.05, mu=0.8)
     d = sk.simulate(spec, M=16, trials=9000, seed=29).to_dict()
     d.pop("wall_time")
     assert d == {
-        "decode_error_rate": 0.007555555555555556,
-        "decode_error_worst_message": 0.016216216216216217,
+        "decode_error_rate": 0.009888888888888888,
+        "decode_error_worst_message": 0.014760147601476014,
         "decode_trials": 9000,
         "detection": {
             "threshold": 522.1063693948122,
@@ -1123,7 +1187,7 @@ def test_simulate_rejects_small_trials_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("simulate did work before validating its arguments")
 
-    monkeypatch.setattr(sk, "build_codebook", no_work)
+    monkeypatch.setattr(sk, "_span_codebook", no_work)
     spec = _spec()
     for trials in (1, 0):
         with pytest.raises(DomainError, match="trials >= 2, got"):
