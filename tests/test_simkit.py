@@ -155,6 +155,36 @@ def test_span_codebook_rows_sit_in_the_shell(n, M):
     assert not np.array_equal(rows, sk._span_codebook(spec, M, seed=M + 1)[0])
 
 
+@pytest.mark.parametrize("n,M", [(64, 4), (64, 63), (64, 64), (64, 65), (512, 16)])
+def test_span_coordinates_reproduce_the_gram_matrix(n, M):
+    # the span draw, padded to R^n and turned by a random rotation, is a shell
+    # codebook of explicit n-vectors with the draw's Gram matrix; and the draw
+    # is that codebook's lower-trapezoidal span coordinates (the Cholesky
+    # factor of its Gram matrix), as v6's QR of C^T gave up to column signs
+    spec, k = _spec(n=n, psi=0.2, mu=0.8), min(n, M)
+    coords, coords_sq = sk._span_codebook(spec, M, seed=M)
+    Q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+    cb = sk.Codebook(spec=spec, codewords=np.pad(coords, ((0, 0), (0, n - k))) @ Q)
+    gram = cb.codewords @ cb.codewords.T
+    assert np.max(np.abs(coords @ coords.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+    np.testing.assert_allclose(coords_sq, np.diag(gram), rtol=1e-12)
+    L = np.linalg.cholesky(gram[:k, :k])
+    assert np.max(np.abs(L - coords[:k])) <= 1e-9 * spec.r_outer
+
+
+@pytest.mark.parametrize("n,M", [(64, 64), (64, 256), (16, 300)])
+def test_span_is_the_codewords_where_they_span_r_n(n, M):
+    # where n <= M the span is R^n itself: the draw's rows are n-vectors, a
+    # codebook as they stand, with their own squared norms
+    spec = _spec(n=n, psi=0.2, mu=0.8)
+    coords, coords_sq = sk._span_codebook(spec, M, seed=M)
+    cb = sk.Codebook(spec=spec, codewords=coords)
+    assert coords.shape == (M, n)
+    np.testing.assert_array_equal(cb.codewords, coords)
+    np.testing.assert_array_equal(coords_sq, np.sum(cb.codewords**2, axis=1))
+    assert not coords_sq.flags.writeable
+
+
 def _counting_qr(monkeypatch, fail):
     calls, qr = [], np.linalg.qr
 
