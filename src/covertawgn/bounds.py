@@ -27,7 +27,7 @@ import numpy as np
 
 from . import divergences as dv
 from . import specfn
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .planner import CovertParams, psi_nec, psi_suf
 
 __all__ = [
@@ -147,12 +147,11 @@ def throughput_bounds(params: CovertParams) -> ThroughputBounds:
 def bounds_grid(n_values, delta: float, epsilon: float = 0.1) -> list[ThroughputBounds]:
     """Bounds rows over a blocklength grid (integers >= 1, in any order) with the
     default slack presets; DomainError at the first entry that is not one."""
-    rows = []
-    for i, n in enumerate(n_values):
-        if not _is_blocklength(n):
-            raise DomainError(f"bounds_grid: need integers >= 1, got n_values[{i}] = {n!r}")
-        rows.append(throughput_bounds(CovertParams.defaults(int(n), delta, epsilon)))
-    return rows
+    return [
+        throughput_bounds(CovertParams.defaults(
+            _integer(n, 1, "bounds_grid", f"n_values[{i}]"), delta, epsilon))
+        for i, n in enumerate(n_values)
+    ]
 
 
 def _csv_text(header, rows, comments: dict | None) -> str:
@@ -177,8 +176,8 @@ def bounds_csv_text(rows: list[ThroughputBounds], comments: dict | None = None) 
 
 def default_n_grid(n_min: int = 100, n_max: int = 10**8) -> np.ndarray:
     """Log-spaced integer blocklengths, 40 points per decade, deduplicated."""
-    if not (1 <= n_min < n_max):
-        raise DomainError(f"default_n_grid: need 1 <= n_min < n_max, got ({n_min}, {n_max})")
+    n_min = _integer(n_min, 1, "default_n_grid", "n_min")
+    n_max = _integer(n_max, n_min + 1, "default_n_grid", "n_max")
     lo, hi = math.log10(n_min), math.log10(n_max)
     count = int(round((hi - lo) * 40)) + 1
     grid = np.unique(np.round(np.logspace(lo, hi, num=count)).astype(np.int64))
@@ -239,11 +238,6 @@ class AsymptoticSweep:
         }
 
 
-def _is_blocklength(n) -> bool:
-    """Whether n is an integer value >= 1 that fits in int64."""
-    return 0 < n < 2**63 and float(n).is_integer()
-
-
 def _checked_n_grid(n_grid) -> np.ndarray:
     """n_grid as int64 blocklengths, or DomainError at its first entry that
     is not an integer >= 1 above the entry before it."""
@@ -252,12 +246,7 @@ def _checked_n_grid(n_grid) -> np.ndarray:
         raise DomainError(f"asymptotic_sweep: need a 1-D blocklength grid, got shape {grid.shape}")
     prev = 0
     for i, n in enumerate(grid.tolist()):
-        if not (prev < n and _is_blocklength(n)):
-            raise DomainError(
-                f"asymptotic_sweep: need integer blocklengths >= 1 in strictly increasing "
-                f"order, got n_grid[{i}] = {n!r}" + (f" after {prev!r}" if i else "")
-            )
-        prev = n
+        prev = _integer(n, prev + 1, "asymptotic_sweep", f"n_grid[{i}]")
     return grid.astype(np.int64)
 
 

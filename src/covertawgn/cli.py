@@ -4,9 +4,9 @@ Each subcommand accepts exactly the flags it reads (_SUBCOMMANDS), and
 its settings come from those flags alone, typed and defaulted by argparse
 (--c, which needs --tau, by _resolve); the config, holding every setting
 the run read, defaults included, is embedded in every output so runs are
-self-describing. Exit codes: 2 config or domain error (an unknown flag or
-an unparseable value included), 3 numeric failure, 4 verification gate
-failure.
+self-describing. Exit codes: 2 domain error (an unknown flag, an
+unparseable value or an inconsistent set of flags included), 3 numeric
+failure, 4 verification gate failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import planner as pl
 from . import simkit as sk
 from . import truncgauss as tg
 from . import verify as vf
-from .errors import ConfigError, CovertError, NumericError
+from .errors import CovertError, DomainError, NumericError, _integer
 
 __all__ = ["main", "build_parser"]
 
@@ -76,27 +76,24 @@ def _resolve(args: argparse.Namespace) -> dict:
     if sub in _POWER_WAYS:
         schedule, planned = ([k for k in way if cfg[k] is not None] for way in _POWER_WAYS[sub])
         if schedule and planned:
-            raise ConfigError(
+            raise DomainError(
                 f"{sub}: --{schedule[0]} and --{planned[0]} set the power two ways; give one"
             )
         if cfg["c"] is not None and cfg["tau"] is None:
-            raise ConfigError(f"{sub}: --c needs --tau")
+            raise DomainError(f"{sub}: --c needs --tau")
     if cfg.get("tau") is not None and cfg["c"] is None:
         cfg["c"] = 1.0
     return cfg
 
 
 def _blocklengths(text: str, tokens: list[str]) -> list[int]:
-    """The tokens of --n as ints, or ConfigError at the first that is not an
-    integer below 2**63 (int64), rather than truncating it."""
+    """The tokens of --n as ints, or DomainError at the first that is not an
+    integer in [1, 2**63), rather than truncating it."""
     try:
         floats = [float(tok) for tok in tokens]
     except ValueError as exc:
-        raise ConfigError(f"--n: cannot parse {text!r}") from exc
-    bad = [v for v in floats if not (v.is_integer() and abs(v) < 2**63)]
-    if bad:
-        raise ConfigError(f"--n: need integer blocklengths below 2**63, got {bad[0]!r}")
-    return [int(v) for v in floats]
+        raise DomainError(f"--n: cannot parse {text!r}") from exc
+    return [_integer(v, 1, "--n", "n") for v in floats]
 
 
 def _parse_n_grid(text: str) -> np.ndarray:
@@ -107,20 +104,20 @@ def _parse_n_grid(text: str) -> np.ndarray:
     tokens = [tok for tok in text.split(",") if tok.strip()]
     vals = np.asarray(_blocklengths(text, tokens), dtype=np.int64)
     if not vals.size:
-        raise ConfigError("--n: empty grid")
+        raise DomainError("--n: empty grid")
     return vals
 
 
 def _single_n(cfg: dict) -> int:
     grid = _parse_n_grid(_require(cfg, "n"))
     if grid.size != 1:
-        raise ConfigError(f"{cfg['subcommand']}: --n must be a single value")
+        raise DomainError(f"{cfg['subcommand']}: --n must be a single value")
     return int(grid[0])
 
 
 def _require(cfg: dict, key: str) -> object:
     if cfg[key] is None:
-        raise ConfigError(f"{cfg['subcommand']}: --{key} is required")
+        raise DomainError(f"{cfg['subcommand']}: --{key} is required")
     return cfg[key]
 
 
@@ -154,7 +151,7 @@ def _emit(text: str, cfg: dict) -> None:
             with open(cfg["out"], "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {cfg['out']}: {exc}") from exc
+            raise DomainError(f"cannot write {cfg['out']}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -166,7 +163,7 @@ def _emit_json(payload: dict | list, cfg: dict) -> None:
 def _want_format(cfg: dict) -> str:
     fmt = cfg["format"]
     if fmt not in ("csv", "json"):
-        raise ConfigError(f"{cfg['subcommand']}: format {fmt!r} not supported (csv or json)")
+        raise DomainError(f"{cfg['subcommand']}: format {fmt!r} not supported (csv or json)")
     return fmt
 
 
@@ -270,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except CovertError as exc:  # config and domain errors alike
+    except CovertError as exc:  # domain errors, in flags and in arguments alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

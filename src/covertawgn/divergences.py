@@ -12,13 +12,12 @@ All divergences are reported in bits.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import specfn
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 __all__ = [
     "IsotropicGaussianPair",
@@ -40,8 +39,7 @@ class IsotropicGaussianPair:
     sigma1_sq: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"IsotropicGaussianPair: need n >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, 1, "IsotropicGaussianPair", "n"))
         if not (self.sigma1_sq > 0.0 and math.isfinite(self.sigma1_sq)):
             raise DomainError(
                 f"IsotropicGaussianPair: need sigma1_sq > 0, got {self.sigma1_sq!r}"
@@ -52,9 +50,8 @@ class IsotropicGaussianPair:
                 f"IsotropicGaussianPair: sigma1_sq={self.sigma1_sq!r} at n={self.n} is too "
                 "small for sigma1_sq - 1 to differ from -1 in double precision"
             )
-        # the crossing radius n sigma1_sq ln(sigma1_sq) / (sigma1_sq - 1) must be
-        # finite; an int n above the largest float does not convert to one
-        if not (self.n <= sys.float_info.max and math.isfinite(self.n * self.sigma1_sq)):
+        # the crossing radius n sigma1_sq ln(sigma1_sq) / (sigma1_sq - 1) must be finite
+        if not math.isfinite(self.n * self.sigma1_sq):
             raise DomainError(f"IsotropicGaussianPair: n * sigma1_sq overflows at "
                               f"n={self.n}, sigma1_sq={self.sigma1_sq!r}")
 

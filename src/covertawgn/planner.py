@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 from . import specfn
 from .divergences import _kl_excess_bits
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer
 
 __all__ = [
     "CovertParams",
@@ -35,9 +35,7 @@ __all__ = [
 
 def nu_lemma_shell(n: int) -> float:
     """Preset slack nu^2 = 1 + 1/n matching the shell concentration estimate."""
-    if n < 1:
-        raise DomainError(f"nu_lemma_shell: need n >= 1, got {n}")
-    return 1.0 + 1.0 / n
+    return 1.0 + 1.0 / _integer(n, 1, "nu_lemma_shell", "n")
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class CovertParams:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"CovertParams: need n >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, 1, "CovertParams", "n"))
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise DomainError(f"CovertParams: need delta > 0, got {self.delta!r}")
         if not (0.0 < self.epsilon < 1.0):
@@ -77,8 +74,7 @@ class CovertParams:
         Note mu^2 nu^2 eta = 1 exactly under these presets, so the two planning
         corners coincide: psi_suf == psi_nec.
         """
-        if n < 1:
-            raise DomainError(f"CovertParams.defaults: need n >= 1, got {n}")
+        n = _integer(n, 1, "CovertParams.defaults", "n")
         return cls(
             n=n,
             delta=delta,
@@ -91,14 +87,16 @@ class CovertParams:
 
 def psi_nec(n: int, delta: float, eta: float) -> float:
     """Necessary power corner sqrt(4 delta eta ln 2 / n) (delta in bits)."""
-    if n < 1 or not (delta > 0.0) or not (eta > 1.0):
+    n = _integer(n, 1, "psi_nec", "n")
+    if not (delta > 0.0) or not (eta > 1.0):
         raise DomainError(f"psi_nec: invalid (n={n}, delta={delta!r}, eta={eta!r})")
     return math.sqrt(4.0 * delta * eta * specfn.LN2 / n)
 
 
 def psi_suf(n: int, delta: float, mu: float, nu_sq: float) -> float:
     """Sufficient power corner sqrt(4 delta ln 2 / (n mu^2 nu^2)) (delta in bits)."""
-    if n < 1 or not (delta > 0.0) or not (0.0 < mu < 1.0) or not (nu_sq >= 1.0):
+    n = _integer(n, 1, "psi_suf", "n")
+    if not (delta > 0.0) or not (0.0 < mu < 1.0) or not (nu_sq >= 1.0):
         raise DomainError(
             f"psi_suf: invalid (n={n}, delta={delta!r}, mu={mu!r}, nu_sq={nu_sq!r})"
         )
@@ -117,7 +115,8 @@ def solve_exact_power(n: int, delta: float) -> float:
     the first step lands right of x* and every later one descends to it. The
     residual at the returned point is below 1e-12 * delta.
     """
-    if n < 1 or not (delta > 0.0 and math.isfinite(delta)):
+    n = _integer(n, 1, "solve_exact_power", "n")
+    if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"solve_exact_power: invalid (n={n}, delta={delta!r})")
     x = math.sqrt(4.0 * delta * specfn.LN2 / n)
     if not 0.0 < x < math.inf:  # 4 delta ln2 / n underflows or overflows

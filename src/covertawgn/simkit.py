@@ -62,7 +62,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer
 from .specfn import LOG2E
 from .truncgauss import (
     RadialOutputDensity,
@@ -115,8 +115,7 @@ class StreamTag(IntEnum):
 
 
 def _rng(seed: int, tag: StreamTag, block: int) -> np.random.Generator:
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    """The generator of stream key (seed, tag, block); the caller checked seed."""
     return np.random.default_rng(np.random.SeedSequence([seed, int(tag), block]))
 
 
@@ -175,9 +174,8 @@ class Codebook:
 
 def build_codebook(spec: TruncatedGaussianSpec, M: int, seed: int) -> Codebook:
     """M i.i.d. draws from the shell law; deterministic in (spec, M, seed)."""
-    if M < 2:
-        raise DomainError(f"build_codebook: need M >= 2, got {M}")
-    rng = _rng(seed, StreamTag.CODEBOOK, 0)
+    M = _integer(M, 2, "build_codebook", "M")
+    rng = _rng(_integer(seed, 0, "build_codebook", "seed"), StreamTag.CODEBOOK, 0)
     return Codebook(spec=spec, codewords=sample_codewords(spec, M, rng))
 
 
@@ -370,15 +368,15 @@ def _detector_radii(
     spec: TruncatedGaussianSpec, total: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(h0, h1): `total` radii ||y|| of Willie's observation under noise only
-    and under the code-ensemble output, drawn per block, H0 on the WILLIE_H0
-    stream and H1 (a fresh shell radius, then the noise) on WILLIE_H1, and
+    and under the code-ensemble output, drawn per block, H0 (chi^2_n as
+    2 Gamma(n/2), like every chi^2 here) on the WILLIE_H0 stream and H1 (a fresh shell radius, then the noise) on WILLIE_H1, and
     concatenated in block order. Willie's test and the empirical divergences
     both read them."""
 
     def block(b: int, count: int):
         rng = _rng(seed, StreamTag.WILLIE_H1, b)
         r = _sample_radii(spec, count, rng)
-        r0 = np.sqrt(_rng(seed, StreamTag.WILLIE_H0, b).chisquare(spec.n, count))
+        r0 = np.sqrt(2.0 * _rng(seed, StreamTag.WILLIE_H0, b).standard_gamma(0.5 * spec.n, count))
         return r0, _output_radii(r, spec.n, rng)
 
     h0, h1 = map(np.concatenate, zip(*_map_blocks(block, total)))
@@ -479,8 +477,8 @@ def empirical_divergences(
     WILLIE_H0 streams, so the result equals the empirical KL and TVD of
     `simulate(spec, M, n_samples, seed)` for every M, bit for bit.
     """
-    if n_samples < 2:
-        raise DomainError(f"empirical_divergences: need n_samples >= 2, got {n_samples}")
+    n_samples = _integer(n_samples, 2, "empirical_divergences", "n_samples")
+    seed = _integer(seed, 0, "empirical_divergences", "seed")
     return _divergence_estimates(spec, *_detector_radii(spec, n_samples, seed), seed)
 
 
@@ -607,18 +605,17 @@ def simulate(spec: TruncatedGaussianSpec, M: int, trials: int, seed: int) -> Sim
     forms predict. The decode estimate uses `trials` samples, and the detect
     and divergence estimates read the same `trials` radii per hypothesis, so
     the divergences equal `empirical_divergences(spec, trials, seed)`;
-    `trials >= 2` and `M >= 2`, both checked before any work. One helper
-    thread runs Willie's test and the divergences while the calling thread
-    draws the codebook in its span (`_span_codebook`, stream contract v7, not
-    `build_codebook`); then both take Bob's blocks from one queue, and a
-    failure on either empties it and is raised here.
+    the integers `trials >= 2`, `M >= 2` and `seed >= 0` are checked before
+    any work. One helper thread runs Willie's test and the divergences while
+    the calling thread draws the codebook in its span (`_span_codebook`,
+    stream contract v7, not `build_codebook`); then both take Bob's blocks
+    from one queue, and a failure on either empties it and is raised here.
     OpenBLAS is held to one thread, process-wide, until the call returns (see
     the module docstring).
     """
-    if trials < 2:
-        raise DomainError(f"simulate: need trials >= 2, got {trials}")
-    if M < 2:
-        raise DomainError(f"simulate: need M >= 2, got {M}")
+    trials = _integer(trials, 2, "simulate", "trials")
+    M = _integer(M, 2, "simulate", "M")
+    seed = _integer(seed, 0, "simulate", "seed")
     t0 = time.perf_counter()
     counts = _map_blocks(lambda b, count: count, trials)
     blocks = deque(enumerate(counts))  # Bob's (b, count), taken by either thread

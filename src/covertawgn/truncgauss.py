@@ -22,7 +22,7 @@ import numpy as np
 
 from . import specfn
 from .divergences import DivergenceReport
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer
 
 __all__ = [
     "TruncatedGaussianSpec",
@@ -40,8 +40,7 @@ def shell_mass(n: int, mu: float) -> float:
     Grows toward 1 as n increases at fixed mu (sphere hardening), rounding
     to 1.0 once 1 - Delta < 2^-53, and degenerates to 0 as mu -> 1.
     """
-    if n < 1:
-        raise DomainError(f"shell_mass: need n >= 1, got {n}")
+    n = _integer(n, 1, "shell_mass", "n")
     if not (0.0 < mu < 1.0):
         raise DomainError(f"shell_mass: need 0 < mu < 1, got {mu!r}")
     a = 0.5 * n
@@ -60,8 +59,7 @@ class TruncatedGaussianSpec:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"TruncatedGaussianSpec: need n >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, 1, "TruncatedGaussianSpec", "n"))
         if not (self.psi > 0.0 and math.isfinite(self.psi)):
             raise DomainError(f"TruncatedGaussianSpec: need psi > 0, got {self.psi!r}")
         if not (0.0 < self.mu < 1.0):
@@ -163,8 +161,7 @@ def sample_codewords(
     direction uniform on the unit sphere; every row satisfies
     r_inner <= ||x|| <= r_outer.
     """
-    if count < 1:
-        raise DomainError(f"sample_codewords: need count >= 1, got {count}")
+    count = _integer(count, 1, "sample_codewords", "count")
     r = _sample_radii(spec, count, rng)
     g = rng.standard_normal((count, spec.n))
     norms = np.linalg.norm(g, axis=1)

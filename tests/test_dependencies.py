@@ -96,3 +96,56 @@ def test_each_stream_is_drawn_at_one_rng_call_site():
     tags, names = _stream_sites()
     assert sorted(tags) == sorted(f"StreamTag.{t.name}" for t in StreamTag)
     assert "DIVERGENCE" not in names
+
+
+# the integer arguments that errors._integer checks
+_INTEGER_ARGUMENTS = {"n", "M", "trials", "n_samples", "count", "seed", "n_min", "n_max"}
+
+
+def _own_integer_checks(source: str, file: str) -> list[str]:
+    """'file:line' of every `raise DomainError` under an `if` whose test
+    compares an integer argument (a name, or an attribute such as self.n)
+    with a number, outside errors._integer."""
+    found = []
+
+    def is_number(side) -> bool:
+        return not any(isinstance(leaf, (ast.Name, ast.Attribute, ast.Call))
+                       for leaf in ast.walk(side))
+
+    def compares_an_integer_argument(test) -> bool:
+        for node in ast.walk(test):
+            if isinstance(node, ast.Compare):
+                sides = (node.left, *node.comparators)
+                names = {getattr(side, "id", getattr(side, "attr", None)) for side in sides}
+                if names & _INTEGER_ARGUMENTS and any(map(is_number, sides)):
+                    return True
+        return False
+
+    def visit(node, helper):
+        helper = helper or (isinstance(node, ast.FunctionDef) and node.name == "_integer")
+        if isinstance(node, ast.If) and not helper and compares_an_integer_argument(node.test):
+            for stmt in node.body:
+                for sub in ast.walk(stmt):
+                    if isinstance(sub, ast.Raise) and "DomainError" in ast.unparse(sub):
+                        found.append(f"{file}:{sub.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, helper)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_integer_arguments_are_checked_only_by_the_one_helper():
+    # each entry point refuses n, M, trials, counts and seeds through
+    # errors._integer, so none states its own rule for what an integer is
+    assert _own_integer_checks(
+        "def f(n, seed, shape):\n"
+        "    if n < 1:\n        raise DomainError(n)\n"
+        "    if not (0 <= seed < 2**63):\n        raise DomainError(seed)\n"
+        "    if shape[1] != n:\n        raise DomainError(shape)\n",
+        "probe",
+    ) == ["probe:3", "probe:5"]
+    found = []
+    for py in sorted((SRC / "covertawgn").glob("*.py")):
+        found += _own_integer_checks(py.read_text(encoding="utf-8"), py.name)
+    assert found == []

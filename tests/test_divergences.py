@@ -202,8 +202,8 @@ def test_pair_refuses_a_power_whose_crossing_radius_overflows():
 
 
 def test_pair_refuses_an_int_n_beyond_the_largest_float():
-    # float(10**400) raises a bare OverflowError
-    with pytest.raises(DomainError, match=r"n \* sigma1_sq overflows at n=10{400}, sigma1_sq=1\.5$"):
+    # float(10**400) raises a bare OverflowError; n is refused before it is used
+    with pytest.raises(DomainError, match=r"^IsotropicGaussianPair: need an integer n in \[1, 2\*\*63\), got 10{400}$"):
         dv.IsotropicGaussianPair(10**400, 1.5)
 
 

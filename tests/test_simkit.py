@@ -81,12 +81,12 @@ def test_simulate_checks_M_before_sizing_bob_noise(monkeypatch):
 
 def test_negative_seed_is_a_domain_error_naming_it():
     # numpy's SeedSequence would refuse it with a bare ValueError
-    for call in (
-        lambda: sk.build_codebook(_spec(), 4, -1),
-        lambda: sk.empirical_divergences(_spec(), 100, -1),
-        lambda: sk.simulate(_spec(), M=4, trials=100, seed=-1),
+    for who, call in (
+        ("build_codebook", lambda: sk.build_codebook(_spec(), 4, -1)),
+        ("empirical_divergences", lambda: sk.empirical_divergences(_spec(), 100, -1)),
+        ("simulate", lambda: sk.simulate(_spec(), M=4, trials=100, seed=-1)),
     ):
-        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        with pytest.raises(DomainError, match=f"^{who}: need seed >= 0, got -1$"):
             call()
 
 
@@ -185,25 +185,15 @@ def test_span_is_the_codewords_where_they_span_r_n(n, M):
     assert not coords_sq.flags.writeable
 
 
-def _counting_qr(monkeypatch, fail):
-    calls, qr = [], np.linalg.qr
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        if fail:
-            raise AssertionError("np.linalg.qr called")
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting)
-    return calls
-
-
 @pytest.mark.parametrize("n,M", [(64, 64), (64, 256), (64, 63), (512, 16)])
-def test_simulate_runs_no_qr_where_n_is_at_most_m(monkeypatch, n, M):
+def test_simulate_runs_no_qr_at_any_shape(monkeypatch, n, M):
     # since stream contract v7 the codebook is drawn in its span, so no QR
-    # runs where n > M either; the codeword energy n psi is 12.8 at every
-    # shape, so some trials decode wrong and some right
-    _counting_qr(monkeypatch, fail=True)
+    # runs, whether n <= M or n > M; the codeword energy n psi is 12.8 at
+    # every shape, so some trials decode wrong and some right
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
     res = sk.simulate(_spec(n=n, psi=12.8 / n, mu=0.8), M, trials=2000, seed=1)
     assert 0.0 < res.decode_error_rate < 1.0
 
